@@ -196,34 +196,25 @@ def _resolve_block(corpus, block_key, mentions, weights):
     return merged
 
 
-def disambiguate(corpus: Corpus, weights: SimilarityWeights,
-                 threads: int = 1) -> AuthorClusters:
+def disambiguate(corpus: Corpus, weights: SimilarityWeights) -> AuthorClusters:
     """Resolve every author mention in the corpus into identity clusters.
 
     Deterministic for a given corpus and weights: blocks are processed in
     sorted order and merges break ties by group ordering. Lone mentions
     of uncited single-authored papers are excluded after resolution.
     """
-    from ._util import parallel_map
-
     blocks: dict[str, list[tuple[str, str]]] = {}
     for pid in sorted(corpus.papers):
         for key in corpus.papers[pid].author_keys:
             blocks.setdefault(normalize_name(key), []).append((key, pid))
 
-    def resolve(block_key):
+    result = AuthorClusters()
+    for block_key in sorted(blocks):
         mentions = blocks[block_key]
         paper_groups = _resolve_block(corpus, block_key, mentions, weights)
-        out = []
         for idx, group in enumerate(paper_groups):
-            members = {(key, pid) for key, pid in mentions if pid in group}
-            out.append((f"{block_key}#{idx}", members))
-        return out
-
-    result = AuthorClusters()
-    for cluster_list in parallel_map(resolve, sorted(blocks), threads=threads):
-        for cluster_id, members in cluster_list:
-            result.clusters[cluster_id] = members
+            result.clusters[f"{block_key}#{idx}"] = {
+                (key, pid) for key, pid in mentions if pid in group}
 
     for cluster_id in sorted(result.clusters):
         members = result.clusters[cluster_id]

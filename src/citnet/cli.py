@@ -13,8 +13,9 @@ import sys
 
 from .corpus import load_corpus, validate_corpus
 from .matching import binning_diagnostics
-from .pipeline import (ConfigError, config_hash, emit_plot_data,
-                       load_config, run_pipeline, run_synth, FIGURE_IDS)
+from .pipeline import (ConfigError, _control_registry, config_hash,
+                       emit_plot_data, load_config, run_pipeline, run_synth,
+                       FIGURE_IDS)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -26,7 +27,8 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="override the configured worker count")
+                        help="override the configured worker-thread count "
+                             "for the novelty null-model replicates")
     parser.add_argument("--out", default=None,
                         help="override the configured output directory")
 
@@ -98,22 +100,11 @@ def _cmd_validate(args):
     return EXIT_VALIDATION
 
 
-def _run_stages(args, stages):
+def _run_stages(args, stages=None):
+    """Run the configured stages, or only ``stages``; one line per stage."""
     config = _load(args)
-    config.resolved["stages"] = stages
-    results = run_pipeline(config)
-    for r in results:
-        line = f"{r.name}: {r.status} ({r.seconds:.2f}s)"
-        if r.error:
-            line += f" - {r.error}"
-        print(line)
-    if any(r.status != "ok" for r in results):
-        return EXIT_ERROR
-    return EXIT_OK
-
-
-def _cmd_run(args):
-    config = _load(args)
+    if stages is not None:
+        config.resolved["stages"] = stages
     results = run_pipeline(config)
     print(f"config hash {config_hash(config)[:12]}")
     for r in results:
@@ -122,6 +113,10 @@ def _cmd_run(args):
             line += f" - {r.error}"
         print(line)
     return EXIT_ERROR if any(r.status != "ok" for r in results) else EXIT_OK
+
+
+def _cmd_run(args):
+    return _run_stages(args)
 
 
 def _cmd_synth(args):
@@ -137,21 +132,10 @@ def _cmd_match(args):
     if code != EXIT_OK or not args.diagnose:
         return code
     config = _load(args)
-    from .impact import build_normalization_table
-    from .matching import build_registry
     corpus = load_corpus(config.corpus_paths(),
                          year_range=tuple(config["year_range"]))
-    year = config["matching"]["year"]
-    if year is None:
-        year = tuple(config["year_range"])[1]
-    try:
-        table = build_normalization_table(
-            corpus, config["impact"]["reference_year"])
-    except ValueError:
-        table = None
-    registry = build_registry(corpus, int(year),
-                              impact_kind=config["matching"]["impact_kind"],
-                              table=table)
+    year, registry = _control_registry(config, corpus)
+    print(f"matching year {year}")
     for scheme, stats in binning_diagnostics(registry).items():
         print(f"{scheme}: matched={stats['matched']} "
               f"mean_impact_gap={stats['mean_impact_gap']} "

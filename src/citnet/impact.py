@@ -96,15 +96,23 @@ def normalize_citations(count, year, table: NormalizationTable) -> float:
     return count / scale
 
 
-def normalized_journal_impact(corpus, journal_id, year,
-                              table: NormalizationTable) -> Optional[float]:
-    """Impact with the numerator deflated to reference-year citation levels."""
-    raw = journal_impact(corpus, journal_id, year)
-    if raw is None:
+def _normalized(raw, year, table: Optional[NormalizationTable]
+                ) -> Optional[float]:
+    """Deflate a raw impact; None without a table or for an uncovered year."""
+    if raw is None or table is None or year not in table.n_top:
         return None
-    if year not in table.n_top:
-        raise KeyError(f"year {year} not covered by normalization table")
     return float(raw) * table.n_top[table.reference_year] / table.n_top[year]
+
+
+def normalized_journal_impact(corpus, journal_id, year,
+                              table: Optional[NormalizationTable]
+                              ) -> Optional[float]:
+    """Impact with the numerator deflated to reference-year citation levels.
+
+    None when the impact is undefined, when there is no table, or when
+    the table does not cover ``year``.
+    """
+    return _normalized(journal_impact(corpus, journal_id, year), year, table)
 
 
 def build_normalization_table(corpus: Corpus, reference_year: int = 2017,
@@ -197,29 +205,22 @@ def market_share(corpus, publisher_id, year) -> Optional[float]:
     return own / total
 
 
-def impact_table(corpus, years, table: Optional[NormalizationTable] = None,
-                 threads: int = 1) -> list[ImpactRecord]:
+def impact_table(corpus, years, table: Optional[NormalizationTable] = None
+                 ) -> list[ImpactRecord]:
     """All timing metrics for every journal over ``years``, sorted rows."""
-    from ._util import parallel_map
-
-    jobs = [(jid, y) for jid in sorted(corpus.journals) for y in years]
-
-    def one(job):
-        jid, y = job
-        raw = journal_impact(corpus, jid, y)
-        norm = None
-        if raw is not None and table is not None and y in table.n_top:
-            norm = float(raw) * table.n_top[table.reference_year] / table.n_top[y]
-        window = corpus.papers_of_journal(jid, (y - 2, y - 1))
-        return ImpactRecord(
-            journal_id=jid,
-            year=y,
-            impact=raw,
-            normalized_impact=norm,
-            eligible_paper_count=len(window),
-            immediacy=immediacy_index(corpus, jid, y),
-            cited_half_life=cited_half_life(corpus, jid, y),
-            citing_half_life=citing_half_life(corpus, jid, y),
-        )
-
-    return parallel_map(one, jobs, threads=threads)
+    records = []
+    for jid in sorted(corpus.journals):
+        for y in years:
+            raw = journal_impact(corpus, jid, y)
+            records.append(ImpactRecord(
+                journal_id=jid,
+                year=y,
+                impact=raw,
+                normalized_impact=_normalized(raw, y, table),
+                eligible_paper_count=len(
+                    corpus.papers_of_journal(jid, (y - 2, y - 1))),
+                immediacy=immediacy_index(corpus, jid, y),
+                cited_half_life=cited_half_life(corpus, jid, y),
+                citing_half_life=citing_half_life(corpus, jid, y),
+            ))
+    return records

@@ -47,6 +47,7 @@ __all__ = [
     "pagerank",
     "pathcore",
     "centrality_comparison",
+    "centrality_variants",
     "robustness_sweep",
 ]
 
@@ -92,6 +93,18 @@ class PageRankConvergenceError(RuntimeError):
             f"(residual {residual:.3e})")
 
 
+def _window_error(corpus, year, window_years, link_type) -> Optional[str]:
+    """Why the variant's year window leaves the corpus range, if it does."""
+    lo, hi = corpus.year_range
+    if link_type == "citation" and year + window_years > hi:
+        return (f"window [{year + 1}, {year + window_years}] exceeds "
+                f"corpus range end {hi}")
+    if link_type == "reference" and year - window_years < lo:
+        return (f"window [{year - window_years}, {year - 1}] precedes "
+                f"corpus range start {lo}")
+    return None
+
+
 def build_journal_network(corpus: Corpus, year: int, window_years: int = 2,
                           link_type: str = "citation") -> JournalCitationNetwork:
     """Aggregate paper citations into the year's journal graph.
@@ -102,13 +115,9 @@ def build_journal_network(corpus: Corpus, year: int, window_years: int = 2,
     """
     if link_type not in ("citation", "reference"):
         raise ValueError(f"unknown link type: {link_type!r}")
-    lo, hi = corpus.year_range
-    if link_type == "citation" and year + window_years > hi:
-        raise ValueError(f"window [{year + 1}, {year + window_years}] exceeds "
-                         f"corpus range end {hi}")
-    if link_type == "reference" and year - window_years < lo:
-        raise ValueError(f"window [{year - window_years}, {year - 1}] precedes "
-                         f"corpus range start {lo}")
+    error = _window_error(corpus, year, window_years, link_type)
+    if error:
+        raise ValueError(error)
 
     nodes = tuple(sorted(j for j in corpus.journals
                          if corpus.journals[j].paper_count_by_year.get(year, 0)))
@@ -155,7 +164,15 @@ def closeness(network: JournalCitationNetwork) -> CentralityVector:
     if network.empty:
         raise ValueError("empty network")
     g = network.skeleton()
-    return _vector(network, "CC", nx.harmonic_centrality(g))
+    adj = {u: sorted(g.successors(u)) for u in g.nodes}
+    # summing over sources in node order fixes the float summation order,
+    # so scores do not depend on string hashing
+    scores = {u: 0.0 for u in network.nodes}
+    for source in network.nodes:
+        for target, d in _bfs_counts(adj, source)[0].items():
+            if d:
+                scores[target] += 1 / d
+    return _vector(network, "CC", scores)
 
 
 def pagerank(network: JournalCitationNetwork, damping: float = 0.85,
@@ -299,6 +316,35 @@ def centrality_comparison(matches: Iterable[MatchRecord],
     return out
 
 
+def centrality_variants(corpus: Corpus, year, windows, link_types):
+    """All four centralities of every window/link-type network variant.
+
+    Returns (computed, skipped). ``computed`` lists (network, vectors) in
+    variant order; ``skipped`` maps the name ``<year>_<window><link_type>``
+    of each variant whose window leaves the corpus range, or whose
+    network is empty, to the reason.
+    """
+    computed = []
+    skipped = {}
+    for window in map(int, windows):
+        for link_type in link_types:
+            name = f"{year}_{window}{link_type}"
+            reason = _window_error(corpus, year, window, link_type)
+            if reason is None:
+                network = build_journal_network(corpus, year, window,
+                                                link_type)
+                if network.empty:
+                    reason = f"no journal published in {year}"
+            if reason:
+                skipped[name] = reason
+                continue
+            computed.append((network, [betweenness(network),
+                                       closeness(network),
+                                       pagerank(network),
+                                       pathcore(network)]))
+    return computed, skipped
+
+
 def robustness_sweep(corpus: Corpus, matches, year,
                      windows=(2, 5), link_types=("citation", "reference")):
     """Replay all four centralities over every window/link-type variant.
@@ -306,16 +352,8 @@ def robustness_sweep(corpus: Corpus, matches, year,
     Returns {(window, link_type): {metric: ComparisonReport}}; variants
     whose window falls outside the corpus range are skipped.
     """
-    results = {}
-    for window in windows:
-        for link_type in link_types:
-            try:
-                network = build_journal_network(corpus, year, window, link_type)
-            except ValueError:
-                continue
-            if network.empty:
-                continue
-            vectors = [betweenness(network), closeness(network),
-                       pagerank(network), pathcore(network)]
-            results[(window, link_type)] = centrality_comparison(matches, vectors)
-    return results
+    computed, _skipped = centrality_variants(corpus, year, windows,
+                                             link_types)
+    return {(network.window_years, network.link_type):
+            centrality_comparison(matches, vectors)
+            for network, vectors in computed}

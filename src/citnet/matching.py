@@ -79,8 +79,7 @@ def build_registry(corpus: Corpus, year: int, impact_kind: str = "normalized",
     for jid in sorted(corpus.journals):
         journal = corpus.journals[jid]
         if impact_kind == "normalized":
-            imp = (normalized_journal_impact(corpus, jid, year, table)
-                   if table is not None else None)
+            imp = normalized_journal_impact(corpus, jid, year, table)
         else:
             raw = journal_impact(corpus, jid, year)
             imp = None if raw is None else float(raw)

@@ -9,14 +9,17 @@ hash, per-stage status and timings; when a stage fails its dependents
 are skipped and the manifest carries a partial-run marker, with the
 completed outputs left in place.
 
-All randomness derives from the configured seed, and per-item work is
-split deterministically, so a rerun with the same config produces
-byte-identical CSVs at any worker-thread count.
+All randomness derives from the configured seed, so a rerun with the
+same config produces byte-identical CSVs. Stages run serially; the
+``threads`` setting only spreads the novelty null-model replicates over
+worker threads, and their results are reduced in replicate order, so
+the thread count never changes an output.
 """
 
 from __future__ import annotations
 
 import csv
+import difflib
 import hashlib
 import json
 import math
@@ -28,7 +31,7 @@ from typing import Optional
 import yaml
 
 from . import __version__
-from ._util import parallel_map, write_csv
+from ._util import write_csv
 from .corpus import Corpus, load_corpus
 from . import authors as authors_mod
 from . import disruption as disruption_mod
@@ -81,12 +84,33 @@ _DEFAULTS = {
     "disruption": {"window": None, "by_journal": False},
     "authors": {"weights": None, "pair_threshold": 1.0,
                 "group_threshold": 0.19},
-    "synth": {},
+    "synth": {"grid": None, "publisher_count": 5, "journals_per_publisher": 5,
+              "component_size_range": [450, 550], "out_degree_mean": 20.0,
+              "out_degree_std": 5.0, "in_degree_exponent": 3.0,
+              "baseline_rate": 0.2, "rewire_fraction": 3.0,
+              "ensemble_count": 20},
 }
+
+# keys of the mappings that have no defaults of their own
+_CORPUS_KEYS = ("papers", "journals", "publishers")
+_WEIGHT_KEYS = ("self_citation", "shared_author", "shared_citation",
+                "shared_reference")
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_keys(section, mapping, known):
+    """Reject a key outside ``known``, naming the closest known one."""
+    for key in mapping:
+        if key in known:
+            continue
+        close = difflib.get_close_matches(str(key), sorted(known), n=1)
+        hint = (f"did you mean {close[0]}?" if close
+                else f"known keys: {', '.join(sorted(known))}")
+        name = f"{section}.{key}" if section else str(key)
+        raise ConfigError(f"unknown config key {name}; {hint}")
 
 
 @dataclass
@@ -95,13 +119,18 @@ class RunConfig:
     path: Optional[Path] = None
 
     def __post_init__(self):
+        _check_keys("", self.raw, [*_DEFAULTS, "corpus"])
         merged = {k: (dict(v) if isinstance(v, dict) else v)
                   for k, v in _DEFAULTS.items()}
         for key, value in self.raw.items():
             if isinstance(value, dict) and isinstance(merged.get(key), dict):
+                _check_keys(key, value, merged[key])
                 merged[key].update(value)
             else:
                 merged[key] = value
+        _check_keys("corpus", merged.get("corpus") or {}, _CORPUS_KEYS)
+        _check_keys("authors.weights", merged["authors"]["weights"] or {},
+                    _WEIGHT_KEYS)
         self.resolved = merged
 
     def __getitem__(self, key):
@@ -157,6 +186,7 @@ class StageResult:
     seconds: float = 0.0
     error: str = ""
     outputs: list[str] = field(default_factory=list)
+    skipped: dict[str, str] = field(default_factory=dict)  # item -> reason
 
 
 @dataclass
@@ -177,23 +207,26 @@ def _fraction_or_none(x):
 # ---------------------------------------------------------------------------
 
 
-def _impact_years(ctx):
-    years = ctx.config["impact"]["years"]
+def _impact_years(config):
+    years = config["impact"]["years"]
     if years:
         return list(years)
-    lo, hi = ctx.config["year_range"]
+    lo, hi = config["year_range"]
     return list(range(lo, hi + 1))
 
 
-def _stage_impact(ctx: _RunContext):
-    years = _impact_years(ctx)
-    ref_year = ctx.config["impact"]["reference_year"]
+def _normalization_table(config, corpus):
     try:
-        table = impact_mod.build_normalization_table(ctx.corpus, ref_year)
+        return impact_mod.build_normalization_table(
+            corpus, config["impact"]["reference_year"])
     except ValueError:
-        table = None
-    records = impact_mod.impact_table(ctx.corpus, years, table,
-                                      threads=ctx.threads)
+        return None
+
+
+def _stage_impact(ctx: _RunContext):
+    years = _impact_years(ctx.config)
+    records = impact_mod.impact_table(
+        ctx.corpus, years, _normalization_table(ctx.config, ctx.corpus))
     rows = [(r.journal_id, r.year, _fraction_or_none(r.impact),
              r.normalized_impact, r.immediacy, r.cited_half_life,
              r.citing_half_life)
@@ -213,60 +246,37 @@ def _stage_impact(ctx: _RunContext):
         write_csv(ctx.outdir / "market_share.csv",
                   ["publisher_id", "year", "share"], share_rows)
         outputs.append("market_share.csv")
-    return outputs
+    return outputs, {}
 
 
-def _read_impact_csv(path):
-    table = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            norm = row["normalized_impact"]
-            raw = row["impact"]
-            table[(row["journal_id"], int(row["year"]))] = (
-                float(raw) if raw else None,
-                float(norm) if norm else None,
-            )
-    return table
-
-
-def _matching_year(ctx):
-    year = ctx.config["matching"]["year"]
+def _matching_year(config):
+    """The configured matching year, else the last impact year."""
+    year = config["matching"]["year"]
     if year is not None:
         return int(year)
-    return _impact_years(ctx)[-1]
+    return _impact_years(config)[-1]
+
+
+def _control_registry(config, corpus):
+    """(matching year, registry) that control matching runs on."""
+    year = _matching_year(config)
+    if year not in _impact_years(config):
+        raise ConfigError(f"matching year {year} is not covered by the "
+                          f"impact stage years")
+    return year, matching_mod.build_registry(
+        corpus, year, impact_kind=config["matching"]["impact_kind"],
+        table=_normalization_table(config, corpus))
 
 
 def _stage_matching(ctx: _RunContext):
-    year = _matching_year(ctx)
-    kind = ctx.config["matching"]["impact_kind"]
-    impacts = _read_impact_csv(ctx.outdir / "impact.csv")
-    if not any(y == year for _j, y in impacts):
-        raise ConfigError(f"matching year {year} is not covered by the "
-                          f"impact stage years")
-
-    registry = {}
-    for jid in sorted(ctx.corpus.journals):
-        journal = ctx.corpus.journals[jid]
-        raw, norm = impacts.get((jid, year), (None, None))
-        imp = norm if kind == "normalized" else raw
-        registry[jid] = matching_mod.RegistryEntry(
-            journal_id=jid,
-            categories=journal.categories,
-            questionable=journal.questionable_flag,
-            annual_size=journal.paper_count_by_year.get(year, 0),
-            impact=imp,
-        )
-    flagged = [j for j in sorted(registry) if registry[j].questionable]
-    records = []
-    for recs in parallel_map(
-            lambda qj: matching_mod.match_registry(registry, qj),
-            flagged, threads=ctx.threads):
-        records.extend(recs)
+    _year, registry = _control_registry(ctx.config, ctx.corpus)
+    records = [rec for qj in sorted(registry) if registry[qj].questionable
+               for rec in matching_mod.match_registry(registry, qj)]
     rows = [(r.qj_id, r.category, r.uj_id, r.impact_gap, r.tercile)
             for r in sorted(records, key=lambda r: (r.qj_id, r.category))]
     write_csv(ctx.outdir / "matches.csv",
               ["qj_id", "category", "uj_id", "impact_gap", "tercile"], rows)
-    return ["matches.csv"]
+    return ["matches.csv"], {}
 
 
 def _read_matches_csv(path):
@@ -283,14 +293,16 @@ def _read_matches_csv(path):
     return records
 
 
-def _group_journals(ctx):
-    """(flagged set, matched-control set) from corpus flags and matches.csv."""
-    qj = {j for j in sorted(ctx.corpus.journals)
-          if ctx.corpus.journals[j].questionable_flag}
-    uj = set()
-    matches_path = ctx.outdir / "matches.csv"
-    if matches_path.exists():
-        uj = {m.uj_id for m in _read_matches_csv(matches_path) if m.uj_id}
+def _matches_written(ctx):
+    path = ctx.outdir / "matches.csv"
+    return _read_matches_csv(path) if path.exists() else []
+
+
+def _groups(corpus, matches):
+    """(QJ, UJ): the flagged journals and their matched unflagged controls."""
+    qj = {j for j, journal in corpus.journals.items()
+          if journal.questionable_flag}
+    uj = {m.uj_id for m in matches if m.uj_id}
     return qj, uj
 
 
@@ -298,35 +310,42 @@ def _stage_selfcite(ctx: _RunContext):
     section = ctx.config["selfcite"]
     window = tuple(section["window"]) if section["window"] else None
     include_self = section["include_self_journal"]
-    table = selfcite_mod.aggregate_citation_counts(ctx.corpus, window)
+    tables = {}
 
-    scores = parallel_map(
-        lambda jid: selfcite_mod.solidarity_index(
-            ctx.corpus, jid, window, include_self=include_self, table=table),
-        sorted(ctx.corpus.journals), threads=ctx.threads)
-    rows = [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
-            for s in scores]
+    def table_for(win):
+        if win not in tables:
+            tables[win] = selfcite_mod.aggregate_citation_counts(ctx.corpus,
+                                                                 win)
+        return tables[win]
+
+    table = table_for(window)
+    rows = []
+    for jid in sorted(ctx.corpus.journals):
+        s = selfcite_mod.solidarity_index(ctx.corpus, jid, window,
+                                          include_self=include_self,
+                                          table=table)
+        rows.append((s.journal_id, s.psi, s.q_r, s.q_c,
+                     s.publisher_paper_total))
     write_csv(ctx.outdir / "solidarity.csv",
               ["journal_id", "psi", "Q_r", "Q_c", "publisher_paper_total"],
               rows)
     outputs = ["solidarity.csv"]
 
+    # (window written to rates.csv, window of its count table)
+    if section["rate_years"]:
+        windows = [((y, y), (y, y)) for y in section["rate_years"]]
+    else:
+        windows = [(window or ctx.corpus.year_range, window)]
+    qj, uj = _groups(ctx.corpus, _matches_written(ctx))
     rate_rows = []
-    qj, uj = _group_journals(ctx)
-    windows = ([(y, y) for y in section["rate_years"]]
-               if section["rate_years"] else [window or ctx.corpus.year_range])
-
-    def battery(jid):
-        out = []
+    for jid in sorted(qj | uj):
         journal = ctx.corpus.journals[jid]
-        for win in windows:
-            tab = (table if win == window or (window is None and
-                                              win == ctx.corpus.year_range)
-                   else selfcite_mod.aggregate_citation_counts(ctx.corpus, win))
-            targets = {"self": {jid}, "qj_group": qj, "uj_group": uj}
-            if journal.publisher_id in ctx.corpus.publishers:
-                targets["publisher"] = set(
-                    ctx.corpus.publishers[journal.publisher_id].journal_ids)
+        targets = {"self": {jid}, "qj_group": qj, "uj_group": uj}
+        if journal.publisher_id in ctx.corpus.publishers:
+            targets["publisher"] = set(
+                ctx.corpus.publishers[journal.publisher_id].journal_ids)
+        for (lo, hi), key in windows:
+            tab = table_for(key)
             for label in sorted(targets):
                 group = targets[label]
                 if not group:
@@ -335,12 +354,8 @@ def _stage_selfcite(ctx: _RunContext):
                                                 table=tab)
                 rr = selfcite_mod.reference_rate(ctx.corpus, jid, group,
                                                  table=tab)
-                out.append((jid, label, "citation", win[0], win[1], cr))
-                out.append((jid, label, "reference", win[0], win[1], rr))
-        return out
-
-    for chunk in parallel_map(battery, sorted(qj | uj), threads=ctx.threads):
-        rate_rows.extend(chunk)
+                rate_rows.append((jid, label, "citation", lo, hi, cr))
+                rate_rows.append((jid, label, "reference", lo, hi, rr))
 
     query_file = section["query_file"]
     if query_file:
@@ -356,7 +371,8 @@ def _stage_selfcite(ctx: _RunContext):
             group = selfcite_mod.resolve_group(ctx.corpus, query.targets)
             fn = (selfcite_mod.citation_rate if query.kind == "citation"
                   else selfcite_mod.reference_rate)
-            rate = fn(ctx.corpus, query.source, group, window=query.window)
+            rate = fn(ctx.corpus, query.source, group,
+                      table=table_for(query.window))
             lo, hi = query.window if query.window else ctx.corpus.year_range
             rate_rows.append((query.source, "+".join(query.targets),
                               query.kind, lo, hi, rate))
@@ -365,38 +381,22 @@ def _stage_selfcite(ctx: _RunContext):
               ["source", "target", "kind", "year_start", "year_end", "rate"],
               sorted(rate_rows, key=lambda r: (r[0], r[1], r[2], r[3])))
     outputs.append("rates.csv")
-    return outputs
+    return outputs, {}
 
 
 def _stage_jnet(ctx: _RunContext):
     section = ctx.config["jnet"]
     year = section["year"]
     if year is None:
-        year = _matching_year(ctx)
-    variants = [(int(w), lt) for w in section["windows"]
-                for lt in section["link_types"]]
-
-    matches_path = ctx.outdir / "matches.csv"
-    matches = _read_matches_csv(matches_path) if matches_path.exists() else []
-
-    def one(variant):
-        window, link_type = variant
-        network = jnet_mod.build_journal_network(ctx.corpus, year, window,
-                                                 link_type)
-        if network.empty:
-            return (variant, None, [], {})
-        vectors = [jnet_mod.betweenness(network), jnet_mod.closeness(network),
-                   jnet_mod.pagerank(network), jnet_mod.pathcore(network)]
-        comparison = (jnet_mod.centrality_comparison(matches, vectors)
-                      if matches else {})
-        return (variant, network, vectors, comparison)
+        year = _matching_year(ctx.config)
+    matches = _matches_written(ctx)
+    computed, skipped = jnet_mod.centrality_variants(
+        ctx.corpus, year, section["windows"], section["link_types"])
 
     outputs = []
     comparison_rows = []
-    for (window, link_type), network, vectors, comparison in parallel_map(
-            one, variants, threads=ctx.threads):
-        if network is None:
-            continue
+    for network, vectors in computed:
+        window, link_type = network.window_years, network.link_type
         tag = f"{year}_{window}{link_type}"
         name = f"network_{tag}.csv"
         write_csv(ctx.outdir / name, ["citing_id", "cited_id", "weight"],
@@ -407,6 +407,9 @@ def _stage_jnet(ctx: _RunContext):
             write_csv(ctx.outdir / name, ["journal_id", "score"],
                       sorted(vec.scores.items()))
             outputs.append(name)
+        if not matches:
+            continue
+        comparison = jnet_mod.centrality_comparison(matches, vectors)
         for metric in sorted(comparison):
             rep = comparison[metric]
             comparison_rows.append((year, window, link_type, metric,
@@ -418,7 +421,7 @@ def _stage_jnet(ctx: _RunContext):
                    "uj_higher_fraction", "pair_count", "excluded_pairs"],
                   comparison_rows)
         outputs.append("centrality_comparison.csv")
-    return outputs
+    return outputs, skipped
 
 
 def _stage_novelty(ctx: _RunContext):
@@ -441,20 +444,19 @@ def _stage_novelty(ctx: _RunContext):
     write_csv(ctx.outdir / "novelty.csv",
               ["paper_id", "median_z", "p10_z", "defined_pair_count",
                "undefined_pair_count"], rows)
-    return ["novelty.csv"]
+    return ["novelty.csv"], {}
 
 
 def _stage_disruption(ctx: _RunContext):
     section = ctx.config["disruption"]
     window = tuple(section["window"]) if section["window"] else None
 
-    def one(pid):
+    rows = []
+    for pid in sorted(ctx.corpus.papers):
         c = disruption_mod.disruption_counts(ctx.corpus, pid, window)
         paper = ctx.corpus.papers[pid]
-        return (pid, c.n_i, c.n_j, c.n_k, c.value,
-                len(paper.author_keys), paper.year)
-
-    rows = parallel_map(one, sorted(ctx.corpus.papers), threads=ctx.threads)
+        rows.append((pid, c.n_i, c.n_j, c.n_k, c.value,
+                     len(paper.author_keys), paper.year))
     write_csv(ctx.outdir / "disruption.csv",
               ["paper_id", "n_i", "n_j", "n_k", "D", "author_count", "year"],
               rows)
@@ -466,7 +468,7 @@ def _stage_disruption(ctx: _RunContext):
         write_csv(ctx.outdir / "disruption_journal.csv",
                   ["journal_id", "mean_D"], sorted(means.items()))
         outputs.append("disruption_journal.csv")
-    return outputs
+    return outputs, {}
 
 
 def _stage_authors(ctx: _RunContext):
@@ -480,8 +482,7 @@ def _stage_authors(ctx: _RunContext):
         pair_threshold=float(section["pair_threshold"]),
         group_threshold=float(section["group_threshold"]),
     )
-    clusters = authors_mod.disambiguate(ctx.corpus, weights,
-                                        threads=ctx.threads)
+    clusters = authors_mod.disambiguate(ctx.corpus, weights)
     rows = []
     for cid in sorted(clusters.clusters):
         for key, pid in sorted(clusters.clusters[cid]):
@@ -489,7 +490,7 @@ def _stage_authors(ctx: _RunContext):
     write_csv(ctx.outdir / "clusters.csv",
               ["cluster_id", "author_key", "paper_id"], rows)
 
-    qj, uj = _group_journals(ctx)
+    qj, uj = _groups(ctx.corpus, _matches_written(ctx))
     stat_rows = []
     for label, group in (("qj", qj), ("uj", uj)):
         if not group:
@@ -506,7 +507,7 @@ def _stage_authors(ctx: _RunContext):
                "self_citing_fraction", "group_self_cited_any",
                "group_self_citing_any", "group_self_cited_own",
                "group_self_citing_own"], stat_rows)
-    return ["clusters.csv", "author_stats.csv"]
+    return ["clusters.csv", "author_stats.csv"], {}
 
 
 _STAGE_FNS = {
@@ -524,7 +525,10 @@ def run_pipeline(config: RunConfig, outdir=None, seed=None, threads=None):
     """Execute the enabled stages and write the manifest.
 
     Returns the list of StageResult in execution order. Stage failures
-    do not raise; they mark the run partial and skip dependents.
+    do not raise; they mark the run partial and skip dependents. Items a
+    stage leaves out (such as a journal-network variant outside the
+    corpus range) are listed with the reason under the stage's
+    ``skipped`` entry, and the stage stays ok.
     """
     errors = config.validate()
     if errors:
@@ -552,10 +556,10 @@ def run_pipeline(config: RunConfig, outdir=None, seed=None, threads=None):
             continue
         t0 = time.perf_counter()
         try:
-            outputs = _STAGE_FNS[name](ctx)
+            outputs, skipped = _STAGE_FNS[name](ctx)
             results.append(StageResult(name, "ok",
                                        seconds=time.perf_counter() - t0,
-                                       outputs=outputs))
+                                       outputs=outputs, skipped=skipped))
         except Exception as exc:  # stage isolation: report, halt dependents
             results.append(StageResult(name, "failed",
                                        seconds=time.perf_counter() - t0,
@@ -571,7 +575,8 @@ def run_pipeline(config: RunConfig, outdir=None, seed=None, threads=None):
         "load_report": corpus.load_report.summary(),
         "stages": [{"name": r.name, "status": r.status,
                     "seconds": round(r.seconds, 6), "error": r.error,
-                    "outputs": r.outputs} for r in results],
+                    "outputs": r.outputs, "skipped": r.skipped}
+                   for r in results],
     }
     with (outdir / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -583,31 +588,29 @@ def run_synth(config: RunConfig, outdir=None, seed=None):
     """Scenario sweeps plus the rewiring experiment, written as CSVs."""
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
-    section = config["synth"] or {}
+    section = config["synth"]
     seed = config["seed"] if seed is None else int(seed)
 
     scen_rows = []
     for scenario in ("a", "b", "c"):
-        for value, psi in synth_mod.psi_scenarios(scenario,
-                                                  section.get("grid")):
+        for value, psi in synth_mod.psi_scenarios(scenario, section["grid"]):
             scen_rows.append((scenario, value, psi))
     write_csv(outdir / "synth_psi_scenarios.csv",
               ["scenario", "sweep_value", "psi"], scen_rows)
 
     synth_cfg = synth_mod.SynthConfig(
-        publisher_count=int(section.get("publisher_count", 5)),
-        journals_per_publisher=int(section.get("journals_per_publisher", 5)),
-        component_size_range=tuple(section.get("component_size_range",
-                                               (450, 550))),
-        out_degree_mean=float(section.get("out_degree_mean", 20.0)),
-        out_degree_std=float(section.get("out_degree_std", 5.0)),
-        in_degree_exponent=float(section.get("in_degree_exponent", 3.0)),
+        publisher_count=int(section["publisher_count"]),
+        journals_per_publisher=int(section["journals_per_publisher"]),
+        component_size_range=tuple(section["component_size_range"]),
+        out_degree_mean=float(section["out_degree_mean"]),
+        out_degree_std=float(section["out_degree_std"]),
+        in_degree_exponent=float(section["in_degree_exponent"]),
         seed=seed,
     )
     rewire_cfg = synth_mod.RewireConfig(
-        baseline_rate=float(section.get("baseline_rate", 0.2)),
-        rewire_fraction=float(section.get("rewire_fraction", 3.0)),
-        ensemble_count=int(section.get("ensemble_count", 20)),
+        baseline_rate=float(section["baseline_rate"]),
+        rewire_fraction=float(section["rewire_fraction"]),
+        ensemble_count=int(section["ensemble_count"]),
         seed=seed + 1,
     )
     curves = synth_mod.psi_rewiring_experiment(synth_cfg, rewire_cfg)
@@ -642,19 +645,13 @@ def _read_rows(path):
 def _load_groups(config, outdir):
     corpus = load_corpus(config.corpus_paths(),
                          year_range=tuple(config["year_range"]))
-    qj = {j for j in sorted(corpus.journals)
-          if corpus.journals[j].questionable_flag}
     matches = _read_matches_csv(_need(outdir, "matches.csv", "matching"))
-    uj = {m.uj_id for m in matches if m.uj_id}
-    return corpus, matches, qj, uj
+    return (corpus, matches) + _groups(corpus, matches)
 
 
 def _mean_rate_figure(config, outdir, target_label):
     rows = _read_rows(_need(outdir, "rates.csv", "selfcite"))
-    corpus = load_corpus(config.corpus_paths(),
-                         year_range=tuple(config["year_range"]))
-    qj = {j for j in sorted(corpus.journals)
-          if corpus.journals[j].questionable_flag}
+    _corpus, _matches, qj, _uj = _load_groups(config, outdir)
     acc: dict[tuple, list[float]] = {}
     for row in rows:
         if row["target"] != target_label and target_label != "group":
@@ -675,13 +672,10 @@ def _mean_rate_figure(config, outdir, target_label):
 
 
 def _figure_2f(config, outdir):
-    _corpus, matches, _qj, _uj = _load_groups(config, outdir)
+    corpus, matches, _qj, _uj = _load_groups(config, outdir)
     solidarity = {r["journal_id"]: r for r in
                   _read_rows(_need(outdir, "solidarity.csv", "selfcite"))}
-    impacts = _read_impact_csv(_need(outdir, "impact.csv", "impact"))
-    year = (config["matching"]["year"]
-            if config["matching"]["year"] is not None
-            else max(y for _j, y in impacts) if impacts else None)
+    _year, registry = _control_registry(config, corpus)
     rows = []
     for m in sorted({(m.qj_id, m.uj_id) for m in matches if m.uj_id}):
         qj_id, uj_id = m
@@ -694,8 +688,7 @@ def _figure_2f(config, outdir):
                 and float(su["publisher_paper_total"]) > 0:
             rel_size = (float(sq["publisher_paper_total"])
                         / float(su["publisher_paper_total"]))
-        imp = impacts.get((qj_id, year), (None, None))[1] if year else None
-        rows.append((qj_id, ratio, rel_size, imp))
+        rows.append((qj_id, ratio, rel_size, registry[qj_id].impact))
     return ["qj_id", "psi_ratio", "relative_publisher_size", "qj_impact"], rows
 
 

@@ -22,6 +22,7 @@ overall exchange patterns predict.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -58,6 +59,17 @@ class CitationCounts:
     in_total: dict[str, float] = field(default_factory=dict)
     window: Optional[tuple[int, int]] = None
 
+    @classmethod
+    def from_counts(cls, counts: dict[tuple[str, str], float],
+                    window: Optional[tuple[int, int]] = None
+                    ) -> "CitationCounts":
+        """Table over journal-pair totals; the marginals are summed here."""
+        table = cls(counts=dict(counts), window=window)
+        for (src, dst), c in table.counts.items():
+            table.out_total[src] = table.out_total.get(src, 0) + c
+            table.in_total[dst] = table.in_total.get(dst, 0) + c
+        return table
+
     def scaled(self, k: float) -> "CitationCounts":
         """Uniformly scaled copy; rates computed from it are unchanged."""
         return CitationCounts(
@@ -77,16 +89,10 @@ def aggregate_citation_counts(corpus: Corpus,
     publication year). Edges whose citing or cited journal is not
     registered are skipped entirely.
     """
-    table = CitationCounts(window=window)
-    for citing, cited in corpus.citation_edges(window=window):
-        src = corpus.journal_of(citing)
-        dst = corpus.journal_of(cited)
-        if src is None or dst is None:
-            continue
-        table.counts[(src, dst)] = table.counts.get((src, dst), 0) + 1
-        table.out_total[src] = table.out_total.get(src, 0) + 1
-        table.in_total[dst] = table.in_total.get(dst, 0) + 1
-    return table
+    pairs = ((corpus.journal_of(citing), corpus.journal_of(cited))
+             for citing, cited in corpus.citation_edges(window=window))
+    return CitationCounts.from_counts(
+        Counter(p for p in pairs if None not in p), window)
 
 
 @dataclass(frozen=True)
@@ -114,14 +120,6 @@ def resolve_group(corpus: Corpus, group) -> set[str]:
     return journals
 
 
-def _source_journals(corpus, source) -> set[str]:
-    if source in corpus.journals:
-        return {source}
-    if source in corpus.publishers:
-        return set(corpus.publishers[source].journal_ids)
-    raise KeyError(f"unknown journal or publisher id: {source!r}")
-
-
 def citation_rate(corpus, source, target_group, window=None,
                   table: Optional[CitationCounts] = None) -> Optional[float]:
     """Fraction of the citations received by ``source`` coming from the group.
@@ -130,7 +128,7 @@ def citation_rate(corpus, source, target_group, window=None,
     """
     if table is None:
         table = aggregate_citation_counts(corpus, window)
-    src = _source_journals(corpus, source)
+    src = resolve_group(corpus, source)
     grp = resolve_group(corpus, target_group)
     received = sum(table.in_total.get(j, 0) for j in src)
     if received == 0:
@@ -144,7 +142,7 @@ def reference_rate(corpus, source, target_group, window=None,
     """Fraction of the references made by ``source`` landing in the group."""
     if table is None:
         table = aggregate_citation_counts(corpus, window)
-    src = _source_journals(corpus, source)
+    src = resolve_group(corpus, source)
     grp = resolve_group(corpus, target_group)
     made = sum(table.out_total.get(j, 0) for j in src)
     if made == 0:

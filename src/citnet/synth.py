@@ -23,6 +23,7 @@ the target rule twice, so later checkpoints only jitter.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -148,17 +149,9 @@ class _SynthNet:
         return len(self.journal_of)
 
     def counts_table(self) -> CitationCounts:
-        table = CitationCounts()
-        counts = table.counts
-        out_total = table.out_total
-        in_total = table.in_total
-        jof = self.journal_of
-        for s, t in zip(self.src, self.dst):
-            a, b = jof[s], jof[t]
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-            out_total[a] = out_total.get(a, 0) + 1
-            in_total[b] = in_total.get(b, 0) + 1
-        return table
+        journal = self.journal_of.__getitem__
+        return CitationCounts.from_counts(Counter(
+            zip(map(journal, self.src), map(journal, self.dst))))
 
     def journal_paper_totals(self):
         totals = {j: 0 for j in self.journal_ids}
@@ -538,15 +531,8 @@ def _scenario_table(scenario: str, value: float) -> CitationCounts:
         counts[("J1", "F")] = value
     else:
         raise ValueError(f"unknown scenario: {scenario!r}")
-
-    table = CitationCounts()
-    for (a, b), c in counts.items():
-        if c <= 0:
-            continue
-        table.counts[(a, b)] = float(c)
-        table.out_total[a] = table.out_total.get(a, 0) + float(c)
-        table.in_total[b] = table.in_total.get(b, 0) + float(c)
-    return table
+    return CitationCounts.from_counts(
+        {pair: float(c) for pair, c in counts.items() if c > 0})
 
 
 def psi_scenarios(scenario: str, grid: Optional[Sequence[float]] = None):

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import citnet
 from citnet.jnet import (JournalCitationNetwork, PageRankConvergenceError,
                          betweenness, build_journal_network,
-                         centrality_comparison, closeness, pagerank, pathcore,
-                         robustness_sweep)
+                         centrality_comparison, centrality_variants,
+                         closeness, pagerank, pathcore, robustness_sweep)
 from citnet.matching import MatchRecord
 
 from conftest import make_corpus
@@ -226,3 +232,47 @@ def test_robustness_sweep_covers_all_variants():
                             (5, "citation"), (5, "reference")}
     for reports in results.values():
         assert set(reports) == {"BC", "CC", "PR", "PathCore"}
+
+
+def test_centrality_variants_skip_out_of_range_windows():
+    papers = [("a1", "A", 2005, []), ("b1", "B", 2005, []),
+              ("a2", "A", 2006, ["b1"])]
+    corpus = make_corpus(papers, {"A": {}, "B": {}}, year_range=(2004, 2007))
+    computed, skipped = centrality_variants(corpus, 2005, [2, 5],
+                                            ["citation", "reference"])
+    assert [(n.window_years, n.link_type) for n, _v in computed] == [
+        (2, "citation")]
+    assert [v.metric for v in computed[0][1]] == ["BC", "CC", "PR",
+                                                  "PathCore"]
+    assert set(skipped) == {"2005_2reference", "2005_5citation",
+                            "2005_5reference"}
+    assert "exceeds corpus range end 2007" in skipped["2005_5citation"]
+    with pytest.raises(ValueError):
+        centrality_variants(corpus, 2005, [2], ["citations"])
+
+
+_CLOSENESS_SCRIPT = """
+import random
+from citnet.jnet import JournalCitationNetwork, closeness
+rng = random.Random(7)
+nodes = tuple(f"J{i:03d}" for i in range(150))
+edges = {(rng.choice(nodes), rng.choice(nodes)): 1 for _ in range(600)}
+network = JournalCitationNetwork(year=2000, window_years=2,
+                                 link_type="citation", nodes=nodes,
+                                 edges=edges)
+print(repr(sorted(closeness(network).scores.items())))
+"""
+
+
+def test_closeness_independent_of_hash_seed():
+    src = str(Path(citnet.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _CLOSENESS_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]

@@ -294,3 +294,123 @@ def test_cli_seed_and_out_overrides(tmp_path, pipeline_files):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["seed"] == 99
     assert manifest["threads"] == 2
+
+
+# -- one path per computation --------------------------------------------------
+
+
+def test_jnet_out_of_range_window_is_skipped_not_fatal(tmp_path,
+                                                       pipeline_files):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "jnet"],
+               "jnet": {"windows": [2, 5]}})
+    assert cli_main(["run", "--config", str(config_path)]) == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    jnet = next(s for s in manifest["stages"] if s["name"] == "jnet")
+    assert jnet["status"] == "ok"
+    assert list(jnet["skipped"]) == ["2001_5citation"]
+    assert "exceeds corpus range end 2003" in jnet["skipped"]["2001_5citation"]
+    assert (outdir / "network_2001_2citation.csv").exists()
+    assert (outdir / "centrality_CC_2001_2citation.csv").exists()
+    assert not list(outdir.glob("*2001_5citation*"))
+
+
+def test_diagnose_reports_the_matching_year(tmp_path, pipeline_files, capsys):
+    # year_range ends in 2003, the last impact year is 2002
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(tmp_path, pipeline_files, outdir,
+                                        extra={"matching": {"year": None}})
+    assert cli_main(["match", "--config", str(config_path),
+                     "--diagnose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fields = dict(part.split("=") for part in
+                  next(l for l in lines if l.startswith("terciles:")).split()[1:])
+    with (outdir / "matches.csv").open(newline="", encoding="utf-8") as fh:
+        gaps = [float(r["impact_gap"]) for r in csv.DictReader(fh)
+                if r["uj_id"]]
+    assert gaps
+    assert int(fields["matched"]) == len(gaps)
+    assert float(fields["mean_impact_gap"]) == pytest.approx(
+        sum(gaps) / len(gaps), rel=1e-12)
+    assert "matching year 2002" in lines
+
+
+def test_figure_2f_impact_is_from_the_matching_year(tmp_path, pipeline_files):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "selfcite"],
+               "impact": {"years": [2002, 2001]},
+               "matching": {"year": None}})
+    config = load_config(config_path)
+    run_pipeline(config)
+    _header, rows = figure_rows(emit_plot_data(config, outdir, "2F"))
+    _header, impact = figure_rows(outdir / "impact.csv")
+    normalized = {(r["journal_id"], int(r["year"])): r["normalized_impact"]
+                  for r in impact}
+    assert rows
+    for row in rows:
+        assert normalized[(row["qj_id"], 2001)] != \
+            normalized[(row["qj_id"], 2002)]
+        assert float(row["qj_impact"]) == float(
+            normalized[(row["qj_id"], 2001)])
+
+
+def test_selfcite_builds_one_count_table_per_window(tmp_path, pipeline_files,
+                                                    monkeypatch):
+    from citnet import selfcite
+    from citnet.corpus import load_corpus
+
+    query_file = tmp_path / "queries.yaml"
+    query_file.write_text(
+        "- {source: P1-J1, targets: [P2], kind: reference}\n"
+        "- {source: P1, targets: [P1-J2], window: [2001, 2002]}\n"
+        "- {source: P2-J1, targets: [P1, P3], window: [2001, 2002]}\n"
+        "- {source: P3-J2, targets: P1-J1, window: [2002, 2002]}\n",
+        encoding="utf-8")
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "selfcite"],
+               "selfcite": {"rate_years": [2001, 2002],
+                            "query_file": str(query_file)}})
+    config = load_config(config_path)
+    windows = []
+    aggregate = selfcite.aggregate_citation_counts
+
+    def counting(corpus, window=None):
+        windows.append(window)
+        return aggregate(corpus, window)
+
+    monkeypatch.setattr(selfcite, "aggregate_citation_counts", counting)
+    run_pipeline(config)
+    monkeypatch.undo()
+    assert sorted(windows, key=str) == sorted(
+        [None, (2001, 2001), (2002, 2002), (2001, 2002)], key=str)
+
+    # every rate equals the one computed on its own from the window
+    corpus = load_corpus(config.corpus_paths(),
+                         year_range=tuple(config["year_range"]))
+    _header, matches = figure_rows(outdir / "matches.csv")
+    groups = {"qj_group": {j for j in corpus.journals
+                           if corpus.journals[j].questionable_flag},
+              "uj_group": {m["uj_id"] for m in matches if m["uj_id"]}}
+    _header, rows = figure_rows(outdir / "rates.csv")
+    assert len(rows) > 4
+    for row in rows:
+        source, target = row["source"], row["target"]
+        if target == "self":
+            group = {source}
+        elif target == "publisher":
+            pub = corpus.journals[source].publisher_id
+            group = set(corpus.publishers[pub].journal_ids)
+        else:
+            group = groups.get(target) or selfcite.resolve_group(
+                corpus, target.split("+"))
+        fn = (selfcite.citation_rate if row["kind"] == "citation"
+              else selfcite.reference_rate)
+        expected = fn(corpus, source, group,
+                      window=(int(row["year_start"]), int(row["year_end"])))
+        assert row["rate"] == ("" if expected is None else repr(expected))

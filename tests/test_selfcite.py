@@ -233,3 +233,33 @@ def test_solidarity_ratio():
     assert solidarity_ratio(a, a) == pytest.approx(1.0)
     assert solidarity_ratio(a, undef) is None
     assert solidarity_ratio(undef, b) is None
+
+
+def _edge_loop_table(corpus, window):
+    """Reference tally: one pass over the paper edges."""
+    counts, out_total, in_total = {}, {}, {}
+    for citing, cited in corpus.citation_edges(window=window):
+        src, dst = corpus.journal_of(citing), corpus.journal_of(cited)
+        if src is None or dst is None:
+            continue
+        counts[(src, dst)] = counts.get((src, dst), 0) + 1
+        out_total[src] = out_total.get(src, 0) + 1
+        in_total[dst] = in_total.get(dst, 0) + 1
+    return counts, out_total, in_total
+
+
+def test_count_table_matches_edge_loop():
+    papers = [("a1", "A", 2000, []), ("b1", "B", 2000, []),
+              ("x1", "X", 2000, []),               # X is not registered
+              ("a2", "A", 2001, ["a1", "b1", "x1"]),
+              ("b2", "B", 2001, ["a1", "a2", "b1"]),
+              ("x2", "X", 2001, ["a1", "b1"]),
+              ("b3", "B", 2002, ["a2", "b2", "b1", "a1"])]
+    corpus = make_corpus(papers, {"A": {}, "B": {}})
+    for window in (None, (2001, 2001), (2002, 2002), (1990, 1991)):
+        table = aggregate_citation_counts(corpus, window)
+        assert table.window == window
+        got = (table.counts, table.out_total, table.in_total)
+        want = _edge_loop_table(corpus, window)
+        assert got == want
+        assert [list(d) for d in got] == [list(d) for d in want]
