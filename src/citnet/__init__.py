@@ -27,7 +27,7 @@ from .selfcite import (CitationCounts, PublisherExpectation, RateQuery,
                        citation_rate, publisher_self_expectations,
                        reference_rate, solidarity_index, solidarity_ratio)
 from .matching import (MatchRecord, RegistryEntry, build_registry,
-                       select_control, size_terciles)
+                       select_control)
 from .jnet import (CentralityVector, JournalCitationNetwork, betweenness,
                    build_journal_network, centrality_comparison, closeness,
                    pagerank, pathcore)

@@ -1,9 +1,11 @@
-"""Small shared helpers: deterministic CSV output and worker pools."""
+"""Small shared helpers: atomic deterministic output and worker pools."""
 
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -30,11 +32,27 @@ def fmt_cell(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Write rows (already deterministically ordered) with ``\\n`` endings."""
+@contextmanager
+def atomic_write(path):
+    """Text handle on a temporary file beside ``path``.
+
+    Renamed into place once written, removed if writing raises.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows):
+    """Write rows (already deterministically ordered) with ``\\n`` endings."""
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:

@@ -418,8 +418,11 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     report = ValidationReport()
     lo, hi = corpus.year_range
 
+    actual: dict[str, dict[int, int]] = {}     # journal -> year -> papers
     for pid in sorted(corpus.papers):
         paper = corpus.papers[pid]
+        by_year = actual.setdefault(paper.journal_id, {})
+        by_year[paper.year] = by_year.get(paper.year, 0) + 1
         if not (lo <= paper.year <= hi):
             report.add("year_out_of_range", pid,
                        f"year {paper.year} outside [{lo}, {hi}]")
@@ -438,11 +441,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
                 report.add("issn_checksum", jid, f"invalid ISSN {issn!r}")
         if not journal.categories:
             report.add("empty_categories", jid, "no subject categories")
-        actual: dict[int, int] = {}
-        for paper in corpus.papers.values():
-            if paper.journal_id == jid:
-                actual[paper.year] = actual.get(paper.year, 0) + 1
-        if actual != dict(journal.paper_count_by_year):
+        if actual.get(jid, {}) != dict(journal.paper_count_by_year):
             report.add("paper_count_mismatch", jid,
                        "paper_count_by_year disagrees with paper table")
         if journal.publisher_id is not None:

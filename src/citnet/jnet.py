@@ -7,10 +7,10 @@ aggregates references from u's papers of year y to v's papers of years
 [y-window, y). Weights count paper-level citation instances and journal
 self-loops are kept.
 
-Path metrics (betweenness, harmonic closeness, path-core) run on the
-unweighted loop-free skeleton; the rank score uses weights and keeps
-loops. Closeness is harmonic over incoming shortest paths so that
-disconnected graphs stay well-defined.
+Path metrics (betweenness, harmonic closeness, path-core) share one BFS
+over the unweighted loop-free skeleton's sorted successor and predecessor
+lists; the rank score uses weights and keeps loops. Closeness is harmonic
+over incoming shortest paths so that disconnected graphs stay well-defined.
 
 The core score follows the geodesic core-periphery method: for every
 edge (s, t), the shortest s -> t paths of the graph *without* that edge
@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
-
-import networkx as nx
 
 logger = logging.getLogger(__name__)
 
@@ -64,15 +63,15 @@ class JournalCitationNetwork:
     def empty(self) -> bool:
         return not self.nodes
 
-    def skeleton(self, drop_loops: bool = True) -> nx.DiGraph:
-        """Unweighted directed skeleton used by the path metrics."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.nodes)
-        for (u, v) in self.edges:
-            if drop_loops and u == v:
-                continue
-            g.add_edge(u, v)
-        return g
+    def skeleton(self):
+        """Sorted (successors, predecessors) lists of the loop-free skeleton."""
+        succ = {u: [] for u in self.nodes}
+        pred = {u: [] for u in self.nodes}
+        for u, v in sorted(self.edges):
+            if u != v:
+                succ[u].append(v)
+                pred[v].append(u)
+        return succ, pred
 
 
 @dataclass(frozen=True)
@@ -152,24 +151,34 @@ def _vector(network, metric, scores) -> CentralityVector:
 
 
 def betweenness(network: JournalCitationNetwork) -> CentralityVector:
-    """Directed shortest-path betweenness on the unweighted skeleton."""
+    """Unnormalized directed betweenness by Brandes' accumulation."""
     if network.empty:
         raise ValueError("empty network")
-    g = network.skeleton()
-    return _vector(network, "BC", nx.betweenness_centrality(g, normalized=False))
+    succ, pred = network.skeleton()
+    scores = {u: 0.0 for u in network.nodes}
+    for source in network.nodes:           # node order, as in closeness
+        dist, sigma = _bfs_counts(succ, source)
+        delta = dict.fromkeys(dist, 0.0)
+        for w in reversed(dist):            # dist is filled in BFS order
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in pred[w]:
+                if dist.get(v) == dist[w] - 1:
+                    delta[v] += sigma[v] * coeff
+            if w != source:
+                scores[w] += delta[w]
+    return _vector(network, "BC", scores)
 
 
 def closeness(network: JournalCitationNetwork) -> CentralityVector:
     """Harmonic closeness over incoming shortest paths, unit lengths."""
     if network.empty:
         raise ValueError("empty network")
-    g = network.skeleton()
-    adj = {u: sorted(g.successors(u)) for u in g.nodes}
+    succ, _pred = network.skeleton()
     # summing over sources in node order fixes the float summation order,
     # so scores do not depend on string hashing
     scores = {u: 0.0 for u in network.nodes}
     for source in network.nodes:
-        for target, d in _bfs_counts(adj, source)[0].items():
+        for target, d in _bfs_counts(succ, source)[0].items():
             if d:
                 scores[target] += 1 / d
     return _vector(network, "CC", scores)
@@ -240,17 +249,16 @@ def pathcore(network: JournalCitationNetwork) -> CentralityVector:
     """
     if network.empty:
         raise ValueError("empty network")
-    g = network.skeleton()
-    adj = {u: sorted(g.successors(u)) for u in g.nodes}
-    radj = {u: sorted(g.predecessors(u)) for u in g.nodes}
+    succ, pred = network.skeleton()
     raw = {u: 0.0 for u in network.nodes}
+    edges = [(s, t) for s in sorted(succ) for t in succ[s]]
 
-    for s, t in sorted(g.edges):
-        adj[s].remove(t)
-        radj[t].remove(s)
-        dist_f, sigma_f = _bfs_counts(adj, s)
+    for s, t in edges:
+        succ[s].remove(t)
+        pred[t].remove(s)
+        dist_f, sigma_f = _bfs_counts(succ, s)
         if t in dist_f:
-            dist_b, sigma_b = _bfs_counts(radj, t)
+            dist_b, sigma_b = _bfs_counts(pred, t)
             d = dist_f[t]
             total = sigma_f[t]
             for v in dist_f:
@@ -258,10 +266,8 @@ def pathcore(network: JournalCitationNetwork) -> CentralityVector:
                     continue
                 if dist_f[v] + dist_b[v] == d:
                     raw[v] += sigma_f[v] * sigma_b[v] / total
-        adj[s].append(t)
-        adj[s].sort()
-        radj[t].append(s)
-        radj[t].sort()
+        insort(succ[s], t)
+        insort(pred[t], s)
 
     top = max(raw.values(), default=0.0)
     if top > 0:

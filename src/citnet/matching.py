@@ -27,7 +27,6 @@ __all__ = [
     "MatchRecord",
     "TercileReport",
     "build_registry",
-    "size_terciles",
     "assign_terciles",
     "select_control",
     "match_registry",
@@ -145,16 +144,6 @@ def assign_terciles(sizes: dict[str, int], scheme: str = "terciles"
                 out[jid] = "moderate"
         return TercileReport(assignment=out)
     return TercileReport(assignment=_tercile_split(ordered, scheme))
-
-
-def size_terciles(corpus: Corpus, category: str, year: int) -> TercileReport:
-    """Tercile assignment for one category's active journals in ``year``."""
-    sizes = {}
-    for jid in sorted(corpus.journals):
-        journal = corpus.journals[jid]
-        if category in journal.categories:
-            sizes[jid] = journal.paper_count_by_year.get(year, 0)
-    return assign_terciles(sizes)
 
 
 def _category_terciles(registry, scheme="terciles"):

@@ -31,7 +31,7 @@ from typing import Optional
 import yaml
 
 from . import __version__
-from ._util import write_csv
+from ._util import atomic_write, write_csv
 from .corpus import Corpus, load_corpus
 from . import authors as authors_mod
 from . import disruption as disruption_mod
@@ -578,7 +578,7 @@ def run_pipeline(config: RunConfig, outdir=None, seed=None, threads=None):
                     "outputs": r.outputs, "skipped": r.skipped}
                    for r in results],
     }
-    with (outdir / "manifest.json").open("w", encoding="utf-8") as fh:
+    with atomic_write(outdir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return results

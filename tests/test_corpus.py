@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -127,6 +128,17 @@ def test_validate_year_range(tmp_path):
     corpus = load_corpus(write_fixture(tmp_path, papers, JOURNALS, PUBLISHERS),
                          year_range=(1900, 2020))
     assert not validate_corpus(corpus).by_kind("year_out_of_range")
+
+
+def test_validate_flags_paper_count_mismatch():
+    corpus = make_corpus([("p1", "J1", 2000, []), ("p2", "J1", 2001, []),
+                          ("p3", "J2", 2000, [])], {"J1": {}, "J2": {}})
+    assert not validate_corpus(corpus).by_kind("paper_count_mismatch")
+    corpus.journals["J1"] = replace(corpus.journals["J1"],
+                                    paper_count_by_year={2000: 1, 2001: 2})
+    flagged = validate_corpus(corpus).by_kind("paper_count_mismatch")
+    assert [(v.entity, v.detail) for v in flagged] == [
+        ("J1", "paper_count_by_year disagrees with paper table")]
 
 
 def test_unknown_journal_tracked(tmp_path):

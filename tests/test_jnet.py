@@ -251,28 +251,39 @@ def test_centrality_variants_skip_out_of_range_windows():
         centrality_variants(corpus, 2005, [2], ["citations"])
 
 
-_CLOSENESS_SCRIPT = """
+_PATH_METRICS_SCRIPT = """
 import random
-from citnet.jnet import JournalCitationNetwork, closeness
+from citnet.jnet import (JournalCitationNetwork, betweenness, closeness,
+                         pathcore)
 rng = random.Random(7)
 nodes = tuple(f"J{i:03d}" for i in range(150))
 edges = {(rng.choice(nodes), rng.choice(nodes)): 1 for _ in range(600)}
 network = JournalCitationNetwork(year=2000, window_years=2,
                                  link_type="citation", nodes=nodes,
                                  edges=edges)
-print(repr(sorted(closeness(network).scores.items())))
+for metric in (betweenness, closeness, pathcore):
+    print(repr(sorted(metric(network).scores.items())))
 """
 
 
-def test_closeness_independent_of_hash_seed():
+def _run_python(script, hash_seed="0"):
     src = str(Path(citnet.__file__).resolve().parents[1])
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(
-                       [src, os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-c", _CLOSENESS_SCRIPT],
-                             env=env, capture_output=True, text=True,
-                             check=True)
-        outputs.append(run.stdout)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join(
+                   [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_closeness_independent_of_hash_seed():
+    outputs = [_run_python(_PATH_METRICS_SCRIPT, hash_seed)
+               for hash_seed in ("1", "2")]
+    assert len(outputs[0].splitlines()) == 3
     assert outputs[0] == outputs[1]
+
+
+def test_import_loads_neither_networkx_nor_scipy():
+    loaded = _run_python("import sys, citnet\n"
+                         "print(sorted(m for m in ('networkx', 'scipy')\n"
+                         "             if m in sys.modules))")
+    assert loaded.strip() == "[]"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from citnet.matching import (RegistryEntry, assign_terciles,
-                             binning_diagnostics, build_registry,
-                             match_registry, select_control, size_terciles)
+from citnet.matching import (RegistryEntry, _category_terciles,
+                             assign_terciles, binning_diagnostics,
+                             build_registry, match_registry, select_control)
 
 from conftest import make_corpus
 
@@ -75,7 +75,8 @@ def test_size_terciles_from_corpus():
         papers += [(f"p{i}_{k}", f"J{i}", 2005, []) for k in range(count)]
     corpus = make_corpus(papers, {f"J{i}": {"categories": ("10",)}
                                   for i in (1, 2, 3)})
-    report = size_terciles(corpus, "10", 2005)
+    report = _category_terciles(build_registry(corpus, 2005,
+                                               impact_kind="raw"))["10"]
     assert report.assignment == {"J3": "large", "J2": "moderate",
                                  "J1": "small"}
 

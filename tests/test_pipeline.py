@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from citnet._util import write_csv
 from citnet.cli import main as cli_main
 from citnet.pipeline import (ConfigError, config_hash, emit_plot_data,
                              load_config, run_pipeline)
@@ -58,6 +59,21 @@ def test_impact_only_writes_exactly_impact_and_manifest(tmp_path,
     assert [r.status for r in results] == ["ok"]
     produced = sorted(p.name for p in outdir.iterdir())
     assert produced == ["impact.csv", "manifest.json"]
+
+
+def test_write_csv_failure_keeps_previous_file(tmp_path):
+    target = tmp_path / "out.csv"
+    write_csv(target, ["a"], [(1,), (2,)])
+    before = target.read_bytes()
+
+    def rows():
+        yield (3,)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(target, ["a"], rows())
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def test_rerun_is_byte_identical(tmp_path, pipeline_files):
