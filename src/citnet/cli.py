@@ -13,9 +13,9 @@ import sys
 
 from .corpus import load_corpus, validate_corpus
 from .matching import binning_diagnostics
-from .pipeline import (ConfigError, _control_registry, config_hash,
-                       emit_plot_data, load_config, run_pipeline, run_synth,
-                       FIGURE_IDS)
+from .pipeline import (ConfigError, _control_registry, _load_checked,
+                       _run_loaded, config_hash, emit_plot_data, load_config,
+                       run_pipeline, run_synth, FIGURE_IDS)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -105,7 +105,10 @@ def _run_stages(args, stages=None):
     config = _load(args)
     if stages is not None:
         config.resolved["stages"] = stages
-    results = run_pipeline(config)
+    return _print_results(config, run_pipeline(config))
+
+
+def _print_results(config, results):
     print(f"config hash {config_hash(config)[:12]}")
     for r in results:
         line = f"{r.name}: {r.status} ({r.seconds:.2f}s)"
@@ -128,12 +131,12 @@ def _cmd_synth(args):
 
 
 def _cmd_match(args):
-    code = _run_stages(args, ["impact", "matching"])
+    config = _load(args)
+    config.resolved["stages"] = ["impact", "matching"]
+    corpus = _load_checked(config)
+    code = _print_results(config, _run_loaded(config, corpus))
     if code != EXIT_OK or not args.diagnose:
         return code
-    config = _load(args)
-    corpus = load_corpus(config.corpus_paths(),
-                         year_range=tuple(config["year_range"]))
     year, registry = _control_registry(config, corpus)
     print(f"matching year {year}")
     for scheme, stats in binning_diagnostics(registry).items():

@@ -9,6 +9,7 @@ returned as None and must never be conflated with 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import median
@@ -27,6 +28,7 @@ __all__ = [
     "cited_half_life",
     "citing_half_life",
     "market_share",
+    "market_shares",
     "impact_table",
 ]
 
@@ -203,6 +205,27 @@ def market_share(corpus, publisher_id, year) -> Optional[float]:
     if total == 0:
         return None
     return own / total
+
+
+def market_shares(corpus, years) -> dict[tuple[str, int], float]:
+    """market_share of every publisher in each of ``years``, in one pass.
+
+    Keys are (publisher_id, year). A year without an article of known
+    publisher has no keys, where market_share returns None.
+    """
+    wanted = set(years)
+    own: Counter = Counter()
+    total: Counter = Counter()
+    for paper in corpus.papers.values():
+        if paper.year not in wanted:
+            continue
+        journal = corpus.journals.get(paper.journal_id)
+        if journal is None or journal.publisher_id not in corpus.publishers:
+            continue
+        total[paper.year] += 1
+        own[(journal.publisher_id, paper.year)] += 1
+    return {(pub, year): own[(pub, year)] / total[year]
+            for year in total for pub in corpus.publishers}
 
 
 def impact_table(corpus, years, table: Optional[NormalizationTable] = None

@@ -237,12 +237,10 @@ def _stage_impact(ctx: _RunContext):
     outputs = ["impact.csv"]
 
     if ctx.config["impact"]["market_share"]:
-        share_rows = []
-        for year in years:
-            for pub in sorted(ctx.corpus.publishers):
-                share = impact_mod.market_share(ctx.corpus, pub, year)
-                if share is not None:
-                    share_rows.append((pub, year, share))
+        shares = impact_mod.market_shares(ctx.corpus, years)
+        share_rows = [(pub, year, shares[pub, year]) for year in years
+                      for pub in sorted(ctx.corpus.publishers)
+                      if (pub, year) in shares]
         write_csv(ctx.outdir / "market_share.csv",
                   ["publisher_id", "year", "share"], share_rows)
         outputs.append("market_share.csv")
@@ -530,16 +528,26 @@ def run_pipeline(config: RunConfig, outdir=None, seed=None, threads=None):
     corpus range) are listed with the reason under the stage's
     ``skipped`` entry, and the stage stays ok.
     """
+    return _run_loaded(config, _load_checked(config), outdir, seed, threads)
+
+
+def _load_checked(config: RunConfig) -> Corpus:
+    """Validate the config, then load its corpus."""
     errors = config.validate()
     if errors:
         raise ConfigError("; ".join(errors))
+    return load_corpus(config.corpus_paths(),
+                       year_range=tuple(config["year_range"]))
+
+
+def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None, seed=None,
+                threads=None):
+    """run_pipeline on a corpus already loaded by _load_checked."""
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"] if seed is None else seed
     threads = config["threads"] if threads is None else threads
 
-    corpus = load_corpus(config.corpus_paths(),
-                         year_range=tuple(config["year_range"]))
     ctx = _RunContext(config=config, corpus=corpus, outdir=outdir,
                       threads=int(threads), seed=int(seed))
 

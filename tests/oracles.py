@@ -8,6 +8,8 @@ import the functions it checks.
 """
 
 import re
+from bisect import insort
+from collections import deque
 
 import numpy as np
 
@@ -155,6 +157,96 @@ def pathcore_oracle(nodes, edges):
     if top > 0:
         score = {u: x / top for u, x in score.items()}
     return score
+
+
+# -- per-source BFS references ----------------------------------------------
+#
+# The dict-based searches the batched CSR kernel replaced: one BFS per
+# source (or per bypassed edge) over sorted successor and predecessor
+# lists. PathCore and closeness sum in the same order as the kernel does,
+# so the two sides agree to the last bit; betweenness accumulates in
+# another order.
+
+
+def _sorted_lists(nodes, edges):
+    """Sorted successor and predecessor lists of the loop-free skeleton."""
+    succ = {u: [] for u in nodes}
+    pred = {u: [] for u in nodes}
+    for u, v in sorted(edges):
+        if u != v:
+            succ[u].append(v)
+            pred[v].append(u)
+    return succ, pred
+
+
+def bfs_counts_reference(adj, source):
+    """Distances and shortest-path counts from one node (unit lengths)."""
+    dist = {source: 0}
+    sigma = {source: 1.0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                sigma[v] = 0.0
+                queue.append(v)
+            if dist[v] == dist[u] + 1:
+                sigma[v] += sigma[u]
+    return dist, sigma
+
+
+def betweenness_reference(nodes, edges):
+    """Unnormalized directed betweenness, Brandes accumulation per source."""
+    succ, pred = _sorted_lists(nodes, edges)
+    scores = {u: 0.0 for u in nodes}
+    for source in nodes:
+        dist, sigma = bfs_counts_reference(succ, source)
+        delta = dict.fromkeys(dist, 0.0)
+        for w in reversed(dist):            # dist is filled in BFS order
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in pred[w]:
+                if dist.get(v) == dist[w] - 1:
+                    delta[v] += sigma[v] * coeff
+            if w != source:
+                scores[w] += delta[w]
+    return scores
+
+
+def closeness_reference(nodes, edges):
+    """Harmonic closeness over incoming paths, summed over sources in order."""
+    succ, _pred = _sorted_lists(nodes, edges)
+    scores = {u: 0.0 for u in nodes}
+    for source in nodes:
+        for target, d in bfs_counts_reference(succ, source)[0].items():
+            if d:
+                scores[target] += 1 / d
+    return scores
+
+
+def pathcore_reference(nodes, edges):
+    """Edge-bypass participation, one pair of searches per removed edge."""
+    succ, pred = _sorted_lists(nodes, edges)
+    raw = {u: 0.0 for u in nodes}
+    for s, t in [(s, t) for s in sorted(succ) for t in succ[s]]:
+        succ[s].remove(t)
+        pred[t].remove(s)
+        dist_f, sigma_f = bfs_counts_reference(succ, s)
+        if t in dist_f:
+            dist_b, sigma_b = bfs_counts_reference(pred, t)
+            d = dist_f[t]
+            total = sigma_f[t]
+            for v in dist_f:
+                if v in (s, t) or v not in dist_b:
+                    continue
+                if dist_f[v] + dist_b[v] == d:
+                    raw[v] += sigma_f[v] * sigma_b[v] / total
+        insort(succ[s], t)
+        insort(pred[t], s)
+    top = max(raw.values(), default=0.0)
+    if top > 0:
+        raw = {u: x / top for u, x in raw.items()}
+    return raw
 
 
 def random_digraph(rng, max_nodes=8):

@@ -4,8 +4,8 @@ import pytest
 
 from citnet.impact import (NormalizationTable, build_normalization_table,
                            cited_half_life, citing_half_life, immediacy_index,
-                           journal_impact, market_share, normalize_citations,
-                           normalized_journal_impact)
+                           journal_impact, market_share, market_shares,
+                           normalize_citations, normalized_journal_impact)
 
 from conftest import make_corpus
 
@@ -129,6 +129,23 @@ def test_market_share_partition():
     total = sum(market_share(corpus, p, 2005) for p in corpus.publishers)
     assert total == pytest.approx(1.0, abs=1e-9)
     assert market_share(corpus, "P1", 2004) is None
+
+
+def test_market_shares_one_pass_equals_market_share(pipeline_corpus):
+    # J9 has no publisher and JX is no journal: neither paper counts
+    partition = make_corpus(
+        [("a", "J1", 2005, []), ("b", "J2", 2005, []), ("c", "J9", 2005, []),
+         ("d", "JX", 2005, []), ("e", "J1", 2006, []), ("f", "J9", 2004, [])],
+        {"J1": {"publisher_id": "P1"}, "J2": {"publisher_id": "P2"},
+         "J9": {}})
+    for corpus, years in ((pipeline_corpus, range(1999, 2005)),
+                          (partition, (2004, 2005, 2006))):
+        shares = market_shares(corpus, years)
+        for year in years:
+            for pub in corpus.publishers:
+                assert shares.get((pub, year)) == market_share(corpus, pub,
+                                                               year)
+        assert {year for _pub, year in shares} < set(years)
 
 
 def test_market_share_sole_publisher():

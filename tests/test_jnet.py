@@ -14,8 +14,11 @@ from citnet.jnet import (JournalCitationNetwork, PageRankConvergenceError,
 from citnet.matching import MatchRecord
 
 from conftest import make_corpus
-from oracles import (betweenness_oracle, harmonic_closeness_oracle,
-                     pagerank_oracle, pathcore_oracle, random_digraph)
+from citnet import jnet
+from oracles import (betweenness_oracle, betweenness_reference,
+                     closeness_reference, harmonic_closeness_oracle,
+                     pagerank_oracle, pathcore_oracle, pathcore_reference,
+                     random_digraph)
 
 
 def net(nodes, edges, year=2005, window=2, link_type="citation"):
@@ -172,6 +175,52 @@ def test_centralities_match_oracles_on_random_digraphs():
         pc = pathcore(network).scores
         for node, expected in pathcore_oracle(nodes, simple).items():
             assert pc[node] == pytest.approx(expected, abs=1e-9)
+
+
+def layered_digraph(seed, n, m):
+    """Seeded digraph with every shape the batched searches must handle.
+
+    Node positions are shuffled against name order. Two nodes are
+    isolated, three are sinks, one hangs off a single edge that has no
+    bypass route, and the random part has repeated pairs and self-loops.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [f"J{i:03d}" for i in rng.permutation(n)]
+    isolated, sinks, pendant, linked = (nodes[:2], nodes[2:5], nodes[5],
+                                        nodes[6:])
+    edges = {}
+    for u, v in rng.integers(0, len(linked), size=(m, 2)):
+        key = (linked[u], linked[v])
+        edges[key] = edges.get(key, 0) + 1
+    for sink in sinks:
+        for u in rng.choice(len(linked), size=3, replace=False):
+            edges[(linked[u], sink)] = 1
+    edges[(linked[0], pendant)] = 1
+    edges[(linked[1], linked[1])] = 2
+    touched = {x for edge in edges for x in edge}
+    assert not touched & set(isolated)
+    assert not {u for u, _v in edges} & set(sinks)
+    return nodes, edges
+
+
+@pytest.mark.parametrize("n, m", [(20, 45), (60, 150), (120, 400),
+                                  (250, 1200)])
+def test_path_metrics_equal_per_source_references(n, m):
+    nodes, edges = layered_digraph(n, n, m)
+    network = JournalCitationNetwork(year=2000, window_years=2,
+                                     link_type="citation",
+                                     nodes=tuple(nodes), edges=edges)
+    assert repr(pathcore(network).scores) == repr(
+        pathcore_reference(nodes, edges))
+    assert repr(closeness(network).scores) == repr(
+        closeness_reference(nodes, edges))
+    bc = betweenness(network).scores
+    for node, expected in betweenness_reference(nodes, edges).items():
+        assert abs(bc[node] - expected) <= 1e-12 * abs(expected)
+    if n == 250:
+        # both the per-source and the per-edge searches span several batches
+        simple = sum(1 for u, v in edges if u != v)
+        assert jnet._BATCH_CELLS // max(n, simple) < min(n, simple)
 
 
 def match(qj, uj):

@@ -4,10 +4,14 @@ from pathlib import Path
 
 import pytest
 
+import citnet.cli as cli_mod
+import citnet.pipeline as pipeline_mod
 from citnet._util import write_csv
 from citnet.cli import main as cli_main
-from citnet.pipeline import (ConfigError, config_hash, emit_plot_data,
-                             load_config, run_pipeline)
+from citnet.corpus import load_corpus
+from citnet.matching import binning_diagnostics
+from citnet.pipeline import (ConfigError, _control_registry, config_hash,
+                             emit_plot_data, load_config, run_pipeline)
 
 from conftest import write_pipeline_config
 
@@ -351,6 +355,32 @@ def test_diagnose_reports_the_matching_year(tmp_path, pipeline_files, capsys):
     assert float(fields["mean_impact_gap"]) == pytest.approx(
         sum(gaps) / len(gaps), rel=1e-12)
     assert "matching year 2002" in lines
+
+
+def test_diagnose_loads_the_corpus_once(tmp_path, pipeline_files, capsys,
+                                       monkeypatch):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(tmp_path, pipeline_files, outdir)
+    config = load_config(config_path)
+    year, registry = _control_registry(config, load_corpus(
+        config.corpus_paths(), year_range=tuple(config["year_range"])))
+    expected = [f"matching year {year}"] + [
+        f"{scheme}: matched={stats['matched']} "
+        f"mean_impact_gap={stats['mean_impact_gap']} "
+        f"mean_size_gap={stats['mean_size_gap']}"
+        for scheme, stats in binning_diagnostics(registry).items()]
+    calls = []
+
+    def counting_load(*args, **kwargs):
+        calls.append(args)
+        return load_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "load_corpus", counting_load)
+    monkeypatch.setattr(cli_mod, "load_corpus", counting_load)
+    assert cli_main(["match", "--config", str(config_path),
+                     "--diagnose"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.splitlines()[-len(expected):] == expected
 
 
 def test_figure_2f_impact_is_from_the_matching_year(tmp_path, pipeline_files):
