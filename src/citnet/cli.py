@@ -15,7 +15,7 @@ from .corpus import load_corpus, validate_corpus
 from .matching import binning_diagnostics
 from .pipeline import (ConfigError, _control_registry, _load_checked,
                        _run_loaded, config_hash, emit_plot_data, load_config,
-                       run_pipeline, run_synth, FIGURE_IDS)
+                       run_synth, FIGURE_IDS)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -101,11 +101,15 @@ def _cmd_validate(args):
 
 
 def _run_stages(args, stages=None):
-    """Run the configured stages, or only ``stages``; one line per stage."""
+    """Run the configured stages, or only ``stages``; one line per stage.
+
+    Returns the exit code, the config and the corpus the stages ran on.
+    """
     config = _load(args)
     if stages is not None:
         config.resolved["stages"] = stages
-    return _print_results(config, run_pipeline(config))
+    corpus = _load_checked(config)
+    return _print_results(config, _run_loaded(config, corpus)), config, corpus
 
 
 def _print_results(config, results):
@@ -119,7 +123,7 @@ def _print_results(config, results):
 
 
 def _cmd_run(args):
-    return _run_stages(args)
+    return _run_stages(args)[0]
 
 
 def _cmd_synth(args):
@@ -131,10 +135,7 @@ def _cmd_synth(args):
 
 
 def _cmd_match(args):
-    config = _load(args)
-    config.resolved["stages"] = ["impact", "matching"]
-    corpus = _load_checked(config)
-    code = _print_results(config, _run_loaded(config, corpus))
+    code, config, corpus = _run_stages(args, ["impact", "matching"])
     if code != EXIT_OK or not args.diagnose:
         return code
     year, registry = _control_registry(config, corpus)
@@ -147,7 +148,7 @@ def _cmd_match(args):
 
 
 def _cmd_net(args):
-    return _run_stages(args, ["impact", "matching", "jnet"])
+    return _run_stages(args, ["impact", "matching", "jnet"])[0]
 
 
 def _cmd_report(args):

@@ -28,7 +28,6 @@ __all__ = [
     "cited_half_life",
     "citing_half_life",
     "market_share",
-    "market_shares",
     "impact_table",
 ]
 
@@ -190,28 +189,17 @@ def citing_half_life(corpus, journal_id, year) -> Optional[float]:
 
 def market_share(corpus, publisher_id, year) -> Optional[float]:
     """Publisher's fraction of the year's articles with known publisher."""
-    own = 0
-    total = 0
-    for paper in corpus.papers.values():
-        if paper.year != year:
-            continue
-        jid = paper.journal_id
-        journal = corpus.journals.get(jid)
-        if journal is None or journal.publisher_id not in corpus.publishers:
-            continue
-        total += 1
-        if journal.publisher_id == publisher_id:
-            own += 1
-    if total == 0:
+    shares = _market_shares(corpus, (year,))
+    if not shares:
         return None
-    return own / total
+    return shares.get((publisher_id, year), 0.0)
 
 
-def market_shares(corpus, years) -> dict[tuple[str, int], float]:
+def _market_shares(corpus, years) -> dict[tuple[str, int], float]:
     """market_share of every publisher in each of ``years``, in one pass.
 
     Keys are (publisher_id, year). A year without an article of known
-    publisher has no keys, where market_share returns None.
+    publisher has no keys.
     """
     wanted = set(years)
     own: Counter = Counter()

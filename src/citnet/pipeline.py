@@ -237,7 +237,7 @@ def _stage_impact(ctx: _RunContext):
     outputs = ["impact.csv"]
 
     if ctx.config["impact"]["market_share"]:
-        shares = impact_mod.market_shares(ctx.corpus, years)
+        shares = impact_mod._market_shares(ctx.corpus, years)
         share_rows = [(pub, year, shares[pub, year]) for year in years
                       for pub in sorted(ctx.corpus.publishers)
                       if (pub, year) in shares]

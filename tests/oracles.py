@@ -265,6 +265,27 @@ def random_digraph(rng, max_nodes=8):
     return nodes, edges
 
 
+# -- publisher market share -------------------------------------------------
+
+
+def market_share_oracle(corpus, publisher_id, year):
+    """One full scan of the papers per (publisher, year) pair."""
+    own = 0
+    total = 0
+    for paper in corpus.papers.values():
+        if paper.year != year:
+            continue
+        journal = corpus.journals.get(paper.journal_id)
+        if journal is None or journal.publisher_id not in corpus.publishers:
+            continue
+        total += 1
+        if journal.publisher_id == publisher_id:
+            own += 1
+    if total == 0:
+        return None
+    return own / total
+
+
 # -- disruptiveness ---------------------------------------------------------
 
 
