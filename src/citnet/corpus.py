@@ -2,8 +2,10 @@
 
 The corpus is the read-only substrate every metric runs on. It is built
 from three interchange files (see ``load_corpus``) and, once loaded, is
-never mutated: all indices are materialized up front so downstream
-computations are pure lookups.
+never mutated: the dict indices are materialized up front so downstream
+computations are pure lookups, and the integer ``CitationGraph`` that
+the journal-pair tallies and the rewiring loop run on is built once, on
+first use.
 
 Serial-number (ISSN) helpers live here as well because journal registry
 construction is a corpus concern.
@@ -14,14 +16,18 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Optional
+
+import numpy as np
 
 __all__ = [
     "Paper",
     "Journal",
     "Publisher",
+    "CitationGraph",
     "Corpus",
     "CorpusFormatError",
     "LoadReport",
@@ -111,6 +117,42 @@ class LoadReport:
         }
 
 
+@dataclass
+class CitationGraph:
+    """Papers as integer nodes, citations as the edges (src[e], dst[e]).
+
+    Node arrays hold codes into ``journal_ids`` and ``publishers`` (-1:
+    journal or publisher unregistered). ``src`` and ``dst`` are int64
+    arrays in a corpus's graph and lists in a synthetic net, which the
+    rewiring loop reads and retargets one edge at a time.
+    """
+
+    journal_ids: list[str]            # journal code -> id
+    publishers: list[list[str]]       # publisher code -> its journal ids
+    journal_of: np.ndarray            # node -> journal code
+    publisher_of: np.ndarray          # node -> publisher code
+    year_of: np.ndarray               # node -> publication year
+    src: np.ndarray | list[int]
+    dst: np.ndarray | list[int]
+
+    @property
+    def n_nodes(self):
+        return len(self.year_of)
+
+    def journal_pair_counts(self, mask=True) -> dict[tuple[str, str], int]:
+        """Edges selected by ``mask`` per (citing, cited) journal pair.
+
+        ``mask`` is a boolean per edge, or True for all edges. Pairs come
+        sorted; edges with an unregistered journal never count.
+        """
+        a, b = self.journal_of[self.src], self.journal_of[self.dst]
+        keep = (a >= 0) & (b >= 0) & mask
+        ids, n = self.journal_ids, len(self.journal_ids)
+        keys, counts = np.unique(a[keep] * n + b[keep], return_counts=True)
+        return {(ids[k // n], ids[k % n]): c
+                for k, c in zip(keys.tolist(), counts.tolist())}
+
+
 class Corpus:
     """Immutable, fully indexed corpus.
 
@@ -122,6 +164,8 @@ class Corpus:
     forward : dict paper_id -> tuple of cited paper_ids (resolved, non-self)
     citers : dict paper_id -> tuple of (citing paper_id, citing year)
     load_report : LoadReport
+    graph : CitationGraph over the papers in sorted-id order, with the
+        edges in ``citation_edges()`` order; built on first use
 
     ``forward`` and ``citers`` are exact transposes of each other; both
     contain one entry per resolvable reference instance, in input order.
@@ -137,21 +181,17 @@ class Corpus:
 
         forward: dict[str, tuple[str, ...]] = {}
         citers: dict[str, list[tuple[str, int]]] = {p: [] for p in papers}
-        for pid in sorted(papers):
-            paper = papers[pid]
-            resolved = tuple(r for r in paper.references
-                             if r in papers and r != pid)
-            forward[pid] = resolved
-            for ref in resolved:
-                citers[ref].append((pid, paper.year))
-        self.forward = forward
-        self.citers = {p: tuple(v) for p, v in citers.items()}
-
         self._papers_by_journal_year: dict[tuple[str, int], list[str]] = {}
         for pid in sorted(papers):
             paper = papers[pid]
+            forward[pid] = tuple(r for r in paper.references
+                                 if r in papers and r != pid)
+            for ref in forward[pid]:
+                citers[ref].append((pid, paper.year))
             key = (paper.journal_id, paper.year)
             self._papers_by_journal_year.setdefault(key, []).append(pid)
+        self.forward = forward
+        self.citers = {p: tuple(v) for p, v in citers.items()}
 
     # -- lookups -----------------------------------------------------------
 
@@ -171,24 +211,35 @@ class Corpus:
             out.extend(self._papers_by_journal_year.get((journal_id, y), ()))
         return out
 
-    def citation_edges(self, window=None):
-        """Iterate (citing_id, cited_id) over all resolved reference instances.
-
-        ``window`` restricts by the *citing* paper's year, matching the
-        convention that a citation happens when the citing paper appears.
-        """
+    def citation_edges(self):
+        """(citing_id, cited_id) for every resolved reference instance."""
         for pid in sorted(self.forward):
-            year = self.papers[pid].year
-            if window is not None and not (window[0] <= year <= window[1]):
-                continue
             for ref in self.forward[pid]:
                 yield pid, ref
 
-    def author_keys(self) -> set[str]:
-        keys = set()
-        for paper in self.papers.values():
-            keys.update(paper.author_keys)
-        return keys
+    @cached_property
+    def graph(self) -> CitationGraph:
+        ids = sorted(self.papers)
+        node = {p: v for v, p in enumerate(ids)}
+        journal_ids = sorted(self.journals)
+        journal_code = {j: i for i, j in enumerate(journal_ids)}
+        publisher_ids = sorted(self.publishers)
+        publisher_code = {p: i for i, p in enumerate(publisher_ids)}
+        journal_of = np.array([journal_code.get(self.papers[p].journal_id, -1)
+                               for p in ids], dtype=np.int64)
+        # the trailing -1 is the publisher of journal code -1
+        publisher_of = np.array([publisher_code.get(
+            self.journals[j].publisher_id, -1) for j in journal_ids] + [-1])
+        edges = np.array([(node[a], node[b]) for a, b in self.citation_edges()],
+                         dtype=np.int64).reshape(-1, 2)
+        return CitationGraph(
+            journal_ids=journal_ids,
+            publishers=[sorted(self.publishers[p].journal_ids)
+                        for p in publisher_ids],
+            journal_of=journal_of, publisher_of=publisher_of[journal_of],
+            year_of=np.array([self.papers[p].year for p in ids],
+                             dtype=np.int64),
+            src=edges[:, 0], dst=edges[:, 1])
 
     def serialize_indices(self) -> bytes:
         """Canonical byte serialization of both citation indices."""
@@ -258,7 +309,7 @@ def _parse_bool(path, lineno, fieldname, raw):
     raise CorpusFormatError(path, lineno, fieldname, f"not a boolean: {raw!r}")
 
 
-def load_corpus(paths, fmt="jsonl+csv", year_range=DEFAULT_YEAR_RANGE) -> Corpus:
+def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
     """Load and index a corpus from interchange files.
 
     Parameters
@@ -268,7 +319,6 @@ def load_corpus(paths, fmt="jsonl+csv", year_range=DEFAULT_YEAR_RANGE) -> Corpus
         paper_id, journal_id, year, author_keys[], references[]);
         ``journals`` and ``publishers`` are CSV files with declared
         headers. Multi-valued cells use ``|`` as separator.
-    fmt : interchange format id; only ``"jsonl+csv"`` is defined.
     year_range : inclusive (first, last) publication years considered
         in range; out-of-range years load fine and are reported by
         ``validate_corpus``.
@@ -280,8 +330,6 @@ def load_corpus(paths, fmt="jsonl+csv", year_range=DEFAULT_YEAR_RANGE) -> Corpus
         duplicate ids. Dangling references are *not* errors; they are
         collected in the load report.
     """
-    if fmt != "jsonl+csv":
-        raise ValueError(f"unknown interchange format: {fmt!r}")
     papers_path = Path(paths["papers"])
     journals_path = Path(paths["journals"])
     publishers_path = Path(paths["publishers"])
@@ -361,14 +409,7 @@ def load_corpus(paths, fmt="jsonl+csv", year_range=DEFAULT_YEAR_RANGE) -> Corpus
             per = counts[paper.journal_id]
             per[paper.year] = per.get(paper.year, 0) + 1
     journals = {
-        jid: Journal(
-            journal_id=j.journal_id,
-            issns=j.issns,
-            publisher_id=j.publisher_id,
-            categories=j.categories,
-            questionable_flag=j.questionable_flag,
-            paper_count_by_year=dict(sorted(counts[jid].items())),
-        )
+        jid: replace(j, paper_count_by_year=dict(sorted(counts[jid].items())))
         for jid, j in journals.items()
     }
 

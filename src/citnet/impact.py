@@ -89,12 +89,13 @@ def journal_impact(corpus: Corpus, journal_id: str, year: int) -> Optional[Fract
 def normalize_citations(count, year, table: NormalizationTable) -> float:
     """Deflate a citation count by the reference field's yearly growth.
 
-    normalized = count / (n_top(year) / n_top(reference_year))
+    normalized = count * n_top(reference_year) / n_top(year)
+
+    Raises KeyError for a year the table does not cover.
     """
     if year not in table.n_top:
         raise KeyError(f"year {year} not covered by normalization table")
-    scale = table.n_top[year] / table.n_top[table.reference_year]
-    return count / scale
+    return _normalized(count, year, table)
 
 
 def _normalized(raw, year, table: Optional[NormalizationTable]

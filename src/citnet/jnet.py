@@ -145,21 +145,15 @@ def build_journal_network(corpus: Corpus, year: int, window_years: int = 2,
     if not nodes:
         logger.warning("no journal published in %d; returning an empty "
                        "network", year)
+    graph = corpus.graph
+    cy, ty = graph.year_of[graph.src], graph.year_of[graph.dst]
+    if link_type == "citation":
+        mask = (ty == year) & (cy > year) & (cy <= year + window_years)
+    else:
+        mask = (cy == year) & (ty < year) & (ty >= year - window_years)
     node_set = set(nodes)
-    edges: dict[tuple[str, str], int] = {}
-    for citing, cited in corpus.citation_edges():
-        cy = corpus.papers[citing].year
-        ty = corpus.papers[cited].year
-        if link_type == "citation":
-            ok = ty == year and year + 1 <= cy <= year + window_years
-        else:
-            ok = cy == year and year - window_years <= ty <= year - 1
-        if not ok:
-            continue
-        src = corpus.journal_of(citing)
-        dst = corpus.journal_of(cited)
-        if src in node_set and dst in node_set:
-            edges[(src, dst)] = edges.get((src, dst), 0) + 1
+    edges = {pair: c for pair, c in graph.journal_pair_counts(mask).items()
+             if pair[0] in node_set and pair[1] in node_set}
     return JournalCitationNetwork(year=year, window_years=window_years,
                                   link_type=link_type, nodes=nodes, edges=edges)
 

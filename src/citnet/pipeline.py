@@ -138,8 +138,15 @@ class RunConfig:
 
     def corpus_paths(self):
         section = self.resolved.get("corpus") or {}
-        base = self.path.parent if self.path else Path(".")
-        return {k: (base / v) for k, v in section.items()}
+        return {k: self._beside_config(v) for k, v in section.items()}
+
+    def query_path(self) -> Optional[Path]:
+        """selfcite.query_file, resolved like the corpus paths; or None."""
+        query_file = self.resolved["selfcite"]["query_file"]
+        return self._beside_config(query_file) if query_file else None
+
+    def _beside_config(self, path) -> Path:
+        return (self.path.parent if self.path else Path(".")) / path
 
     def validate(self):
         """Static checks; every referenced path must exist."""
@@ -159,9 +166,9 @@ class RunConfig:
             errors.append("authors stage needs explicit similarity weights "
                           "(authors.weights); the built-in defaults are "
                           "fixture placeholders")
-        qf = self.resolved["selfcite"].get("query_file")
-        if qf and not Path(qf).exists():
-            errors.append(f"selfcite.query_file: no such file: {qf}")
+        query_path = self.query_path()
+        if query_path and not query_path.exists():
+            errors.append(f"selfcite.query_file: no such file: {query_path}")
         return errors
 
 
@@ -355,9 +362,9 @@ def _stage_selfcite(ctx: _RunContext):
                 rate_rows.append((jid, label, "citation", lo, hi, cr))
                 rate_rows.append((jid, label, "reference", lo, hi, rr))
 
-    query_file = section["query_file"]
-    if query_file:
-        with Path(query_file).open(encoding="utf-8") as fh:
+    query_path = ctx.config.query_path()
+    if query_path:
+        with query_path.open(encoding="utf-8") as fh:
             raw_queries = yaml.safe_load(fh) or []
         for raw in raw_queries:
             targets = raw["targets"] if isinstance(raw["targets"], list) \
@@ -519,7 +526,7 @@ _STAGE_FNS = {
 }
 
 
-def run_pipeline(config: RunConfig, outdir=None, seed=None, threads=None):
+def run_pipeline(config: RunConfig, outdir=None):
     """Execute the enabled stages and write the manifest.
 
     Returns the list of StageResult in execution order. Stage failures
@@ -528,7 +535,7 @@ def run_pipeline(config: RunConfig, outdir=None, seed=None, threads=None):
     corpus range) are listed with the reason under the stage's
     ``skipped`` entry, and the stage stays ok.
     """
-    return _run_loaded(config, _load_checked(config), outdir, seed, threads)
+    return _run_loaded(config, _load_checked(config), outdir)
 
 
 def _load_checked(config: RunConfig) -> Corpus:
@@ -540,16 +547,13 @@ def _load_checked(config: RunConfig) -> Corpus:
                        year_range=tuple(config["year_range"]))
 
 
-def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None, seed=None,
-                threads=None):
+def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
     """run_pipeline on a corpus already loaded by _load_checked."""
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = config["seed"] if seed is None else seed
-    threads = config["threads"] if threads is None else threads
-
     ctx = _RunContext(config=config, corpus=corpus, outdir=outdir,
-                      threads=int(threads), seed=int(seed))
+                      threads=int(config["threads"]),
+                      seed=int(config["seed"]))
 
     enabled = [s for s in STAGES if s in config["stages"]]
     results: list[StageResult] = []
@@ -577,8 +581,8 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None, seed=None,
     manifest = {
         "config_hash": config_hash(config),
         "version": __version__,
-        "seed": int(seed),
-        "threads": int(threads),
+        "seed": ctx.seed,
+        "threads": ctx.threads,
         "partial": bool(failed),
         "load_report": corpus.load_report.summary(),
         "stages": [{"name": r.name, "status": r.status,
@@ -592,12 +596,12 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None, seed=None,
     return results
 
 
-def run_synth(config: RunConfig, outdir=None, seed=None):
+def run_synth(config: RunConfig, outdir=None):
     """Scenario sweeps plus the rewiring experiment, written as CSVs."""
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     section = config["synth"]
-    seed = config["seed"] if seed is None else int(seed)
+    seed = int(config["seed"])
 
     scen_rows = []
     for scenario in ("a", "b", "c"):

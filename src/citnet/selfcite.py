@@ -5,7 +5,10 @@ All rate computations flow through an aggregated journal-level count
 table (``CitationCounts``): ``counts[(i, j)]`` is the number of citation
 instances from papers in journal i to papers in journal j, restricted to
 edges whose endpoint journals are both registered. Edges with an
-unresolvable journal never enter a numerator or a denominator.
+unresolvable journal never enter a numerator or a denominator. The
+pairs are tallied by ``CitationGraph.journal_pair_counts``, the one
+journal-pair tally that the synthetic nets and the journal networks
+also use.
 
 The solidarity index of journal i with publisher P is
 
@@ -22,7 +25,6 @@ overall exchange patterns predict.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -89,10 +91,12 @@ def aggregate_citation_counts(corpus: Corpus,
     publication year). Edges whose citing or cited journal is not
     registered are skipped entirely.
     """
-    pairs = ((corpus.journal_of(citing), corpus.journal_of(cited))
-             for citing, cited in corpus.citation_edges(window=window))
-    return CitationCounts.from_counts(
-        Counter(p for p in pairs if None not in p), window)
+    graph = corpus.graph
+    mask = True
+    if window is not None:
+        year = graph.year_of[graph.src]
+        mask = (window[0] <= year) & (year <= window[1])
+    return CitationCounts.from_counts(graph.journal_pair_counts(mask), window)
 
 
 @dataclass(frozen=True)

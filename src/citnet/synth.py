@@ -18,18 +18,21 @@ link exactly once. Sweep scanning (rather than sampling links with
 replacement) is what makes the index settle once rewiring passes about
 twice the link count: after two sweeps every link has been redrawn from
 the target rule twice, so later checkpoints only jitter.
+
+Generated and rewired nets are the corpus's own integer
+``CitationGraph``: ``rewire`` starts from ``Corpus.graph``, and the
+count tables at every checkpoint come from its journal-pair tally.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Journal, LoadReport, Paper, Publisher
+from .corpus import CitationGraph, Corpus, Journal, LoadReport, Paper, Publisher
 from .selfcite import CitationCounts, psi_from_counts
 
 __all__ = [
@@ -132,35 +135,12 @@ class _OccurrenceSampler:
         return self.arr[int(rng.integers(len(self.arr)))]
 
 
-@dataclass
-class _SynthNet:
-    """Array form of a synthetic corpus, used by the hot loops."""
-
-    publisher_of: np.ndarray          # node -> publisher index
-    journal_of: list[str]             # node -> journal id
-    year_of: np.ndarray               # node -> year
-    src: list[int]
-    dst: list[int]
-    journal_ids: list[str]            # all journal ids, sorted
-    publishers: list[list[str]]       # publisher index -> journal ids
-
-    @property
-    def n_nodes(self):
-        return len(self.journal_of)
-
-    def counts_table(self) -> CitationCounts:
-        journal = self.journal_of.__getitem__
-        return CitationCounts.from_counts(Counter(
-            zip(map(journal, self.src), map(journal, self.dst))))
-
-    def journal_paper_totals(self):
-        totals = {j: 0 for j in self.journal_ids}
-        for j in self.journal_of:
-            totals[j] += 1
-        return totals
+def _journal_totals(net: CitationGraph) -> dict[str, int]:
+    counts = np.bincount(net.journal_of, minlength=len(net.journal_ids))
+    return dict(zip(net.journal_ids, counts.tolist()))
 
 
-def _generate_network(config: SynthConfig, rng) -> _SynthNet:
+def _generate_network(config: SynthConfig, rng) -> CitationGraph:
     p_count = config.publisher_count
     jpp = config.journals_per_publisher
     sizes = rng.integers(config.component_size_range[0],
@@ -170,16 +150,14 @@ def _generate_network(config: SynthConfig, rng) -> _SynthNet:
     publisher_of = np.repeat(np.arange(p_count), sizes)
     publishers = [[f"P{p + 1}-J{j + 1}" for j in range(jpp)]
                   for p in range(p_count)]
-    journal_idx = rng.integers(0, jpp, size=n)
-    journal_of = [publishers[publisher_of[v]][journal_idx[v]] for v in range(n)]
+    journal_of = publisher_of * jpp + rng.integers(0, jpp, size=n)
 
     order = rng.permutation(n)
     y0, y1 = config.year_range
     span = y1 - y0 + 1
     cohort = math.ceil(n / span)
     year_of = np.empty(n, dtype=np.int64)
-    for k, v in enumerate(order):
-        year_of[v] = y0 + min(k // cohort, span - 1)
+    year_of[order] = y0 + np.minimum(np.arange(n) // cohort, span - 1)
 
     # Attachment kernel (in_degree + a) with a = (exponent - 2) * mean
     # out-degree yields the requested in-degree tail exponent.
@@ -208,13 +186,13 @@ def _generate_network(config: SynthConfig, rng) -> _SynthNet:
         for _ in range(base_weight):
             sampler.add(v)
 
-    return _SynthNet(publisher_of=publisher_of, journal_of=journal_of,
-                     year_of=year_of, src=src, dst=dst,
-                     journal_ids=sorted(j for js in publishers for j in js),
-                     publishers=publishers)
+    return CitationGraph(journal_ids=[j for js in publishers for j in js],
+                         publishers=publishers, journal_of=journal_of,
+                         publisher_of=publisher_of, year_of=year_of,
+                         src=src, dst=dst)
 
 
-def _materialize(net: _SynthNet, year_range) -> Corpus:
+def _materialize(net: CitationGraph, year_range) -> Corpus:
     refs_of: dict[int, list[int]] = {}
     for s, t in zip(net.src, net.dst):
         refs_of.setdefault(s, []).append(t)
@@ -223,20 +201,14 @@ def _materialize(net: _SynthNet, year_range) -> Corpus:
         return f"n{v:05d}"
 
     papers = {}
-    for v in range(net.n_nodes):
-        papers[pid(v)] = Paper(
-            paper_id=pid(v),
-            journal_id=net.journal_of[v],
-            year=int(net.year_of[v]),
-            author_keys=(),
-            references=tuple(pid(t) for t in sorted(refs_of.get(v, ()))),
-        )
-
     counts: dict[str, dict[int, int]] = {j: {} for j in net.journal_ids}
-    for v in range(net.n_nodes):
-        per = counts[net.journal_of[v]]
-        year = int(net.year_of[v])
-        per[year] = per.get(year, 0) + 1
+    for v, (code, year) in enumerate(zip(net.journal_of.tolist(),
+                                         net.year_of.tolist())):
+        jid = net.journal_ids[code]
+        papers[pid(v)] = Paper(
+            paper_id=pid(v), journal_id=jid, year=year,
+            references=tuple(pid(t) for t in sorted(refs_of.get(v, ()))))
+        counts[jid][year] = counts[jid].get(year, 0) + 1
 
     journals = {}
     publishers = {}
@@ -271,12 +243,13 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
 class _Rewirer:
     """Retargets links in seeded sweeps, one full pass per link count."""
 
-    def __init__(self, net: _SynthNet, rates: dict[str, float],
+    def __init__(self, net: CitationGraph, rates: dict[str, float],
                  baseline: float, rng):
         self.net = net
         self.rng = rng
         self.rate_of = np.array([rates.get(j, baseline)
-                                 for j in net.journal_of], dtype=float)
+                                 for j in net.journal_ids],
+                                dtype=float)[net.journal_of]
         p_count = len(net.publishers)
         self.pools = [_OccurrenceSampler() for _ in range(p_count)]
         for v in range(net.n_nodes):
@@ -284,7 +257,7 @@ class _Rewirer:
         for t in net.dst:
             self.pools[net.publisher_of[t]].add(t)
         self.edge_set = set(zip(net.src, net.dst))
-        self._order: list[int] = []
+        self._order = np.empty(0, dtype=np.int64)
         self._cursor = 0
         self.steps_done = 0
 
@@ -323,39 +296,11 @@ class _Rewirer:
         m = len(self.net.src)
         for _ in range(steps):
             if self._cursor >= len(self._order):
-                self._order = list(self.rng.permutation(m))
+                self._order = self.rng.permutation(m)
                 self._cursor = 0
             self._rewire_edge(self._order[self._cursor])
             self._cursor += 1
             self.steps_done += 1
-
-
-def _net_from_corpus(corpus: Corpus) -> _SynthNet:
-    node_ids = sorted(corpus.papers)
-    index = {p: v for v, p in enumerate(node_ids)}
-    pub_ids = sorted(corpus.publishers)
-    pub_index = {p: i for i, p in enumerate(pub_ids)}
-    publisher_of = np.empty(len(node_ids), dtype=np.int64)
-    journal_of = []
-    year_of = np.empty(len(node_ids), dtype=np.int64)
-    for v, p in enumerate(node_ids):
-        paper = corpus.papers[p]
-        journal = corpus.journals[paper.journal_id]
-        if journal.publisher_id is None:
-            raise ValueError(f"journal {journal.journal_id!r} has no publisher")
-        publisher_of[v] = pub_index[journal.publisher_id]
-        journal_of.append(paper.journal_id)
-        year_of[v] = paper.year
-    src = []
-    dst = []
-    for citing, cited in corpus.citation_edges():
-        src.append(index[citing])
-        dst.append(index[cited])
-    publishers = [sorted(corpus.publishers[p].journal_ids) for p in pub_ids]
-    return _SynthNet(publisher_of=publisher_of, journal_of=journal_of,
-                     year_of=year_of, src=src, dst=dst,
-                     journal_ids=sorted(corpus.journals),
-                     publishers=publishers)
 
 
 def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
@@ -365,8 +310,15 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
     link lands inside the citing journal's publisher with that journal's
     configured probability, otherwise among the other publishers'
     papers, drawn preferentially by current in-degree + 1 either way.
+    Raises ValueError naming the journal of the first paper whose
+    journal or publisher is not registered.
     """
-    net = _net_from_corpus(corpus)
+    graph = corpus.graph
+    orphans = np.flatnonzero(graph.publisher_of < 0)
+    if orphans.size:
+        paper = corpus.papers[sorted(corpus.papers)[orphans[0]]]
+        raise ValueError(f"journal {paper.journal_id!r} has no publisher")
+    net = replace(graph, src=graph.src.tolist(), dst=graph.dst.tolist())
     rng = np.random.default_rng(config.seed)
     rewirer = _Rewirer(net, dict(config.special_rates),
                        config.baseline_rate, rng)
@@ -374,7 +326,7 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
     return _materialize(net, corpus.year_range)
 
 
-def _default_rate_assignment(net: _SynthNet, rng):
+def _default_rate_assignment(net: CitationGraph, rng):
     """One special journal per publisher; the default rates are dealt
     across publishers in seeded random order."""
     rates = list(DEFAULT_SPECIAL_RATES)
@@ -389,7 +341,7 @@ def _default_rate_assignment(net: _SynthNet, rng):
     return assignment
 
 
-def _psi_of(net: _SynthNet, table, journal_id, totals):
+def _psi_of(net: CitationGraph, table, journal_id, totals):
     pub = next(js for js in net.publishers if journal_id in js)
     score = psi_from_counts(table, journal_id, sorted(pub),
                             {j: totals[j] for j in pub})
@@ -442,9 +394,9 @@ def psi_rewiring_experiment(synth_config: SynthConfig,
         slots = [(f"S{k + 1}", rate) for k, (_j, rate) in enumerate(ordered)]
         specials = [jid for jid, _r in ordered]
 
-        totals = net.journal_paper_totals()
+        totals = _journal_totals(net)
         base_psi = {}
-        table = net.counts_table()
+        table = CitationCounts.from_counts(net.journal_pair_counts())
         for jid in specials:
             base_psi[jid] = _psi_of(net, table, jid, totals)
 
@@ -453,7 +405,7 @@ def psi_rewiring_experiment(synth_config: SynthConfig,
         for cp in checkpoints:
             target = int(round(cp * m))
             rewirer.advance(target - rewirer.steps_done)
-            table = net.counts_table()
+            table = CitationCounts.from_counts(net.journal_pair_counts())
             for k, jid in enumerate(specials):
                 psi = _psi_of(net, table, jid, totals)
                 ratio = (psi / base_psi[jid]
@@ -484,8 +436,8 @@ def publisher_psi_baseline(synth_config: SynthConfig, ensemble_count: int
     for ens in range(ensemble_count):
         rng = np.random.default_rng([synth_config.seed, ens])
         net = _generate_network(synth_config, rng)
-        table = net.counts_table()
-        totals = net.journal_paper_totals()
+        table = CitationCounts.from_counts(net.journal_pair_counts())
+        totals = _journal_totals(net)
         for p, jids in enumerate(net.publishers):
             pub_id = f"P{p + 1}"
             for jid in sorted(jids):

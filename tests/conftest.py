@@ -51,6 +51,27 @@ def make_corpus(papers, journals, year_range=(1996, 2018)):
                   year_range=year_range)
 
 
+def messy_corpus(seed, n=240):
+    """Seeded corpus with every case the integer graph codes as -1.
+
+    Papers fall in journals J0-J3 (publishers PA and PB), in J4 (no
+    publisher) and in X1 and X2 (not registered), over 2000-2010; the
+    reference lists hold self, repeated and dangling references.
+    """
+    rng = np.random.default_rng(seed)
+    names = ["J0", "J1", "J2", "J3", "J4", "X1", "X2"]
+    papers = []
+    for i in range(n):
+        refs = rng.integers(0, n + 5, size=int(rng.integers(0, 7)))
+        papers.append((f"p{i:03d}", names[int(rng.integers(len(names)))],
+                       int(rng.integers(2000, 2011)),
+                       [f"p{int(r):03d}" for r in refs] + [f"p{i:03d}"]))
+    journals = {"J0": {"publisher_id": "PA"}, "J1": {"publisher_id": "PA"},
+                "J2": {"publisher_id": "PB"}, "J3": {"publisher_id": "PB"},
+                "J4": {}}
+    return make_corpus(papers, journals, year_range=(2000, 2010))
+
+
 def corpus_to_files(corpus, directory):
     """Write a corpus as the three interchange files; returns the paths."""
     directory = Path(directory)

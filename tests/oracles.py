@@ -265,6 +265,34 @@ def random_digraph(rng, max_nodes=8):
     return nodes, edges
 
 
+# -- journal networks --------------------------------------------------------
+
+
+def journal_network_oracle(corpus, year, window_years, link_type):
+    """(nodes, edges) of the year's journal network, one pass per edge.
+
+    The per-edge dict loop that ``build_journal_network`` replaced.
+    """
+    nodes = tuple(sorted(j for j in corpus.journals
+                         if corpus.journals[j].paper_count_by_year.get(year, 0)))
+    node_set = set(nodes)
+    edges = {}
+    for citing, cited in corpus.citation_edges():
+        cy = corpus.papers[citing].year
+        ty = corpus.papers[cited].year
+        if link_type == "citation":
+            ok = ty == year and year + 1 <= cy <= year + window_years
+        else:
+            ok = cy == year and year - window_years <= ty <= year - 1
+        if not ok:
+            continue
+        src = corpus.journal_of(citing)
+        dst = corpus.journal_of(cited)
+        if src in node_set and dst in node_set:
+            edges[(src, dst)] = edges.get((src, dst), 0) + 1
+    return nodes, edges
+
+
 # -- publisher market share -------------------------------------------------
 
 

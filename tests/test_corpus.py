@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from citnet.corpus import CorpusFormatError, load_corpus, validate_corpus
+from citnet.corpus import (Corpus, CorpusFormatError, LoadReport, load_corpus,
+                           validate_corpus)
 
-from conftest import corpus_to_files, make_corpus
+from conftest import corpus_to_files, make_corpus, messy_corpus
 
 
 def write_fixture(tmp_path, papers=None, journals=None, publishers=None):
@@ -90,12 +91,6 @@ def test_duplicate_paper_id_rejected(tmp_path):
     assert "duplicate" in str(err.value)
 
 
-def test_unknown_format_rejected(tmp_path):
-    files = write_fixture(tmp_path, THREE_PAPER, JOURNALS, PUBLISHERS)
-    with pytest.raises(ValueError):
-        load_corpus(files, fmt="parquet")
-
-
 def test_validate_clean_fixture(tmp_path):
     corpus = load_corpus(write_fixture(tmp_path, THREE_PAPER, JOURNALS,
                                        PUBLISHERS))
@@ -146,6 +141,33 @@ def test_unknown_journal_tracked(tmp_path):
     corpus = load_corpus(write_fixture(tmp_path, papers, JOURNALS, PUBLISHERS))
     assert corpus.load_report.unknown_journal_papers == ["p1"]
     assert validate_corpus(corpus).by_kind("unknown_journal")
+
+
+def test_graph_equals_citation_edges_with_missing_codes():
+    base = messy_corpus(seed=4)
+    # PB unregistered: its journals J2 and J3 keep a journal code only
+    corpus = Corpus(base.papers, base.journals,
+                    {"PA": base.publishers["PA"]}, LoadReport(),
+                    year_range=base.year_range)
+    graph = corpus.graph
+    assert corpus.graph is graph
+    ids = sorted(corpus.papers)
+    assert [(ids[s], ids[t]) for s, t in zip(graph.src, graph.dst)] == \
+        list(corpus.citation_edges())
+    assert graph.n_nodes == len(ids)
+    assert graph.journal_ids == sorted(corpus.journals)
+    assert graph.publishers == [["J0", "J1"]]
+    for v, pid in enumerate(ids):
+        paper = corpus.papers[pid]
+        registered = paper.journal_id in corpus.journals
+        journal = graph.journal_ids.index(paper.journal_id) \
+            if registered else -1
+        publisher = 0 if paper.journal_id in ("J0", "J1") else -1
+        assert (graph.journal_of[v], graph.publisher_of[v],
+                graph.year_of[v]) == (journal, publisher, paper.year)
+    codes = set(zip(graph.journal_of.tolist(), graph.publisher_of.tolist()))
+    # unregistered journal; no publisher (J4); unregistered publisher (J2)
+    assert {(-1, -1), (4, -1), (2, -1)} <= codes
 
 
 def test_transpose_property_roundtrip(tmp_path):

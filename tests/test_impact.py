@@ -58,6 +58,10 @@ def test_normalize_citations():
         assert normalize_citations(count, 2017, table) == count
     with pytest.raises(KeyError):
         normalize_citations(10, 1999, table)
+    # the impact table's formula, count * n_ref / n_y, to the last bit
+    thirds = NormalizationTable(reference_year=2017,
+                                n_top={2010: 3, 2017: 10})
+    assert normalize_citations(7, 2010, thirds) == 23.333333333333332
 
 
 def test_normalization_table_invariants():

@@ -13,12 +13,12 @@ from citnet.jnet import (JournalCitationNetwork, PageRankConvergenceError,
                          closeness, pagerank, pathcore, robustness_sweep)
 from citnet.matching import MatchRecord
 
-from conftest import make_corpus
+from conftest import make_corpus, messy_corpus
 from citnet import jnet
 from oracles import (betweenness_oracle, betweenness_reference,
                      closeness_reference, harmonic_closeness_oracle,
-                     pagerank_oracle, pathcore_oracle, pathcore_reference,
-                     random_digraph)
+                     journal_network_oracle, pagerank_oracle,
+                     pathcore_oracle, pathcore_reference, random_digraph)
 
 
 def net(nodes, edges, year=2005, window=2, link_type="citation"):
@@ -59,6 +59,22 @@ def test_reference_type_mirrors_shifted_citation_window():
     cited_net = build_journal_network(corpus, 2000, 1, "citation")
     ref_net = build_journal_network(corpus, 2001, 1, "reference")
     assert cited_net.edges == ref_net.edges == {("A", "B"): 1, ("B", "A"): 1}
+
+
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("link_type", ["citation", "reference"])
+def test_build_equals_edge_loop_reference(window, link_type):
+    corpus = messy_corpus(seed=3)
+    network = build_journal_network(corpus, 2005, window, link_type)
+    nodes, edges = journal_network_oracle(corpus, 2005, window, link_type)
+    assert network.nodes == nodes
+    assert network.edges == edges
+    assert all(type(w) is int for w in network.edges.values())
+    # the fixture reaches the journal without publisher and has paper
+    # edges of unregistered journals for the tally to leave out
+    assert "J4" in {j for pair in edges for j in pair}
+    assert any(corpus.journal_of(p) is None for e in corpus.citation_edges()
+               for p in e)
 
 
 def test_build_window_bounds_checked():

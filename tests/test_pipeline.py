@@ -165,6 +165,28 @@ def test_rate_query_file_rows(tmp_path, pipeline_files):
     assert ("P1", "P1-J2", "citation") in targets
 
 
+def test_cli_query_file_resolved_beside_config(tmp_path, pipeline_files,
+                                               monkeypatch):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    queries = run_dir / "queries.yaml"
+    queries.write_text("- {source: P1-J1, targets: [P2], kind: reference}\n",
+                       encoding="utf-8")
+    write_pipeline_config(
+        run_dir, pipeline_files, tmp_path / "out",
+        extra={"stages": ["impact", "matching", "selfcite"],
+               "selfcite": {"query_file": "queries.yaml"}})
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", "--config", "run/config.yaml"]) == 0
+    with (tmp_path / "out" / "rates.csv").open(newline="",
+                                               encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert ("P1-J1", "P2", "reference") in {
+        (r["source"], r["target"], r["kind"]) for r in rows}
+    queries.unlink()
+    assert cli_main(["run", "--config", "run/config.yaml"]) == 2
+
+
 def test_cli_run_invalid_config_exit_2(tmp_path, pipeline_files):
     from citnet.cli import main as cli_main
 

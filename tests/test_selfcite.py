@@ -238,7 +238,10 @@ def test_solidarity_ratio():
 def _edge_loop_table(corpus, window):
     """Reference tally: one pass over the paper edges."""
     counts, out_total, in_total = {}, {}, {}
-    for citing, cited in corpus.citation_edges(window=window):
+    for citing, cited in corpus.citation_edges():
+        year = corpus.papers[citing].year
+        if window is not None and not window[0] <= year <= window[1]:
+            continue
         src, dst = corpus.journal_of(citing), corpus.journal_of(cited)
         if src is None or dst is None:
             continue

@@ -8,6 +8,7 @@ from citnet.selfcite import solidarity_index
 from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
                           psi_rewiring_experiment, psi_scenarios, rewire)
 
+from conftest import make_corpus
 from oracles import hill_mle
 
 SMALL = SynthConfig(publisher_count=3, journals_per_publisher=3,
@@ -103,6 +104,16 @@ def test_rewire_rate_zero_avoids_own_publisher():
                 rewired.papers[cited].journal_id.startswith("P1-"):
             own += 1
     assert own == 0
+
+
+@pytest.mark.parametrize("orphan", ["J2", "X1"])
+def test_rewire_rejects_journal_without_publisher(orphan):
+    papers = [("a", "J1", 2000, []), ("b", orphan, 2001, ["a"]),
+              ("c", "J1", 2001, ["a", "b"])]
+    corpus = make_corpus(papers, {"J1": {"publisher_id": "P"}, "J2": {}})
+    with pytest.raises(ValueError,
+                       match=f"journal '{orphan}' has no publisher"):
+        rewire(corpus, RewireConfig(seed=1), 3)
 
 
 def test_rewire_seeded_determinism():
