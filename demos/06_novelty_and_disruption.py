@@ -8,7 +8,7 @@ negative scores mark rare, novel pairings.
 """
 
 from citnet import (ShuffleConfig, disruptiveness, pair_zscores,
-                    paper_novelty, shuffle_citations)
+                    paper_novelty, shuffle_edges)
 from citnet.disruption import disruptiveness_by_team_size
 from citnet.synth import SynthConfig, generate_synthetic
 
@@ -19,13 +19,19 @@ corpus = generate_synthetic(SynthConfig(
 
 config = ShuffleConfig(ensemble_count=10, swaps_per_edge=10.0, seed=2)
 
-# Margins survive shuffling exactly.
+# Margins survive shuffling exactly. The shuffle runs on the corpus's
+# integer graph, whose node v is the v-th paper id in sorted order.
+ids = sorted(corpus.papers)
 original = list(corpus.citation_edges())
-shuffled = shuffle_citations(corpus, config, replicate_index=0)
+src, dst = shuffle_edges(corpus.graph, config, replicate_index=0)
+shuffled = [(ids[s], ids[t]) for s, t in zip(src.tolist(), dst.tolist())]
 moved = sum(1 for a, b in zip(sorted(original), sorted(shuffled)) if a != b)
 print(f"edges: {len(original)}, moved by shuffling: {moved}")
 
-stats = pair_zscores(corpus, config)
+# Two worker processes run the replicates; the result is the same at any
+# worker count.
+zscores = pair_zscores(corpus, config, threads=2)
+stats = zscores.stats()
 defined = [s for s in stats.values() if s.z is not None]
 print(f"journal pairs observed: {len(stats)}, with defined z: {len(defined)}")
 extreme = sorted(defined, key=lambda s: s.z)
@@ -34,10 +40,9 @@ print("rarest pairing:", extreme[0].journal_pair,
 print("most conventional:", extreme[-1].journal_pair,
       "z =", round(extreme[-1].z, 2))
 
-pid = next(p for p in sorted(corpus.papers)
-           if len(corpus.forward[p]) >= 3)
-nov = paper_novelty(corpus, pid, stats)
-print(f"{pid}: median z {nov.median_z:.2f}, 10th percentile {nov.p10_z:.2f} "
+nov = next(n for n in paper_novelty(corpus, zscores)
+           if n.defined_pair_count >= 3)
+print(f"{nov.paper_id}: median z {nov.median_z:.2f}, 10th percentile {nov.p10_z:.2f} "
       f"over {nov.defined_pair_count} pairs")
 
 # Disruptiveness: +1 when the follow-up literature drops the paper's

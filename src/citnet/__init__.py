@@ -31,8 +31,9 @@ from .matching import (MatchRecord, RegistryEntry, build_registry,
 from .jnet import (CentralityVector, JournalCitationNetwork, betweenness,
                    build_journal_network, centrality_comparison, closeness,
                    pagerank, pathcore)
-from .novelty import (PairStatistics, PaperNovelty, ShuffleConfig,
-                      pair_zscores, paper_novelty, shuffle_citations)
+from .novelty import (PairStatistics, PairZScores, PaperNovelty,
+                      ShuffleConfig, pair_zscores, paper_novelty,
+                      shuffle_edges)
 from .disruption import (DisruptionCounts, disruption_counts, disruptiveness,
                          disruptiveness_by_team_size, disruptiveness_by_year)
 from .authors import (AuthorClusters, AuthorStats, SimilarityWeights,

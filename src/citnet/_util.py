@@ -1,26 +1,11 @@
-"""Small shared helpers: atomic deterministic output and worker pools."""
+"""Small shared helpers: atomic, deterministic CSV output."""
 
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-
-
-def parallel_map(fn, items, threads=1):
-    """Map ``fn`` over ``items`` preserving input order.
-
-    With ``threads > 1`` work runs on a thread pool; results come back in
-    input order either way, so reductions stay deterministic regardless
-    of the worker count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt_cell(value):

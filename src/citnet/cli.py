@@ -27,8 +27,9 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="override the configured worker-thread count "
-                             "for the novelty null-model replicates")
+                        help="override the configured number of worker "
+                             "processes for the novelty null-model "
+                             "replicates")
     parser.add_argument("--out", default=None,
                         help="override the configured output directory")
 

@@ -241,16 +241,6 @@ class Corpus:
                              dtype=np.int64),
             src=edges[:, 0], dst=edges[:, 1])
 
-    def serialize_indices(self) -> bytes:
-        """Canonical byte serialization of both citation indices."""
-        payload = {
-            "forward": {p: list(self.forward[p]) for p in sorted(self.forward)},
-            "citers": {p: [list(c) for c in self.citers[p]]
-                       for p in sorted(self.citers)},
-        }
-        return json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-
 
 # ---------------------------------------------------------------------------
 # Loading

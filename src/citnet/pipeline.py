@@ -12,8 +12,9 @@ completed outputs left in place.
 All randomness derives from the configured seed, so a rerun with the
 same config produces byte-identical CSVs. Stages run serially; the
 ``threads`` setting only spreads the novelty null-model replicates over
-worker threads, and their results are reduced in replicate order, so
-the thread count never changes an output.
+worker processes (forked, where the platform supports ``fork``), and
+their results are reduced in replicate order, so the worker count never
+changes an output.
 """
 
 from __future__ import annotations
@@ -194,6 +195,7 @@ class StageResult:
     error: str = ""
     outputs: list[str] = field(default_factory=list)
     skipped: dict[str, str] = field(default_factory=dict)  # item -> reason
+    counts: dict[str, int] = field(default_factory=dict)   # excluded items
 
 
 @dataclass
@@ -212,6 +214,8 @@ def _fraction_or_none(x):
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
+# Each stage returns its output file names and a dict of further
+# StageResult fields (``skipped``, ``counts``).
 
 
 def _impact_years(config):
@@ -426,7 +430,7 @@ def _stage_jnet(ctx: _RunContext):
                    "uj_higher_fraction", "pair_count", "excluded_pairs"],
                   comparison_rows)
         outputs.append("centrality_comparison.csv")
-    return outputs, skipped
+    return outputs, {"skipped": skipped}
 
 
 def _stage_novelty(ctx: _RunContext):
@@ -437,19 +441,18 @@ def _stage_novelty(ctx: _RunContext):
         seed=ctx.seed,
         collapse_multiplicity=bool(section["collapse_multiplicity"]),
     )
-    zmap = novelty_mod.pair_zscores(ctx.corpus, config, threads=ctx.threads)
-    rows = []
-    for pid in sorted(ctx.corpus.papers):
-        if len(ctx.corpus.forward[pid]) < 2:
-            continue
-        nov = novelty_mod.paper_novelty(ctx.corpus, pid, zmap,
-                                        collapse=config.collapse_multiplicity)
-        rows.append((pid, nov.median_z, nov.p10_z, nov.defined_pair_count,
-                     nov.undefined_pair_count))
+    zscores = novelty_mod.pair_zscores(ctx.corpus, config,
+                                       threads=ctx.threads)
+    rows = [(nov.paper_id, nov.median_z, nov.p10_z, nov.defined_pair_count,
+             nov.undefined_pair_count)
+            for nov in novelty_mod.paper_novelty(
+                ctx.corpus, zscores, config.collapse_multiplicity)]
     write_csv(ctx.outdir / "novelty.csv",
               ["paper_id", "median_z", "p10_z", "defined_pair_count",
                "undefined_pair_count"], rows)
-    return ["novelty.csv"], {}
+    counts = {"undefined_pairs": int((zscores.sigma == 0).sum()),
+              "undefined_papers": sum(1 for r in rows if r[1] is None)}
+    return ["novelty.csv"], {"counts": counts}
 
 
 def _stage_disruption(ctx: _RunContext):
@@ -533,7 +536,10 @@ def run_pipeline(config: RunConfig, outdir=None):
     do not raise; they mark the run partial and skip dependents. Items a
     stage leaves out (such as a journal-network variant outside the
     corpus range) are listed with the reason under the stage's
-    ``skipped`` entry, and the stage stays ok.
+    ``skipped`` entry, and the stage stays ok. Counts of excluded or
+    undefined items go under ``counts``: the novelty stage records
+    ``undefined_pairs`` (observed journal pairs whose ensemble spread is
+    0) and ``undefined_papers`` (rows without a defined pair).
     """
     return _run_loaded(config, _load_checked(config), outdir)
 
@@ -568,10 +574,10 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
             continue
         t0 = time.perf_counter()
         try:
-            outputs, skipped = _STAGE_FNS[name](ctx)
+            outputs, extra = _STAGE_FNS[name](ctx)
             results.append(StageResult(name, "ok",
                                        seconds=time.perf_counter() - t0,
-                                       outputs=outputs, skipped=skipped))
+                                       outputs=outputs, **extra))
         except Exception as exc:  # stage isolation: report, halt dependents
             results.append(StageResult(name, "failed",
                                        seconds=time.perf_counter() - t0,
@@ -587,7 +593,8 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
         "load_report": corpus.load_report.summary(),
         "stages": [{"name": r.name, "status": r.status,
                     "seconds": round(r.seconds, 6), "error": r.error,
-                    "outputs": r.outputs, "skipped": r.skipped}
+                    "outputs": r.outputs, "skipped": r.skipped,
+                    "counts": r.counts}
                    for r in results],
     }
     with atomic_write(outdir / "manifest.json") as fh:

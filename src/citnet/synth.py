@@ -20,8 +20,9 @@ twice the link count: after two sweeps every link has been redrawn from
 the target rule twice, so later checkpoints only jitter.
 
 Generated and rewired nets are the corpus's own integer
-``CitationGraph``: ``rewire`` starts from ``Corpus.graph``, and the
-count tables at every checkpoint come from its journal-pair tally.
+``CitationGraph``: ``rewire`` starts from ``Corpus.graph`` and writes
+the retargeted links back into the input corpus's reference lists, and
+the count tables at every checkpoint come from its journal-pair tally.
 """
 
 from __future__ import annotations
@@ -310,8 +311,10 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
     link lands inside the citing journal's publisher with that journal's
     configured probability, otherwise among the other publishers'
     papers, drawn preferentially by current in-degree + 1 either way.
-    Raises ValueError naming the journal of the first paper whose
-    journal or publisher is not registered.
+    The result is a new corpus equal to the input except that each
+    resolved reference is replaced at its position in its list: ids,
+    journals, publishers, labels, dangling and self references stay. Raises ValueError naming the journal of
+    the first paper whose journal or publisher is not registered.
     """
     graph = corpus.graph
     orphans = np.flatnonzero(graph.publisher_of < 0)
@@ -323,7 +326,19 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
     rewirer = _Rewirer(net, dict(config.special_rates),
                        config.baseline_rate, rng)
     rewirer.advance(step_count)
-    return _materialize(net, corpus.year_range)
+
+    # edges run paper by paper in id order, each paper's resolved
+    # references in list order, as Corpus.citation_edges yields them
+    ids = sorted(corpus.papers)
+    targets = iter(net.dst)
+    papers = {}
+    for pid in ids:
+        paper = corpus.papers[pid]
+        refs = tuple(ids[next(targets)] if r in corpus.papers and r != pid
+                     else r for r in paper.references)
+        papers[pid] = replace(paper, references=refs)
+    return Corpus(papers, dict(corpus.journals), dict(corpus.publishers),
+                  corpus.load_report, year_range=corpus.year_range)
 
 
 def _default_rate_assignment(net: CitationGraph, rng):

@@ -51,6 +51,17 @@ def make_corpus(papers, journals, year_range=(1996, 2018)):
                   year_range=year_range)
 
 
+def serialize_indices(corpus) -> bytes:
+    """Canonical byte serialization of both citation indices."""
+    payload = {
+        "forward": {p: list(corpus.forward[p]) for p in sorted(corpus.forward)},
+        "citers": {p: [list(c) for c in corpus.citers[p]]
+                   for p in sorted(corpus.citers)},
+    }
+    return json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def messy_corpus(seed, n=240):
     """Seeded corpus with every case the integer graph codes as -1.
 

@@ -9,7 +9,7 @@ import the functions it checks.
 
 import re
 from bisect import insort
-from collections import deque
+from collections import deque, namedtuple
 
 import numpy as np
 
@@ -351,6 +351,132 @@ def percentile_oracle(values, q):
     hi = min(lo + 1, len(data) - 1)
     frac = rank - lo
     return data[lo] * (1 - frac) + data[hi] * frac
+
+
+# -- novelty null model: string and dict references --------------------------
+#
+# The former library path, kept as the reference for the integer kernels
+# in citnet.novelty: edges as (citing id, cited id) tuples, pair counts
+# as dicts keyed by (journal id, journal id).
+
+PairStat = namedtuple("PairStat", "journal_pair o e sigma z")
+
+
+def shuffle_citations(corpus, config, replicate_index):
+    """Double-edge swaps within (citing year, cited year) strata, over
+    string edges, drawing one rng.integers block per stratum."""
+    rng = np.random.default_rng([config.seed, replicate_index])
+    strata = {}
+    for citing, cited in corpus.citation_edges():
+        key = (corpus.papers[citing].year, corpus.papers[cited].year)
+        strata.setdefault(key, []).append([citing, cited])
+
+    shuffled = []
+    for key in sorted(strata):
+        edges = strata[key]
+        m = len(edges)
+        if m < 2:
+            shuffled.extend((s, t) for s, t in edges)
+            continue
+        present = {(s, t) for s, t in edges}
+        attempts = int(round(config.swaps_per_edge * m))
+        picks = rng.integers(0, m, size=(attempts, 2))
+        for a, b in picks:
+            if a == b:
+                continue
+            s1, t1 = edges[a]
+            s2, t2 = edges[b]
+            if t1 == t2:
+                continue
+            if s1 == t2 or s2 == t1:
+                continue
+            if (s1, t2) in present or (s2, t1) in present:
+                continue
+            present.discard((s1, t1))
+            present.discard((s2, t2))
+            present.add((s1, t2))
+            present.add((s2, t1))
+            edges[a][1] = t2
+            edges[b][1] = t1
+        shuffled.extend((s, t) for s, t in edges)
+    return shuffled
+
+
+def paper_pairs(journals, collapse=False):
+    """Unordered journal pairs of one reference list with multiplicity:
+    C(m, 2) for a journal cited m times, m*k across two; 1 each with
+    ``collapse``."""
+    tally = {}
+    for j in journals:
+        tally[j] = tally.get(j, 0) + 1
+    names = sorted(tally)
+    out = []
+    for i, a in enumerate(names):
+        m = tally[a]
+        if m >= 2:
+            out.append(((a, a), 1 if collapse else m * (m - 1) // 2))
+        for b in names[i + 1:]:
+            out.append(((a, b), 1 if collapse else m * tally[b]))
+    return out
+
+
+def pair_frequencies(corpus, edges, collapse=False):
+    """Journal-pair co-reference counts over an explicit edge list."""
+    by_paper = {}
+    for citing, cited in edges:
+        jid = corpus.journal_of(cited)
+        if jid is None:
+            continue
+        by_paper.setdefault(citing, []).append(jid)
+    counts = {}
+    for pid in by_paper:
+        for pair, mult in paper_pairs(by_paper[pid], collapse):
+            counts[pair] = counts.get(pair, 0) + mult
+    return counts
+
+
+def pair_zscores(corpus, config, ensembles=None):
+    """PairStat per observed pair, from 1-D per-pair mean and std."""
+    observed = pair_frequencies(corpus, list(corpus.citation_edges()),
+                                config.collapse_multiplicity)
+    if ensembles is None:
+        ensembles = [pair_frequencies(corpus,
+                                      shuffle_citations(corpus, config, idx),
+                                      config.collapse_multiplicity)
+                     for idx in range(config.ensemble_count)]
+    stats = {}
+    for pair in sorted(observed):
+        o = observed[pair]
+        samples = np.array([ens.get(pair, 0) for ens in ensembles],
+                           dtype=float)
+        e = float(samples.mean())
+        sigma = float(samples.std())
+        z = (o - e) / sigma if sigma > 0 else None
+        stats[pair] = PairStat(pair, o, e, sigma, z)
+    return stats
+
+
+def paper_novelty(corpus, paper_id, zmap, collapse=False):
+    """(median z, p10 z, defined count, undefined count) of one paper,
+    with np.percentile over its list of defined z values."""
+    journals = []
+    for ref in corpus.forward[paper_id]:
+        jid = corpus.journal_of(ref)
+        if jid is not None:
+            journals.append(jid)
+    zs = []
+    undefined = 0
+    for pair, mult in paper_pairs(journals, collapse):
+        stat = zmap.get(pair)
+        if stat is None or stat.z is None:
+            undefined += int(mult)
+            continue
+        zs.extend([stat.z] * int(mult))
+    if not zs:
+        return None, None, 0, undefined
+    arr = np.array(zs, dtype=float)
+    return (float(np.percentile(arr, 50)), float(np.percentile(arr, 10)),
+            len(zs), undefined)
 
 
 # -- agglomerative identity resolution ---------------------------------------

@@ -23,7 +23,7 @@ from citnet.disruption import (disruptiveness, disruptiveness_by_team_size,
 from citnet.jnet import (JournalCitationNetwork, betweenness, closeness,
                          pagerank, pathcore)
 from citnet.matching import RegistryEntry, match_registry, _category_terciles
-from citnet.novelty import ShuffleConfig, shuffle_citations
+from citnet.novelty import ShuffleConfig, shuffle_edges
 from citnet.pipeline import load_config, run_pipeline
 from citnet.selfcite import (aggregate_citation_counts, citation_rate,
                              psi_from_counts)
@@ -157,7 +157,10 @@ def test_criterion_05_null_model_exactness():
     for seed in range(50):
         corpus = _random_citation_corpus(seed)
         original = list(corpus.citation_edges())
-        shuffled = shuffle_citations(corpus, ShuffleConfig(seed=seed), 0)
+        ids = sorted(corpus.papers)     # node v is the v-th id
+        src, dst = shuffle_edges(corpus.graph, ShuffleConfig(seed=seed), 0)
+        shuffled = [(ids[s], ids[t])
+                    for s, t in zip(src.tolist(), dst.tolist())]
         out_ok = Counter(s for s, _ in shuffled) == \
             Counter(s for s, _ in original)
         in_ok = Counter(t for _, t in shuffled) == \
@@ -394,5 +397,5 @@ def test_criterion_11_pipeline_determinism(tmp_path, pipeline_files):
     identical = (outputs["t1a"] == outputs["t1b"] == outputs["t4"]
                  == outputs["t8"])
     ok = identical and len(outputs["t1a"]) >= 14
-    report(11, ok, f"rerun and 1/4/8-thread runs byte-identical across "
+    report(11, ok, f"rerun and 1/4/8-worker runs byte-identical across "
                    f"{len(outputs['t1a'])} output CSVs")

@@ -10,9 +10,11 @@ from citnet._util import write_csv
 from citnet.cli import main as cli_main
 from citnet.corpus import load_corpus
 from citnet.matching import binning_diagnostics
+from citnet.novelty import ShuffleConfig
 from citnet.pipeline import (ConfigError, _control_registry, config_hash,
                              emit_plot_data, load_config, run_pipeline)
 
+import oracles
 from conftest import write_pipeline_config
 
 ALL_CSVS = ("impact.csv", "market_share.csv", "matches.csv",
@@ -51,6 +53,39 @@ def test_full_run_produces_every_module_csv(full_run):
     assert {s["name"] for s in manifest["stages"]} == {
         "impact", "matching", "selfcite", "jnet", "novelty", "disruption",
         "authors"}
+
+
+@pytest.mark.parametrize("novelty", [
+    {},                                                # fixture config
+    {"ensemble_count": 2, "swaps_per_edge": 0.002},    # some sigma == 0
+])
+def test_manifest_counts_novelty_exclusions(tmp_path, pipeline_files,
+                                            novelty):
+    outdir = tmp_path / "out"
+    config = load_config(write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "novelty"],
+               "novelty": novelty}))
+    assert all(r.status == "ok" for r in run_pipeline(config))
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    entry = next(s for s in manifest["stages"] if s["name"] == "novelty")
+    with (outdir / "novelty.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    corpus = load_corpus(config.corpus_paths(),
+                         year_range=tuple(config["year_range"]))
+    section = config["novelty"]
+    zmap = oracles.pair_zscores(corpus, ShuffleConfig(
+        ensemble_count=int(section["ensemble_count"]),
+        swaps_per_edge=float(section["swaps_per_edge"]),
+        seed=int(config["seed"]),
+        collapse_multiplicity=bool(section["collapse_multiplicity"])))
+    expected = {
+        "undefined_pairs": sum(1 for s in zmap.values() if s.z is None),
+        "undefined_papers": sum(1 for r in rows if r["median_z"] == "")}
+    assert entry["counts"] == expected
+    if novelty:
+        assert 0 < expected["undefined_pairs"] < len(zmap)
+        assert 0 < expected["undefined_papers"] < len(rows)
 
 
 def test_impact_only_writes_exactly_impact_and_manifest(tmp_path,

@@ -8,7 +8,7 @@ from citnet.selfcite import solidarity_index
 from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
                           psi_rewiring_experiment, psi_scenarios, rewire)
 
-from conftest import make_corpus
+from conftest import make_corpus, serialize_indices
 from oracles import hill_mle
 
 SMALL = SynthConfig(publisher_count=3, journals_per_publisher=3,
@@ -52,11 +52,11 @@ def test_references_point_backward_in_time():
 
 
 def test_generation_seeded_determinism():
-    a = generate_synthetic(SMALL).serialize_indices()
-    b = generate_synthetic(SMALL).serialize_indices()
+    a = serialize_indices(generate_synthetic(SMALL))
+    b = serialize_indices(generate_synthetic(SMALL))
     assert a == b
     c = generate_synthetic(SynthConfig(**{**SMALL.__dict__, "seed": 18}))
-    assert c.serialize_indices() != a
+    assert serialize_indices(c) != a
 
 
 def out_degrees(corpus):
@@ -116,11 +116,65 @@ def test_rewire_rejects_journal_without_publisher(orphan):
         rewire(corpus, RewireConfig(seed=1), 3)
 
 
+def labeled_two_publisher_corpus(seed=4, n=80):
+    """Publishers Acme and Beta with ISSNs, categories and flagged journals;
+    authors on every paper; one dangling and one self reference."""
+    rng = np.random.default_rng(seed)
+    names = ["A1", "A2", "B1", "B2"]
+    papers = []
+    for i in range(n):
+        refs = sorted({f"x{int(r):02d}" for r in
+                       rng.integers(0, max(i, 1), size=min(i, 4))})
+        papers.append((f"x{i:02d}", names[i % 4], 2000 + i // 20, refs,
+                       [f"au{i % 7}"]))
+    papers[10] = papers[10][:3] + (papers[10][3] + ["ghost"],) + papers[10][4:]
+    papers[11] = papers[11][:3] + (papers[11][3] + ["x11"],) + papers[11][4:]
+    journals = {
+        "A1": {"publisher_id": "Acme", "issns": ["0378-5955"],
+               "categories": ["11", "12"]},
+        "A2": {"publisher_id": "Acme", "questionable": True,
+               "categories": ["12"]},
+        "B1": {"publisher_id": "Beta", "questionable": True,
+               "issns": ["2049-3630"], "categories": ["21"]},
+        "B2": {"publisher_id": "Beta", "categories": ["22"]},
+    }
+    return make_corpus(papers, journals, year_range=(2000, 2003))
+
+
+def test_rewire_keeps_the_corpus_it_was_given():
+    corpus = labeled_two_publisher_corpus()
+    config = RewireConfig(special_rates={"A2": 0.9}, seed=3)
+    same = rewire(corpus, config, 0)
+    assert same.papers == corpus.papers
+    assert same.journals == corpus.journals
+    assert same.publishers == corpus.publishers
+    assert {j.journal_id for j in same.journals.values()
+            if j.questionable_flag} == {"A2", "B1"}
+    assert serialize_indices(same) == serialize_indices(corpus)
+
+    moved = rewire(corpus, config, 200)
+    assert moved.journals == corpus.journals
+    assert moved.publishers == corpus.publishers
+    assert moved.year_range == corpus.year_range
+    changed = 0
+    for pid, paper in corpus.papers.items():
+        new = moved.papers[pid]
+        assert (new.journal_id, new.year, new.author_keys) == \
+            (paper.journal_id, paper.year, paper.author_keys)
+        assert len(new.references) == len(paper.references)
+        changed += new.references != paper.references
+    assert changed > 0
+    assert "ghost" in moved.papers["x10"].references
+    assert "x11" in moved.papers["x11"].references
+    assert out_degrees(moved) == out_degrees(corpus)
+    assert validate_corpus(moved).by_kind("index_transpose") == []
+
+
 def test_rewire_seeded_determinism():
     corpus = generate_synthetic(SMALL)
     config = RewireConfig(seed=9)
-    a = rewire(corpus, config, 200).serialize_indices()
-    b = rewire(corpus, config, 200).serialize_indices()
+    a = serialize_indices(rewire(corpus, config, 200))
+    b = serialize_indices(rewire(corpus, config, 200))
     assert a == b
 
 
