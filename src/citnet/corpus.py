@@ -28,6 +28,8 @@ __all__ = [
     "Journal",
     "Publisher",
     "CitationGraph",
+    "row_pairs",
+    "distinct",
     "Corpus",
     "CorpusFormatError",
     "LoadReport",
@@ -151,6 +153,30 @@ class CitationGraph:
         keys, counts = np.unique(a[keep] * n + b[keep], return_counts=True)
         return {(ids[k // n], ids[k % n]): c
                 for k, c in zip(keys.tolist(), counts.tolist())}
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array: ``np.unique(values)``
+    without its first call importing ``numpy.ma`` (about 1.3 MiB)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i < j, of every two entries in one row.
+
+    ``rows`` holds each entry's row label, sorted, so a row's entries are
+    contiguous; a row of k entries gives its C(k, 2) pairs, i ascending
+    and then j. Co-occurrence counts are one ``np.unique`` over a key
+    built from the pairs.
+    """
+    row_end = np.searchsorted(rows, rows, side="right")
+    later = row_end - np.arange(len(rows)) - 1      # row entries after each
+    first = np.repeat(np.arange(len(rows)), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return first, first + 1 + offset
 
 
 class Corpus:

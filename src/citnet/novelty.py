@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import CitationGraph, Corpus
+from .corpus import CitationGraph, Corpus, row_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -166,11 +166,8 @@ def _reference_pairs(graph: CitationGraph, src, dst, collapse):
     code = graph.journal_of[dst]
     keep = code >= 0
     node, code = np.divmod(np.sort(src[keep] * n_j + code[keep]), n_j)
-    row_end = np.searchsorted(node, node, side="right")
-    later = row_end - np.arange(len(node)) - 1      # row entries after each
-    first = np.repeat(np.arange(len(node)), later)
-    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    nodes, keys = node[first], code[first] * n_j + code[first + 1 + offset]
+    first, second = row_pairs(node)
+    nodes, keys = node[first], code[first] * n_j + code[second]
     if collapse:
         nodes, keys = np.divmod(np.unique(nodes * n_j * n_j + keys), n_j * n_j)
     return nodes, keys

@@ -476,7 +476,8 @@ def _stage_disruption(ctx: _RunContext):
         write_csv(ctx.outdir / "disruption_journal.csv",
                   ["journal_id", "mean_D"], sorted(means.items()))
         outputs.append("disruption_journal.csv")
-    return outputs, {}
+    counts = {"undefined_D": sum(1 for r in rows if r[4] is None)}
+    return outputs, {"counts": counts}
 
 
 def _stage_authors(ctx: _RunContext):
@@ -515,7 +516,8 @@ def _stage_authors(ctx: _RunContext):
                "self_citing_fraction", "group_self_cited_any",
                "group_self_citing_any", "group_self_cited_own",
                "group_self_citing_own"], stat_rows)
-    return ["clusters.csv", "author_stats.csv"], {}
+    counts = {"excluded_mentions": len(clusters.excluded)}
+    return ["clusters.csv", "author_stats.csv"], {"counts": counts}
 
 
 _STAGE_FNS = {
@@ -539,7 +541,11 @@ def run_pipeline(config: RunConfig, outdir=None):
     ``skipped`` entry, and the stage stays ok. Counts of excluded or
     undefined items go under ``counts``: the novelty stage records
     ``undefined_pairs`` (observed journal pairs whose ensemble spread is
-    0) and ``undefined_papers`` (rows without a defined pair).
+    0) and ``undefined_papers`` (rows without a defined pair), the
+    disruption stage ``undefined_D`` (rows whose D is empty: never cited
+    and references never cited), and the authors stage
+    ``excluded_mentions`` (mentions left out of ``clusters.csv`` as lone
+    mentions of uncited single-authored papers).
     """
     return _run_loaded(config, _load_checked(config), outdir)
 

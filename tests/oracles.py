@@ -534,6 +534,108 @@ def agglomerate_oracle(papers, similarity, pair_threshold, group_threshold):
     return groups
 
 
+def resolve_block_reference(papers, similarity, pair_threshold,
+                            group_threshold):
+    """Two-step resolution of one name block over a float similarity.
+
+    Step 1 unions every pair above ``pair_threshold``; step 2 recomputes
+    every group-pair average as a float sum over its paper pairs and
+    merges the first maximum of the scan, a later pair winning only by
+    more than 1e-15, while it exceeds ``group_threshold``.
+    """
+    papers = sorted(papers)
+    if len(papers) == 1:
+        return [papers]
+    sim = {}
+    for i, pa in enumerate(papers):
+        for pb in papers[i + 1:]:
+            sim[(pa, pb)] = similarity(pa, pb)
+
+    parent = {p: p for p in papers}
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = parent[parent[p]]
+            p = parent[p]
+        return p
+
+    for (pa, pb), s in sorted(sim.items()):
+        if s > pair_threshold:
+            ra, rb = find(pa), find(pb)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+
+    groups = {}
+    for p in papers:
+        groups.setdefault(find(p), []).append(p)
+    merged = sorted(sorted(g) for g in groups.values())
+
+    def average(group_a, group_b):
+        total = 0.0
+        for pa in group_a:
+            for pb in group_b:
+                total += sim[(pa, pb)] if (pa, pb) in sim else sim[(pb, pa)]
+        return total / (len(group_a) * len(group_b))
+
+    while len(merged) > 1:
+        best = None
+        for i in range(len(merged)):
+            for j in range(i + 1, len(merged)):
+                avg = average(merged[i], merged[j])
+                if best is None or avg > best[0] + 1e-15:
+                    best = (avg, i, j)
+        if best[0] <= group_threshold:
+            break
+        _, i, j = best
+        merged[i] = sorted(merged[i] + merged[j])
+        del merged[j]
+        merged.sort()
+    return merged
+
+
+AuthorStatsRow = namedtuple(
+    "AuthorStatsRow",
+    "cluster_id academic_age paper_count group_paper_count "
+    "self_cited_fraction self_citing_fraction group_self_citing_any "
+    "group_self_cited_any group_self_citing_own group_self_cited_own")
+
+
+def author_demographics_reference(corpus, clusters, group_journals):
+    """Per-cluster career statistics from Python sets of every paper's
+    references and citers."""
+    group = set(group_journals)
+    rows = []
+    for cluster_id in sorted(clusters.clusters):
+        papers = sorted({pid for _key, pid in clusters.clusters[cluster_id]})
+        paper_set = set(papers)
+        group_papers = [p for p in papers
+                        if corpus.papers[p].journal_id in group]
+        if not group_papers:
+            continue
+        years = [corpus.papers[p].year for p in papers]
+        own_group = set(group_papers)
+        counts = [0] * 6
+        for pid in papers:
+            refs = set(corpus.forward[pid])
+            citers = {c for c, _y in corpus.citers[pid]}
+            flags = (refs & (paper_set - {pid}),
+                     citers & (paper_set - {pid}),
+                     any(corpus.papers[r].journal_id in group for r in refs),
+                     any(corpus.papers[c].journal_id in group for c in citers),
+                     refs & (own_group - {pid}),
+                     citers & (own_group - {pid}))
+            for k, flag in enumerate(flags):
+                counts[k] += bool(flag)
+        (self_citing, self_cited, citing_any, cited_any, citing_own,
+         cited_own) = counts
+        rows.append(AuthorStatsRow(
+            cluster_id, max(years) - min(years), len(papers),
+            len(group_papers), self_cited / len(papers),
+            self_citing / len(papers), citing_any, cited_any, citing_own,
+            cited_own))
+    return rows
+
+
 # -- heavy-tail exponent ----------------------------------------------------
 
 

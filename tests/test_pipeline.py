@@ -88,6 +88,26 @@ def test_manifest_counts_novelty_exclusions(tmp_path, pipeline_files,
         assert 0 < expected["undefined_papers"] < len(rows)
 
 
+def test_manifest_counts_disruption_and_author_exclusions(full_run):
+    config, outdir, _results = full_run
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    counts = {s["name"]: s["counts"] for s in manifest["stages"]}
+    with (outdir / "disruption.csv").open(newline="", encoding="utf-8") as fh:
+        undefined = sum(1 for r in csv.DictReader(fh) if r["D"] == "")
+    with (outdir / "clusters.csv").open(newline="", encoding="utf-8") as fh:
+        written = {(r["author_key"], r["paper_id"])
+                   for r in csv.DictReader(fh)}
+    corpus = load_corpus(config.corpus_paths(),
+                         year_range=tuple(config["year_range"]))
+    mentions = {(key, pid) for pid, paper in corpus.papers.items()
+                for key in paper.author_keys}
+    assert written <= mentions
+    assert counts["disruption"] == {"undefined_D": undefined}
+    assert counts["authors"] == {"excluded_mentions":
+                                 len(mentions - written)}
+    assert undefined > 0 and len(mentions - written) > 0
+
+
 def test_impact_only_writes_exactly_impact_and_manifest(tmp_path,
                                                         pipeline_files):
     outdir = tmp_path / "out"
