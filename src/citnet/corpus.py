@@ -125,8 +125,8 @@ class CitationGraph:
 
     Node arrays hold codes into ``journal_ids`` and ``publishers`` (-1:
     journal or publisher unregistered). ``src`` and ``dst`` are int64
-    arrays in a corpus's graph and lists in a synthetic net, which the
-    rewiring loop reads and retargets one edge at a time.
+    arrays in a corpus's graph and lists in a synthetic net, whose
+    ``dst`` the rewiring loop retargets in place.
     """
 
     journal_ids: list[str]            # journal code -> id

@@ -19,6 +19,12 @@ replacement) is what makes the index settle once rewiring passes about
 twice the link count: after two sweeps every link has been redrawn from
 the target rule twice, so later checkpoints only jitter.
 
+Rewiring draws its random numbers in blocks: per sweep a permutation of
+the links and one uniform per link for the stay decisions, and the pool
+and target draws from fixed-size blocks of uniforms. Each publisher's
+pool lists its papers and the links that currently cite one of them, so
+a uniform index into it weights every paper by 1 + its in-degree.
+
 Generated and rewired nets are the corpus's own integer
 ``CitationGraph``: ``rewire`` starts from ``Corpus.graph`` and writes
 the retargeted links back into the input corpus's reference lists, and
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +60,9 @@ DEFAULT_SPECIAL_RATES = (0.5, 0.25, 0.125, 0.0625, 0.0625)
 DEFAULT_CHECKPOINTS = (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 
 SYNTH_CATEGORY = "00"
+
+# uniforms per rng.random call behind the rewiring pool and target draws
+_UNIFORM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -94,48 +104,6 @@ class RewireConfig:
                 raise ValueError("rates must lie in [0, 1]")
 
 
-class _OccurrenceSampler:
-    """Uniform sampling over a multiset with O(1) add/remove.
-
-    Holding each item once per unit of weight makes a uniform draw from
-    the array a draw proportional to the item's multiplicity.
-    """
-
-    __slots__ = ("arr", "slot", "pos")
-
-    def __init__(self):
-        self.arr: list[int] = []
-        self.slot: list[int] = []
-        self.pos: dict[int, list[int]] = {}
-
-    def __len__(self):
-        return len(self.arr)
-
-    def add(self, item: int):
-        positions = self.pos.setdefault(item, [])
-        self.slot.append(len(positions))
-        positions.append(len(self.arr))
-        self.arr.append(item)
-
-    def remove_one(self, item: int):
-        positions = self.pos[item]
-        i = positions.pop()
-        j = len(self.arr) - 1
-        if i != j:
-            moved = self.arr[j]
-            sj = self.slot[j]
-            self.arr[i] = moved
-            self.slot[i] = sj
-            self.pos[moved][sj] = i
-        self.arr.pop()
-        self.slot.pop()
-        if not positions:
-            del self.pos[item]
-
-    def sample(self, rng) -> int:
-        return self.arr[int(rng.integers(len(self.arr)))]
-
-
 def _journal_totals(net: CitationGraph) -> dict[str, int]:
     counts = np.bincount(net.journal_of, minlength=len(net.journal_ids))
     return dict(zip(net.journal_ids, counts.tolist()))
@@ -164,28 +132,30 @@ def _generate_network(config: SynthConfig, rng) -> CitationGraph:
     # out-degree yields the requested in-degree tail exponent.
     base_weight = max(1, round((config.in_degree_exponent - 2.0)
                                * config.out_degree_mean))
-    sampler = _OccurrenceSampler()
+    # each node once per unit of attachment weight: a uniform draw from
+    # the list is a draw proportional to in_degree + base_weight
+    pool: list[int] = []
     src: list[int] = []
     dst: list[int] = []
-    degrees = rng.normal(config.out_degree_mean, config.out_degree_std, size=n)
-    for k, v in enumerate(order):
-        v = int(v)
+    integers = rng.integers
+    degrees = rng.normal(config.out_degree_mean, config.out_degree_std,
+                         size=n).tolist()
+    for k, v in enumerate(order.tolist()):
         want = max(0, int(round(degrees[k])))
         want = min(want, k)            # can only cite already-arrived papers
         chosen: set[int] = set()
         attempts = 0
         while len(chosen) < want and attempts < 20 * want:
             attempts += 1
-            t = sampler.sample(rng)
+            t = pool[int(integers(len(pool)))]
             if t == v or t in chosen:
                 continue
             chosen.add(t)
-        for t in sorted(chosen):
-            src.append(v)
-            dst.append(t)
-            sampler.add(t)
-        for _ in range(base_weight):
-            sampler.add(v)
+        cited = sorted(chosen)
+        src.extend([v] * len(cited))
+        dst.extend(cited)
+        pool.extend(cited)
+        pool.extend([v] * base_weight)
 
     return CitationGraph(journal_ids=[j for js in publishers for j in js],
                          publishers=publishers, journal_of=journal_of,
@@ -242,66 +212,110 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
 
 
 class _Rewirer:
-    """Retargets links in seeded sweeps, one full pass per link count."""
+    """Retargets links in seeded sweeps, one full pass per link count.
+
+    Publisher p's pool is its node list followed by the ids of the edges
+    whose current target lies in p (``slot[e]`` is e's index there). A
+    uniform index below the node count picks that node, one at or above
+    it picks the edge's target, so each node is drawn with weight
+    1 + its current in-degree. Every sweep draws a permutation of the
+    edges and one uniform per step for the stay decision; pool and
+    target draws take ``int(u * size)`` from blocks of ``_UNIFORM_BLOCK``
+    uniforms, so ``advance(a); advance(b)`` equals ``advance(a + b)``.
+    """
 
     def __init__(self, net: CitationGraph, rates: dict[str, float],
                  baseline: float, rng):
+        unknown = sorted(set(rates) - set(net.journal_ids))
+        if unknown:
+            raise ValueError(f"special rates name unknown journals: {unknown}")
         self.net = net
         self.rng = rng
-        self.rate_of = np.array([rates.get(j, baseline)
-                                 for j in net.journal_ids],
-                                dtype=float)[net.journal_of]
+        self.edge_rate = np.array([rates.get(j, baseline)
+                                   for j in net.journal_ids],
+                                  dtype=float)[net.journal_of[net.src]]
+        self.pub = net.publisher_of.tolist()
         p_count = len(net.publishers)
-        self.pools = [_OccurrenceSampler() for _ in range(p_count)]
-        for v in range(net.n_nodes):
-            self.pools[net.publisher_of[v]].add(v)
-        for t in net.dst:
-            self.pools[net.publisher_of[t]].add(t)
-        self.edge_set = set(zip(net.src, net.dst))
-        self._order = np.empty(0, dtype=np.int64)
+        self.nodes: list[list[int]] = [[] for _ in range(p_count)]
+        for v, p in enumerate(self.pub):
+            self.nodes[p].append(v)
+        self.edges: list[list[int]] = [[] for _ in range(p_count)]
+        self.slot = [0] * len(net.dst)
+        for e, t in enumerate(net.dst):
+            pool = self.edges[self.pub[t]]
+            self.slot[e] = len(pool)
+            pool.append(e)
+        self.size = [len(a) + len(b) for a, b in zip(self.nodes, self.edges)]
+        n = net.n_nodes
+        self.edge_set = {s * n + t for s, t in zip(net.src, net.dst)}
+        # an endless stream of uniforms, drawn one block at a time
+        self.uniform = chain.from_iterable(iter(
+            lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)).__next__
+        self._order: list[int] = []
+        self._stay: list[bool] = []
         self._cursor = 0
         self.steps_done = 0
 
-    def _pick_pool(self, own: int):
-        others = [p for p in range(len(self.pools)) if p != own]
-        weights = [len(self.pools[p]) for p in others]
-        total = sum(weights)
-        r = int(self.rng.integers(total))
-        for p, w in zip(others, weights):
-            if r < w:
-                return self.pools[p]
-            r -= w
-        return self.pools[others[-1]]
-
-    def _rewire_edge(self, e: int):
-        net = self.net
-        s = net.src[e]
-        t_old = net.dst[e]
-        own = int(net.publisher_of[s])
-        stay = float(self.rng.random()) < self.rate_of[s]
-        pool = self.pools[own] if stay else self._pick_pool(own)
-        for _ in range(100):
-            t_new = pool.sample(self.rng)
-            if t_new == t_old:
-                return                  # redrew the same target: no-op
-            if t_new == s or (s, t_new) in self.edge_set:
-                continue
-            self.edge_set.discard((s, t_old))
-            self.edge_set.add((s, t_new))
-            net.dst[e] = t_new
-            self.pools[net.publisher_of[t_old]].remove_one(t_old)
-            self.pools[net.publisher_of[t_new]].add(t_new)
-            return
+    def _new_sweep(self):
+        order = self.rng.permutation(len(self.net.src))
+        self._stay = (self.rng.random(len(order))
+                      < self.edge_rate[order]).tolist()
+        self._order = order.tolist()
+        self._cursor = 0
 
     def advance(self, steps: int):
-        m = len(self.net.src)
-        for _ in range(steps):
-            if self._cursor >= len(self._order):
-                self._order = self.rng.permutation(m)
-                self._cursor = 0
-            self._rewire_edge(self._order[self._cursor])
-            self._cursor += 1
-            self.steps_done += 1
+        while steps > 0:
+            if self._cursor == len(self._order):
+                self._new_sweep()
+            c = self._cursor
+            take = min(steps, len(self._order) - c)
+            self._run(self._order[c:c + take], self._stay[c:c + take])
+            self._cursor += take
+            self.steps_done += take
+            steps -= take
+
+    def _run(self, order: list[int], stay: list[bool]):
+        src, dst, pub = self.net.src, self.net.dst, self.pub
+        nodes, edges, slot, size = self.nodes, self.edges, self.slot, self.size
+        edge_set, uniform, n = self.edge_set, self.uniform, self.net.n_nodes
+        p_count, total = len(size), n + len(dst)
+        for e, stays in zip(order, stay):
+            s, t_old = src[e], dst[e]
+            p = own = pub[s]
+            if not stays:
+                others = total - size[own]
+                if not others:
+                    continue            # no other publisher to land in
+                r = int(uniform() * others)
+                for p in range(p_count):
+                    if p != own:
+                        if r < size[p]:
+                            break
+                        r -= size[p]
+            pool_nodes, pool_edges = nodes[p], edges[p]
+            n_p, bound = len(pool_nodes), size[p]
+            for _ in range(100):
+                i = int(uniform() * bound)
+                t = pool_nodes[i] if i < n_p else dst[pool_edges[i - n_p]]
+                if t == t_old:
+                    break               # redrew the same target: no-op
+                if t == s or s * n + t in edge_set:
+                    continue
+                edge_set.discard(s * n + t_old)
+                edge_set.add(s * n + t)
+                dst[e] = t
+                q = pub[t_old]
+                if q != p:              # e's entry moves from pool q to p
+                    old = edges[q]
+                    last = old.pop()
+                    if last != e:
+                        old[slot[e]] = last
+                        slot[last] = slot[e]
+                    slot[e] = len(pool_edges)
+                    pool_edges.append(e)
+                    size[q] -= 1
+                    size[p] += 1
+                break
 
 
 def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
@@ -313,8 +327,11 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
     papers, drawn preferentially by current in-degree + 1 either way.
     The result is a new corpus equal to the input except that each
     resolved reference is replaced at its position in its list: ids,
-    journals, publishers, labels, dangling and self references stay. Raises ValueError naming the journal of
-    the first paper whose journal or publisher is not registered.
+    journals, publishers, labels, dangling and self references stay.
+
+    Raises ValueError naming the journal of the first paper whose
+    journal or publisher is not registered, or the special-rate keys
+    that name no journal of the corpus.
     """
     graph = corpus.graph
     orphans = np.flatnonzero(graph.publisher_of < 0)
@@ -409,13 +426,14 @@ def psi_rewiring_experiment(synth_config: SynthConfig,
         slots = [(f"S{k + 1}", rate) for k, (_j, rate) in enumerate(ordered)]
         specials = [jid for jid, _r in ordered]
 
+        # built first: it rejects special rates naming no journal of the net
+        rewirer = _Rewirer(net, rates, rewire_config.baseline_rate, rw_rng)
         totals = _journal_totals(net)
         base_psi = {}
         table = CitationCounts.from_counts(net.journal_pair_counts())
         for jid in specials:
             base_psi[jid] = _psi_of(net, table, jid, totals)
 
-        rewirer = _Rewirer(net, rates, rewire_config.baseline_rate, rw_rng)
         m = len(net.src)
         for cp in checkpoints:
             target = int(round(cp * m))

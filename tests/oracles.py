@@ -636,6 +636,123 @@ def author_demographics_reference(corpus, clusters, group_journals):
     return rows
 
 
+# -- synthetic rewiring -----------------------------------------------------
+
+
+class _OccurrenceSampler:
+    """Uniform sampling over a multiset with O(1) add/remove.
+
+    Holding each item once per unit of weight makes a uniform draw from
+    the array a draw proportional to the item's multiplicity.
+    """
+
+    __slots__ = ("arr", "slot", "pos")
+
+    def __init__(self):
+        self.arr = []
+        self.slot = []
+        self.pos = {}
+
+    def __len__(self):
+        return len(self.arr)
+
+    def add(self, item):
+        positions = self.pos.setdefault(item, [])
+        self.slot.append(len(positions))
+        positions.append(len(self.arr))
+        self.arr.append(item)
+
+    def remove_one(self, item):
+        positions = self.pos[item]
+        i = positions.pop()
+        j = len(self.arr) - 1
+        if i != j:
+            moved = self.arr[j]
+            sj = self.slot[j]
+            self.arr[i] = moved
+            self.slot[i] = sj
+            self.pos[moved][sj] = i
+        self.arr.pop()
+        self.slot.pop()
+        if not positions:
+            del self.pos[item]
+
+    def sample(self, rng):
+        return self.arr[int(rng.integers(len(self.arr)))]
+
+
+class _ScalarRewirer:
+    """Retargets links in seeded sweeps, one scalar draw per decision,
+    over one multiset of (node + one entry per citation) per publisher."""
+
+    def __init__(self, net, rates, baseline, rng):
+        self.net = net
+        self.rng = rng
+        self.rate_of = np.array([rates.get(j, baseline)
+                                 for j in net.journal_ids],
+                                dtype=float)[net.journal_of]
+        p_count = len(net.publishers)
+        self.pools = [_OccurrenceSampler() for _ in range(p_count)]
+        for v in range(net.n_nodes):
+            self.pools[net.publisher_of[v]].add(v)
+        for t in net.dst:
+            self.pools[net.publisher_of[t]].add(t)
+        self.edge_set = set(zip(net.src, net.dst))
+        self._order = np.empty(0, dtype=np.int64)
+        self._cursor = 0
+        self.steps_done = 0
+
+    def _pick_pool(self, own):
+        others = [p for p in range(len(self.pools)) if p != own]
+        weights = [len(self.pools[p]) for p in others]
+        total = sum(weights)
+        r = int(self.rng.integers(total))
+        for p, w in zip(others, weights):
+            if r < w:
+                return self.pools[p]
+            r -= w
+        return self.pools[others[-1]]
+
+    def _rewire_edge(self, e):
+        net = self.net
+        s = net.src[e]
+        t_old = net.dst[e]
+        own = int(net.publisher_of[s])
+        stay = float(self.rng.random()) < self.rate_of[s]
+        pool = self.pools[own] if stay else self._pick_pool(own)
+        for _ in range(100):
+            t_new = pool.sample(self.rng)
+            if t_new == t_old:
+                return                  # redrew the same target: no-op
+            if t_new == s or (s, t_new) in self.edge_set:
+                continue
+            self.edge_set.discard((s, t_old))
+            self.edge_set.add((s, t_new))
+            net.dst[e] = t_new
+            self.pools[net.publisher_of[t_old]].remove_one(t_old)
+            self.pools[net.publisher_of[t_new]].add(t_new)
+            return
+
+    def advance(self, steps):
+        m = len(self.net.src)
+        for _ in range(steps):
+            if self._cursor >= len(self._order):
+                self._order = self.rng.permutation(m)
+                self._cursor = 0
+            self._rewire_edge(self._order[self._cursor])
+            self._cursor += 1
+            self.steps_done += 1
+
+
+def rewire_reference(net, rates, baseline, rng):
+    """The rewiring process of ``synth`` with one ``rng.random`` or
+    ``rng.integers`` call per decision: a stay draw per step, a pool draw
+    per cross-publisher step and a target draw per attempt. ``net.src``
+    and ``net.dst`` are lists; ``advance(steps)`` retargets ``net.dst``
+    in place."""
+    return _ScalarRewirer(net, rates, baseline, rng)
+
+
 # -- heavy-tail exponent ----------------------------------------------------
 
 

@@ -116,6 +116,29 @@ def test_rewire_rejects_journal_without_publisher(orphan):
         rewire(corpus, RewireConfig(seed=1), 3)
 
 
+def test_rewire_rejects_unknown_special_journal():
+    corpus = generate_synthetic(SMALL)
+    config = RewireConfig(special_rates={"nope": 0.9, "P1-J1": 0.5}, seed=1)
+    with pytest.raises(ValueError, match=r"unknown journals: \['nope'\]"):
+        rewire(corpus, config, 10)
+
+
+def test_rewiring_experiment_rejects_unknown_special_journal():
+    config = RewireConfig(special_rates={"P9-J1": 0.5}, ensemble_count=1,
+                          seed=1, checkpoints=(0.5,))
+    with pytest.raises(ValueError, match=r"unknown journals: \['P9-J1'\]"):
+        psi_rewiring_experiment(SMALL, config)
+
+
+def test_rewire_without_other_publishers_keeps_leaving_links():
+    papers = [("a", "J1", 2000, []), ("b", "J2", 2001, ["a"]),
+              ("c", "J1", 2001, ["a", "b"]), ("d", "J2", 2002, ["c"])]
+    corpus = make_corpus(papers, {"J1": {"publisher_id": "P"},
+                                  "J2": {"publisher_id": "P"}})
+    config = RewireConfig(baseline_rate=0.0, seed=1)
+    assert rewire(corpus, config, 12).papers == corpus.papers
+
+
 def labeled_two_publisher_corpus(seed=4, n=80):
     """Publishers Acme and Beta with ISSNs, categories and flagged journals;
     authors on every paper; one dangling and one self reference."""
