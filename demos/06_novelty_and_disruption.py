@@ -7,9 +7,8 @@ than the shuffled ensemble predicts get large positive z-scores;
 negative scores mark rare, novel pairings.
 """
 
-from citnet import (ShuffleConfig, disruptiveness, pair_zscores,
-                    paper_novelty, shuffle_edges)
-from citnet.disruption import disruptiveness_by_team_size
+from citnet import ShuffleConfig, pair_zscores, paper_novelty, shuffle_edges
+from citnet.disruption import disruption_table, disruptiveness_by_team_size
 from citnet.synth import SynthConfig, generate_synthetic
 
 corpus = generate_synthetic(SynthConfig(
@@ -46,8 +45,9 @@ print(f"{nov.paper_id}: median z {nov.median_z:.2f}, 10th percentile {nov.p10_z:
       f"over {nov.defined_pair_count} pairs")
 
 # Disruptiveness: +1 when the follow-up literature drops the paper's
-# sources, -1 when it always keeps them.
-values = [(pid, disruptiveness(corpus, pid)) for pid in sorted(corpus.papers)]
+# sources, -1 when it always keeps them. One call counts every paper.
+values = [(c.paper_id, c.value)
+          for c in disruption_table(corpus, corpus.papers)]
 defined = [(p, d) for p, d in values if d is not None]
 print(f"papers with defined D: {len(defined)} of {len(values)}")
 print("most disruptive:", max(defined, key=lambda x: x[1]))

@@ -30,6 +30,8 @@ __all__ = [
     "CitationGraph",
     "row_pairs",
     "distinct",
+    "csr_pointer",
+    "csr_expand",
     "Corpus",
     "CorpusFormatError",
     "LoadReport",
@@ -162,6 +164,21 @@ def distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(len(values), dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
+
+
+def csr_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointer of n rows holding ``rows`` (row labels, sorted)."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def csr_expand(items: np.ndarray, pointer: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(i, k) for every item i and every position k of row ``items[i]``."""
+    start = pointer[items]
+    count = pointer[items + 1] - start
+    which = np.repeat(np.arange(len(items)), count)
+    skip = np.cumsum(count) - count - start
+    return which, np.arange(len(which)) - np.repeat(skip, count)
 
 
 def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import CitationGraph, Corpus, row_pairs
+from .corpus import CitationGraph, Corpus, distinct, row_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +169,7 @@ def _reference_pairs(graph: CitationGraph, src, dst, collapse):
     first, second = row_pairs(node)
     nodes, keys = node[first], code[first] * n_j + code[second]
     if collapse:
-        nodes, keys = np.divmod(np.unique(nodes * n_j * n_j + keys), n_j * n_j)
+        nodes, keys = np.divmod(distinct(nodes * n_j * n_j + keys), n_j * n_j)
     return nodes, keys
 
 

@@ -459,11 +459,12 @@ def _stage_disruption(ctx: _RunContext):
     section = ctx.config["disruption"]
     window = tuple(section["window"]) if section["window"] else None
 
+    table = disruption_mod.disruption_table(ctx.corpus, ctx.corpus.papers,
+                                            window)
     rows = []
-    for pid in sorted(ctx.corpus.papers):
-        c = disruption_mod.disruption_counts(ctx.corpus, pid, window)
-        paper = ctx.corpus.papers[pid]
-        rows.append((pid, c.n_i, c.n_j, c.n_k, c.value,
+    for c in table:
+        paper = ctx.corpus.papers[c.paper_id]
+        rows.append((c.paper_id, c.n_i, c.n_j, c.n_k, c.value,
                      len(paper.author_keys), paper.year))
     write_csv(ctx.outdir / "disruption.csv",
               ["paper_id", "n_i", "n_j", "n_k", "D", "author_count", "year"],
@@ -471,8 +472,7 @@ def _stage_disruption(ctx: _RunContext):
     outputs = ["disruption.csv"]
 
     if section["by_journal"]:
-        means = disruption_mod.journal_mean_disruption(
-            ctx.corpus, sorted(ctx.corpus.papers), window)
+        means = disruption_mod.journal_means(ctx.corpus, table)
         write_csv(ctx.outdir / "disruption_journal.csv",
                   ["journal_id", "mean_D"], sorted(means.items()))
         outputs.append("disruption_journal.csv")

@@ -338,6 +338,28 @@ def disruption_oracle(corpus, paper_id):
     return None if total == 0 else (n_i - n_j) / total
 
 
+def _citers(corpus, paper_id, window):
+    out = set()
+    for citer, year in corpus.citers[paper_id]:
+        if window is not None and not (window[0] <= year <= window[1]):
+            continue
+        out.add(citer)
+    return out
+
+
+def disruption_counts_reference(corpus, paper_id, window=None):
+    """(n_i, n_j, n_k) of one focal paper from sets of citers on the
+    string indices; ``window`` restricts citers by publication year."""
+    citers_x = _citers(corpus, paper_id, window)
+    citers_refs = set()
+    for ref in corpus.forward[paper_id]:
+        citers_refs.update(_citers(corpus, ref, window))
+    citers_refs.discard(paper_id)
+
+    n_j = len(citers_x & citers_refs)
+    return len(citers_x) - n_j, n_j, len(citers_refs - citers_x)
+
+
 # -- interpolated percentiles -----------------------------------------------
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from citnet.disruption import (disruption_counts, disruptiveness,
-                               disruptiveness_by_team_size,
+import citnet.disruption as disruption_mod
+from citnet.disruption import (disruption_counts, disruption_table,
+                               disruptiveness, disruptiveness_by_team_size,
                                disruptiveness_by_year,
                                journal_mean_disruption)
 
-from conftest import make_corpus
-from oracles import disruption_oracle
+from conftest import make_corpus, messy_corpus
+from oracles import disruption_counts_reference, disruption_oracle
 
 
 def focal_fixture(citers_only_x=2, citers_both=1, citers_refs_only=1):
@@ -154,3 +155,56 @@ def test_journal_means():
     assert set(means) <= {"J0", "J1", "J2"}
     for value in means.values():
         assert -1.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("window", [None, (2004, 2006), (2011, 2020)])
+@pytest.mark.parametrize("budget", [None, 40])
+def test_table_equals_per_paper_sets(monkeypatch, seed, window, budget):
+    # messy_corpus has self, repeated and dangling references and papers
+    # of unregistered journals; (2011, 2020) holds no citer at all
+    corpus = messy_corpus(seed)
+    if budget is not None:
+        monkeypatch.setattr(disruption_mod, "PAIR_BUDGET", budget)
+    table = disruption_table(corpus, corpus.papers, window)
+    assert [c.paper_id for c in table] == sorted(corpus.papers)
+    for c in table:
+        assert (c.n_i, c.n_j, c.n_k) == disruption_counts_reference(
+            corpus, c.paper_id, window)
+    if window == (2011, 2020):
+        assert all((c.n_i, c.n_j, c.n_k) == (0, 0, 0) for c in table)
+    else:
+        assert sum(c.n_j for c in table) > 0
+
+
+def test_batches_split_whole_papers_and_oversized_ones(monkeypatch):
+    corpus = messy_corpus(5)
+    expected = [disruption_counts_reference(corpus, pid)
+                for pid in sorted(corpus.papers)]
+    # a paper's two-hop pairs are at least its distinct keys n_j + n_k
+    budget = max(n_j + n_k for _n_i, n_j, n_k in expected) - 1
+    batches = []
+    real_distinct = disruption_mod.distinct
+
+    def spy(values):
+        batches.append(len(values))
+        return real_distinct(values)
+
+    monkeypatch.setattr(disruption_mod, "PAIR_BUDGET", budget)
+    monkeypatch.setattr(disruption_mod, "distinct", spy)
+    table = disruption_table(corpus, corpus.papers)
+    assert [(c.n_i, c.n_j, c.n_k) for c in table] == expected
+    assert len(batches) > 3            # the edge keys, then the batches
+    assert max(batches[1:]) > budget   # one paper over the budget alone
+
+
+def test_table_over_a_subset_and_repeated_ids():
+    corpus = messy_corpus(1)
+    subset = ["p200", "p007", "p100", "p007"]
+    table = disruption_table(corpus, subset, (2002, 2008))
+    assert [c.paper_id for c in table] == ["p007", "p100", "p200"]
+    for c in table:
+        assert (c.n_i, c.n_j, c.n_k) == disruption_counts_reference(
+            corpus, c.paper_id, (2002, 2008))
+    with pytest.raises(KeyError):
+        disruption_table(corpus, ["missing"])

@@ -352,3 +352,13 @@ def test_import_loads_neither_networkx_nor_scipy():
                          "print(sorted(m for m in ('networkx', 'scipy')\n"
                          "             if m in sys.modules))")
     assert loaded.strip() == "[]"
+
+
+def test_import_loads_no_process_pool_nor_numpy_ma():
+    # worker pools are imported when a run starts them, and numpy.ma only
+    # by calls such as np.unique; importing the package pays for neither
+    loaded = _run_python(
+        "import sys, citnet\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures',\n"
+        "                         'numpy.ma') if m in sys.modules))")
+    assert loaded.strip() == "[]"

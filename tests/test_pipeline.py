@@ -108,6 +108,29 @@ def test_manifest_counts_disruption_and_author_exclusions(full_run):
     assert undefined > 0 and len(mentions - written) > 0
 
 
+def test_disruption_journal_means_equal_oracle_means(tmp_path,
+                                                     pipeline_files):
+    outdir = tmp_path / "out"
+    config = load_config(write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "disruption"],
+               "disruption": {"by_journal": True}}))
+    assert all(r.status == "ok" for r in run_pipeline(config))
+    with (outdir / "disruption_journal.csv").open(
+            newline="", encoding="utf-8") as fh:
+        written = {r["journal_id"]: float(r["mean_D"])
+                   for r in csv.DictReader(fh)}
+    corpus = load_corpus(config.corpus_paths(),
+                         year_range=tuple(config["year_range"]))
+    values = {}
+    for pid in sorted(corpus.papers):
+        d = oracles.disruption_oracle(corpus, pid)
+        if d is not None:
+            values.setdefault(corpus.papers[pid].journal_id, []).append(d)
+    assert written == {j: sum(v) / len(v) for j, v in values.items()}
+    assert len(written) > 1
+
+
 def test_impact_only_writes_exactly_impact_and_manifest(tmp_path,
                                                         pipeline_files):
     outdir = tmp_path / "out"
