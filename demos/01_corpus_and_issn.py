@@ -2,7 +2,7 @@
 
 A corpus is three files: papers as JSON lines, journals and publishers
 as CSV. This walkthrough writes a tiny fixture, loads it, inspects the
-citation indices, and shows what validation reports when records break
+citation graph, and shows what validation reports when records break
 their invariants. It ends with the serial-number utilities used to build
 journal registries from scraped text.
 """
@@ -10,6 +10,8 @@ journal registries from scraped text.
 import json
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from citnet import extract_issns, load_corpus, validate_corpus, validate_issn
 
@@ -39,11 +41,13 @@ corpus = load_corpus({"papers": workdir / "papers.jsonl",
                       "publishers": workdir / "publishers.csv"})
 
 print("papers loaded:", len(corpus.papers))
-print("forward index of p1:", corpus.forward["p1"])
-print("citers of p2:", corpus.citers["p2"])
+graph = corpus.graph
+print("papers (graph nodes):", corpus.ids)
+print("in-degrees:", np.bincount(graph.dst, minlength=graph.n_nodes).tolist())
+print("out-degrees:", np.bincount(graph.src, minlength=graph.n_nodes).tolist())
 print("load report:", corpus.load_report.summary())
 
-# The dangling reference was kept out of the indices but reported.
+# The dangling reference was kept out of the graph but reported.
 assert corpus.load_report.dangling_references == [("p1", "ghost")]
 
 report = validate_corpus(corpus)

@@ -19,8 +19,8 @@ corpus = generate_synthetic(SynthConfig(
 config = ShuffleConfig(ensemble_count=10, swaps_per_edge=10.0, seed=2)
 
 # Margins survive shuffling exactly. The shuffle runs on the corpus's
-# integer graph, whose node v is the v-th paper id in sorted order.
-ids = sorted(corpus.papers)
+# integer graph, whose node v is paper ``corpus.ids[v]``.
+ids = corpus.ids
 original = list(corpus.citation_edges())
 src, dst = shuffle_edges(corpus.graph, config, replicate_index=0)
 shuffled = [(ids[s], ids[t]) for s, t in zip(src.tolist(), dst.tolist())]

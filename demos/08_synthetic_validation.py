@@ -24,10 +24,11 @@ synth = SynthConfig(publisher_count=5, journals_per_publisher=3,
                     out_degree_std=3.0, seed=21, year_range=(2000, 2005))
 
 corpus = generate_synthetic(synth)
-outs = [len(corpus.forward[p]) for p in corpus.papers]
-ins = [len(corpus.citers[p]) for p in corpus.papers]
+graph = corpus.graph
+outs = np.bincount(graph.src, minlength=graph.n_nodes)
+ins = np.bincount(graph.dst, minlength=graph.n_nodes)
 print(f"papers {len(corpus.papers)}, mean out-degree {np.mean(outs):.2f}, "
-      f"max in-degree {max(ins)}")
+      f"max in-degree {ins.max()}")
 
 # Before any rewiring the five publishers are statistically alike.
 pools = publisher_psi_baseline(synth, ensemble_count=5)

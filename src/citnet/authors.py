@@ -40,7 +40,6 @@ import heapq
 import math
 import re
 import unicodedata
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -151,9 +150,11 @@ def paper_similarity(corpus: Corpus, p1: str, p2: str,
     if p1 == p2:
         raise ValueError("similarity is defined for distinct papers")
     a, b = corpus.papers[p1], corpus.papers[p2]
-    refs1, refs2 = set(corpus.forward[p1]), set(corpus.forward[p2])
+    src, dst = corpus.graph.src, corpus.graph.dst
+    v1, v2 = corpus.node[p1], corpus.node[p2]
+    refs1, refs2 = set(dst[src == v1].tolist()), set(dst[src == v2].tolist())
 
-    self_cite = 1.0 if (p2 in refs1 or p1 in refs2) else 0.0
+    self_cite = 1.0 if (v2 in refs1 or v1 in refs2) else 0.0
     authors1 = {normalize_name(k) for k in a.author_keys}
     authors2 = {normalize_name(k) for k in b.author_keys}
     if exclude_author is not None:
@@ -161,9 +162,8 @@ def paper_similarity(corpus: Corpus, p1: str, p2: str,
         authors1.discard(blocked)
         authors2.discard(blocked)
     shared_authors = len(authors1 & authors2)
-    citers1 = {c for c, _y in corpus.citers[p1]}
-    citers2 = {c for c, _y in corpus.citers[p2]}
-    shared_citations = len(citers1 & citers2)
+    shared_citations = len(set(src[dst == v1].tolist())
+                           & set(src[dst == v2].tolist()))
     shared_references = len(refs1 & refs2)
 
     return (weights.w_self_citation * self_cite
@@ -436,7 +436,7 @@ def disambiguate(corpus: Corpus, weights: SimilarityWeights) -> AuthorClusters:
     merges break ties by group ordering. Lone mentions of uncited
     single-authored papers are excluded after resolution.
     """
-    ids = sorted(corpus.papers)              # node order of corpus.graph
+    ids = corpus.ids
     # built before the block structures: built after the clusters, this
     # small array raised the process's peak RSS by about 0.6 MiB
     cited = np.bincount(corpus.graph.dst, minlength=len(ids)) > 0
@@ -475,7 +475,7 @@ def disambiguate(corpus: Corpus, weights: SimilarityWeights) -> AuthorClusters:
         ((_key, pid),) = members
         paper = corpus.papers[pid]
         if (len(paper.author_keys) == 1
-                and not cited[bisect_left(ids, pid)]):
+                and not cited[corpus.node[pid]]):
             result.excluded.extend(sorted(members))
             del result.clusters[cluster_id]
     return result
@@ -497,10 +497,10 @@ def author_demographics(corpus: Corpus, clusters: AuthorClusters,
     if not cluster_ids:
         return []
     graph = corpus.graph
-    ids = sorted(papers)                     # node order of corpus.graph
+    ids, node = corpus.ids, corpus.node
     n = len(ids)
     member_key = distinct(np.array(
-        [c * n + bisect_left(ids, pid) for c, cid in enumerate(cluster_ids)
+        [c * n + node[pid] for c, cid in enumerate(cluster_ids)
          for _key, pid in clusters.clusters[cid]], dtype=np.int64))
     cluster, member = np.divmod(member_key, n)     # (cluster, paper) pairs
     n_clusters = len(cluster_ids)

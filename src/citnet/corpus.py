@@ -1,11 +1,10 @@
-"""Bibliographic corpus: records, loading, indexing, and validation.
+"""Bibliographic corpus: records, loading, the citation graph, and validation.
 
 The corpus is the read-only substrate every metric runs on. It is built
 from three interchange files (see ``load_corpus``) and, once loaded, is
-never mutated: the dict indices are materialized up front so downstream
-computations are pure lookups, and the integer ``CitationGraph`` that
-the journal-pair tallies and the rewiring loop run on is built once, on
-first use.
+never mutated. Its one citation structure is the integer
+``CitationGraph``, built from the papers' reference lists on first use;
+``Corpus.ids`` fixes its node order.
 
 Serial-number (ISSN) helpers live here as well because journal registry
 construction is a corpus concern.
@@ -19,6 +18,7 @@ import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -101,8 +101,8 @@ class Publisher:
 class LoadReport:
     """What the loader had to tolerate, kept for inspection.
 
-    Dangling references stay listed here and are excluded from every
-    index, so no rate denominator ever counts an unresolvable edge.
+    Dangling references stay listed here and are not citation graph
+    edges, so no rate denominator ever counts an unresolvable edge.
     """
 
     dangling_references: list[tuple[str, str]] = field(default_factory=list)
@@ -197,21 +197,20 @@ def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Corpus:
-    """Immutable, fully indexed corpus.
+    """Immutable corpus: the records and the citation graph over them.
 
     Attributes
     ----------
     papers : dict paper_id -> Paper
     journals : dict journal_id -> Journal
     publishers : dict publisher_id -> Publisher
-    forward : dict paper_id -> tuple of cited paper_ids (resolved, non-self)
-    citers : dict paper_id -> tuple of (citing paper_id, citing year)
     load_report : LoadReport
-    graph : CitationGraph over the papers in sorted-id order, with the
-        edges in ``citation_edges()`` order; built on first use
-
-    ``forward`` and ``citers`` are exact transposes of each other; both
-    contain one entry per resolvable reference instance, in input order.
+    ids : paper ids, sorted; node v of ``graph`` is ``ids[v]``
+    node : dict paper_id -> graph node
+    graph : CitationGraph, one edge per reference that ``is_edge``
+        accepts, in node order and then list order, repeats kept
+    forward : read-only view of the graph, paper_id -> cited ids
+    All but the records are built on first use.
     """
 
     def __init__(self, papers, journals, publishers, load_report,
@@ -222,67 +221,59 @@ class Corpus:
         self.load_report = load_report
         self.year_range = tuple(year_range)
 
-        forward: dict[str, tuple[str, ...]] = {}
-        citers: dict[str, list[tuple[str, int]]] = {p: [] for p in papers}
-        self._papers_by_journal_year: dict[tuple[str, int], list[str]] = {}
-        for pid in sorted(papers):
-            paper = papers[pid]
-            forward[pid] = tuple(r for r in paper.references
-                                 if r in papers and r != pid)
-            for ref in forward[pid]:
-                citers[ref].append((pid, paper.year))
-            key = (paper.journal_id, paper.year)
-            self._papers_by_journal_year.setdefault(key, []).append(pid)
-        self.forward = forward
-        self.citers = {p: tuple(v) for p, v in citers.items()}
-
     # -- lookups -----------------------------------------------------------
 
-    def journal_of(self, paper_id) -> Optional[str]:
-        """Journal id of a paper, or None when the journal is unregistered."""
-        jid = self.papers[paper_id].journal_id
-        return jid if jid in self.journals else None
+    def is_edge(self, paper_id, ref) -> bool:
+        """Whether reference ``ref`` of ``paper_id`` is a graph edge: it
+        names another paper of the corpus (not dangling, not self)."""
+        return ref != paper_id and ref in self.papers
 
-    def papers_of_journal(self, journal_id, years=None) -> list[str]:
-        if years is None:
-            journal = self.journals.get(journal_id)
-            ys = sorted(journal.paper_count_by_year) if journal else []
-        else:
-            ys = years
-        out: list[str] = []
-        for y in ys:
-            out.extend(self._papers_by_journal_year.get((journal_id, y), ()))
-        return out
+    @cached_property
+    def ids(self) -> list[str]:
+        return sorted(self.papers)
 
-    def citation_edges(self):
-        """(citing_id, cited_id) for every resolved reference instance."""
-        for pid in sorted(self.forward):
-            for ref in self.forward[pid]:
-                yield pid, ref
+    @cached_property
+    def node(self) -> dict[str, int]:
+        return {pid: v for v, pid in enumerate(self.ids)}
 
     @cached_property
     def graph(self) -> CitationGraph:
-        ids = sorted(self.papers)
-        node = {p: v for v, p in enumerate(ids)}
+        ids, node = self.ids, self.node
         journal_ids = sorted(self.journals)
         journal_code = {j: i for i, j in enumerate(journal_ids)}
         publisher_ids = sorted(self.publishers)
         publisher_code = {p: i for i, p in enumerate(publisher_ids)}
-        journal_of = np.array([journal_code.get(self.papers[p].journal_id, -1)
-                               for p in ids], dtype=np.int64)
+        papers = [self.papers[pid] for pid in ids]
+        journal_of = np.array([journal_code.get(p.journal_id, -1)
+                               for p in papers], dtype=np.int64)
         # the trailing -1 is the publisher of journal code -1
         publisher_of = np.array([publisher_code.get(
             self.journals[j].publisher_id, -1) for j in journal_ids] + [-1])
-        edges = np.array([(node[a], node[b]) for a, b in self.citation_edges()],
-                         dtype=np.int64).reshape(-1, 2)
+        cited = [[node[r] for r in p.references if self.is_edge(p.paper_id, r)]
+                 for p in papers]
         return CitationGraph(
             journal_ids=journal_ids,
             publishers=[sorted(self.publishers[p].journal_ids)
                         for p in publisher_ids],
             journal_of=journal_of, publisher_of=publisher_of[journal_of],
-            year_of=np.array([self.papers[p].year for p in ids],
-                             dtype=np.int64),
-            src=edges[:, 0], dst=edges[:, 1])
+            year_of=np.array([p.year for p in papers], dtype=np.int64),
+            src=np.repeat(np.arange(len(ids), dtype=np.int64),
+                          [len(refs) for refs in cited]),
+            dst=np.array([t for refs in cited for t in refs], dtype=np.int64))
+
+    @cached_property
+    def forward(self) -> Mapping[str, tuple[str, ...]]:
+        graph, ids = self.graph, self.ids
+        cited = [ids[t] for t in graph.dst.tolist()]
+        pointer = csr_pointer(graph.src, len(ids)).tolist()
+        return MappingProxyType({pid: tuple(cited[pointer[v]:pointer[v + 1]])
+                                 for v, pid in enumerate(ids)})
+
+    def citation_edges(self):
+        """(citing_id, cited_id) for every edge of the graph, in its order."""
+        ids = self.ids
+        for s, t in zip(self.graph.src.tolist(), self.graph.dst.tolist()):
+            yield ids[s], ids[t]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +334,7 @@ def _parse_bool(path, lineno, fieldname, raw):
 
 
 def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
-    """Load and index a corpus from interchange files.
+    """Load a corpus from interchange files.
 
     Parameters
     ----------
@@ -493,7 +484,7 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     lo, hi = corpus.year_range
 
     actual: dict[str, dict[int, int]] = {}     # journal -> year -> papers
-    for pid in sorted(corpus.papers):
+    for pid in corpus.ids:
         paper = corpus.papers[pid]
         by_year = actual.setdefault(paper.journal_id, {})
         by_year[paper.year] = by_year.get(paper.year, 0) + 1
@@ -536,16 +527,6 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
             if journal is None or journal.publisher_id != pub_id:
                 report.add("publisher_backref", pub_id,
                            f"journal {jid!r} does not point back")
-
-    # Transpose property: forward and inverted indices mirror exactly.
-    forward_edges = sorted((p, r) for p, refs in corpus.forward.items()
-                           for r in refs)
-    inverted_edges = sorted((citer, cited)
-                            for cited, cs in corpus.citers.items()
-                            for citer, _year in cs)
-    if forward_edges != inverted_edges:
-        report.add("index_transpose", "<corpus>",
-                   "forward and inverted indices are not transposes")
 
     return report
 

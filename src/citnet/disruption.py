@@ -119,10 +119,8 @@ def disruption_table(corpus: Corpus, paper_ids: Iterable[str],
     ``window`` optionally restricts the citers by publication year
     (sensitivity runs); by default every corpus paper may count.
     """
-    ids = sorted(corpus.papers)                  # node order of corpus.graph
-    node = {pid: v for v, pid in enumerate(ids)}
     focal_ids = sorted(set(paper_ids))
-    focal = np.array([node[pid] for pid in focal_ids], dtype=np.int64)
+    focal = np.array([corpus.node[pid] for pid in focal_ids], dtype=np.int64)
     n_i, n_j, n_k = _counts(corpus.graph, focal, window)
     return [DisruptionCounts(pid, i, j, k) for pid, i, j, k in
             zip(focal_ids, n_i.tolist(), n_j.tolist(), n_k.tolist())]

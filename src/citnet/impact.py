@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import median
 from typing import Optional
+
+import numpy as np
 
 from .corpus import Corpus
 
@@ -64,13 +65,54 @@ class NormalizationTable:
             raise ValueError("article counts must be positive")
 
 
-def _citations_in_year_to(corpus: Corpus, paper_ids, year) -> int:
-    total = 0
-    for pid in paper_ids:
-        for _citer, citer_year in corpus.citers[pid]:
-            if citer_year == year:
-                total += 1
-    return total
+def _tally(graph):
+    """(papers, received, made): ``papers[j, y]`` counts journal code j's
+    papers of year y, ``received[j, y, py]`` the citations made during y
+    to j's papers of year py, ``made[j, y, cy]`` the references from j's
+    papers of year y to papers of year cy."""
+    src, dst, year = graph.src, graph.dst, graph.year_of
+    return (_count(graph.journal_of, year),
+            _count(graph.journal_of[dst], year[src], year[dst]),
+            _count(graph.journal_of[src], year[src], year[dst]))
+
+
+def _record(corpus, journal_id, year) -> ImpactRecord:
+    """impact_table's row of one journal and year; KeyError if unregistered."""
+    return {r.journal_id: r for r in impact_table(corpus, (year,))}[journal_id]
+
+
+def _count(*columns) -> dict[tuple, int]:
+    """How often each row of the int arrays ``columns`` occurs, rows whose
+    first entry (a journal or publisher code) is -1 left out; one
+    ``np.unique`` over mixed-radix row keys."""
+    keep = columns[0] >= 0
+    columns = [c[keep] for c in columns]
+    lo = min(int(c.min(initial=0)) for c in columns)
+    base = max(int(c.max(initial=0)) for c in columns) - lo + 1
+    key = 0
+    for c in columns:
+        key = key * base + (c - lo)
+    key, counts = np.unique(key, return_counts=True)
+    rows = []
+    for _c in columns:
+        key, digit = np.divmod(key, base)
+        rows.insert(0, (digit + lo).tolist())
+    return dict(zip(zip(*rows), counts.tolist()))
+
+
+def _median_age(ages: dict[int, int]) -> Optional[float]:
+    """Median of the ages counted in ``ages`` (age -> count): the middle
+    age, or the mean of the two middle ages; None when there are none."""
+    total = sum(ages.values())
+    if not total:
+        return None
+    ranks = ((total - 1) // 2, total // 2)      # one rank twice if odd
+    seen, middle = 0, []
+    for age in sorted(ages):
+        seen += ages[age]
+        while len(middle) < 2 and seen > ranks[len(middle)]:
+            middle.append(age)
+    return (middle[0] + middle[1]) / 2
 
 
 def journal_impact(corpus: Corpus, journal_id: str, year: int) -> Optional[Fraction]:
@@ -79,11 +121,7 @@ def journal_impact(corpus: Corpus, journal_id: str, year: int) -> Optional[Fract
     Returns an exact rational; None when the journal published nothing in
     the window (never divides by zero).
     """
-    window_papers = corpus.papers_of_journal(journal_id, (year - 2, year - 1))
-    if not window_papers:
-        return None
-    cites = _citations_in_year_to(corpus, window_papers, year)
-    return Fraction(cites, len(window_papers))
+    return _record(corpus, journal_id, year).impact
 
 
 def normalize_citations(count, year, table: NormalizationTable) -> float:
@@ -127,27 +165,23 @@ def build_normalization_table(corpus: Corpus, reference_year: int = 2017,
     that choice; a precomputed table can also be loaded from file by the
     pipeline instead of calling this.
     """
+    graph = corpus.graph
+    papers, cited, _made = _tally(graph)
+    categories = [corpus.journals[jid].categories for jid in graph.journal_ids]
     if top_field is None:
         received: dict[str, int] = {}
-        for pid, paper in corpus.papers.items():
-            jid = corpus.journal_of(pid)
-            if jid is None:
-                continue
-            cites = sum(1 for _c, cy in corpus.citers[pid] if cy == reference_year)
-            if cites == 0:
-                continue
-            for cat in corpus.journals[jid].categories:
-                received[cat] = received.get(cat, 0) + cites
+        for (j, y, _py), n in cited.items():
+            if y == reference_year:
+                for cat in categories[j]:
+                    received[cat] = received.get(cat, 0) + n
         if not received:
             raise ValueError(f"no citations received in {reference_year}")
         top_field = max(sorted(received), key=lambda c: received[c])
 
     n_top: dict[int, int] = {}
-    for pid, paper in corpus.papers.items():
-        jid = corpus.journal_of(pid)
-        if jid is None or top_field not in corpus.journals[jid].categories:
-            continue
-        n_top[paper.year] = n_top.get(paper.year, 0) + 1
+    for (j, y), n in papers.items():
+        if top_field in categories[j]:
+            n_top[y] = n_top.get(y, 0) + n
     if n_top.get(reference_year, 0) <= 0:
         raise ValueError(f"reference field {top_field!r} published nothing "
                          f"in {reference_year}")
@@ -158,34 +192,17 @@ def build_normalization_table(corpus: Corpus, reference_year: int = 2017,
 
 def immediacy_index(corpus, journal_id, year) -> Optional[float]:
     """Same-year citations per paper; None when nothing was published."""
-    papers = corpus.papers_of_journal(journal_id, (year,))
-    if not papers:
-        return None
-    return _citations_in_year_to(corpus, papers, year) / len(papers)
+    return _record(corpus, journal_id, year).immediacy
 
 
 def cited_half_life(corpus, journal_id, year) -> Optional[float]:
     """Median age of the citations the journal receives during ``year``."""
-    ages = []
-    for jy in sorted(corpus.journals[journal_id].paper_count_by_year):
-        for pid in corpus.papers_of_journal(journal_id, (jy,)):
-            for _citer, citer_year in corpus.citers[pid]:
-                if citer_year == year:
-                    ages.append(year - jy)
-    if not ages:
-        return None
-    return float(median(ages))
+    return _record(corpus, journal_id, year).cited_half_life
 
 
 def citing_half_life(corpus, journal_id, year) -> Optional[float]:
     """Median age of the references made by the journal's ``year`` papers."""
-    ages = []
-    for pid in corpus.papers_of_journal(journal_id, (year,)):
-        for ref in corpus.forward[pid]:
-            ages.append(year - corpus.papers[ref].year)
-    if not ages:
-        return None
-    return float(median(ages))
+    return _record(corpus, journal_id, year).citing_half_life
 
 
 def market_share(corpus, publisher_id, year) -> Optional[float]:
@@ -202,37 +219,41 @@ def _market_shares(corpus, years) -> dict[tuple[str, int], float]:
     Keys are (publisher_id, year). A year without an article of known
     publisher has no keys.
     """
-    wanted = set(years)
-    own: Counter = Counter()
-    total: Counter = Counter()
-    for paper in corpus.papers.values():
-        if paper.year not in wanted:
-            continue
-        journal = corpus.journals.get(paper.journal_id)
-        if journal is None or journal.publisher_id not in corpus.publishers:
-            continue
-        total[paper.year] += 1
-        own[(journal.publisher_id, paper.year)] += 1
-    return {(pub, year): own[(pub, year)] / total[year]
-            for year in total for pub in corpus.publishers}
+    graph = corpus.graph
+    known = (graph.publisher_of >= 0) & np.isin(graph.year_of, list(years))
+    own = _count(graph.publisher_of[known], graph.year_of[known])
+    total = Counter(graph.year_of[known].tolist())
+    return {(pub, y): own.get((p, y), 0) / total[y]
+            for y in total for p, pub in enumerate(sorted(corpus.publishers))}
 
 
 def impact_table(corpus, years, table: Optional[NormalizationTable] = None
                  ) -> list[ImpactRecord]:
     """All timing metrics for every journal over ``years``, sorted rows."""
+    graph = corpus.graph
+    papers, received, made = _tally(graph)
+    every_year = sorted(set(graph.year_of.tolist()))
     records = []
-    for jid in sorted(corpus.journals):
+    for j, jid in enumerate(graph.journal_ids):
+        # the cited half-life reads the paper years the journal lists
+        listed = corpus.journals[jid].paper_count_by_year
         for y in years:
-            raw = journal_impact(corpus, jid, y)
+            eligible = papers.get((j, y - 2), 0) + papers.get((j, y - 1), 0)
+            raw = Fraction(received.get((j, y, y - 2), 0)
+                           + received.get((j, y, y - 1), 0),
+                           eligible) if eligible else None
+            same_year = papers.get((j, y), 0)
             records.append(ImpactRecord(
                 journal_id=jid,
                 year=y,
                 impact=raw,
                 normalized_impact=_normalized(raw, y, table),
-                eligible_paper_count=len(
-                    corpus.papers_of_journal(jid, (y - 2, y - 1))),
-                immediacy=immediacy_index(corpus, jid, y),
-                cited_half_life=cited_half_life(corpus, jid, y),
-                citing_half_life=citing_half_life(corpus, jid, y),
+                eligible_paper_count=eligible,
+                immediacy=(received.get((j, y, y), 0) / same_year
+                           if same_year else None),
+                cited_half_life=_median_age(
+                    {y - py: received.get((j, y, py), 0) for py in listed}),
+                citing_half_life=_median_age(
+                    {y - cy: made.get((j, y, cy), 0) for cy in every_year}),
             ))
     return records

@@ -17,7 +17,7 @@ from statistics import mean, stdev
 from typing import Optional
 
 from .corpus import Corpus
-from .impact import NormalizationTable, journal_impact, normalized_journal_impact
+from .impact import NormalizationTable, impact_table
 
 logger = logging.getLogger(__name__)
 
@@ -75,13 +75,13 @@ def build_registry(corpus: Corpus, year: int, impact_kind: str = "normalized",
     if impact_kind not in ("normalized", "raw"):
         raise ValueError(f"unknown impact kind: {impact_kind!r}")
     registry = {}
-    for jid in sorted(corpus.journals):
+    for record in impact_table(corpus, (year,), table):
+        jid = record.journal_id
         journal = corpus.journals[jid]
         if impact_kind == "normalized":
-            imp = normalized_journal_impact(corpus, jid, year, table)
+            imp = record.normalized_impact
         else:
-            raw = journal_impact(corpus, jid, year)
-            imp = None if raw is None else float(raw)
+            imp = None if record.impact is None else float(record.impact)
         registry[jid] = RegistryEntry(
             journal_id=jid,
             categories=journal.categories,

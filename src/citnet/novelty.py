@@ -298,7 +298,7 @@ def paper_novelty(corpus: Corpus, zscores: PairZScores,
     median[has] = _percentiles(values, start[has], count[has], 50)
     p10[has] = _percentiles(values, start[has], count[has], 10)
 
-    ids = sorted(corpus.papers)
+    ids = corpus.ids
     rows = np.flatnonzero(np.bincount(graph.src, minlength=n) >= 2)
     return [PaperNovelty(ids[v], m if c else None, p if c else None, c, u)
             for v, m, p, c, u in zip(rows.tolist(), median[rows].tolist(),

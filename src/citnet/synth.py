@@ -336,7 +336,7 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
     graph = corpus.graph
     orphans = np.flatnonzero(graph.publisher_of < 0)
     if orphans.size:
-        paper = corpus.papers[sorted(corpus.papers)[orphans[0]]]
+        paper = corpus.papers[corpus.ids[orphans[0]]]
         raise ValueError(f"journal {paper.journal_id!r} has no publisher")
     net = replace(graph, src=graph.src.tolist(), dst=graph.dst.tolist())
     rng = np.random.default_rng(config.seed)
@@ -344,15 +344,14 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
                        config.baseline_rate, rng)
     rewirer.advance(step_count)
 
-    # edges run paper by paper in id order, each paper's resolved
-    # references in list order, as Corpus.citation_edges yields them
-    ids = sorted(corpus.papers)
+    # edges are the references Corpus.is_edge accepts, in graph order
+    ids = corpus.ids
     targets = iter(net.dst)
     papers = {}
     for pid in ids:
         paper = corpus.papers[pid]
-        refs = tuple(ids[next(targets)] if r in corpus.papers and r != pid
-                     else r for r in paper.references)
+        refs = tuple(ids[next(targets)] if corpus.is_edge(pid, r) else r
+                     for r in paper.references)
         papers[pid] = replace(paper, references=refs)
     return Corpus(papers, dict(corpus.journals), dict(corpus.publishers),
                   corpus.load_report, year_range=corpus.year_range)

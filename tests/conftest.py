@@ -52,11 +52,17 @@ def make_corpus(papers, journals, year_range=(1996, 2018)):
 
 
 def serialize_indices(corpus) -> bytes:
-    """Canonical byte serialization of both citation indices."""
+    """Canonical byte serialization of the citation graph, nodes by id."""
+    graph, ids = corpus.graph, corpus.ids
     payload = {
-        "forward": {p: list(corpus.forward[p]) for p in sorted(corpus.forward)},
-        "citers": {p: [list(c) for c in corpus.citers[p]]
-                   for p in sorted(corpus.citers)},
+        "ids": ids,
+        "journal_ids": graph.journal_ids,
+        "publishers": graph.publishers,
+        "journal_of": graph.journal_of.tolist(),
+        "publisher_of": graph.publisher_of.tolist(),
+        "year_of": graph.year_of.tolist(),
+        "edges": [[ids[s], ids[t]] for s, t in zip(graph.src.tolist(),
+                                                   graph.dst.tolist())],
     }
     return json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")

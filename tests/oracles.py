@@ -8,8 +8,11 @@ import the functions it checks.
 """
 
 import re
+import weakref
 from bisect import insort
 from collections import deque, namedtuple
+from fractions import Fraction
+from statistics import median
 
 import numpy as np
 
@@ -29,6 +32,48 @@ def issn_valid_oracle(candidate):
     for ch, weight in zip(chars, range(8, 0, -1)):
         total += (10 if ch == "X" else int(ch)) * weight
     return total % 11 == 0
+
+
+# -- string citation indices -----------------------------------------------
+
+_INDICES = weakref.WeakKeyDictionary()
+
+
+def string_indices(corpus):
+    """(forward, citers) of a corpus as dicts of string tuples.
+
+    forward[p]: p's references that name another corpus paper, in list
+    order, repeats kept. citers[p]: (citing id, citing year) of every
+    such reference to p, citing papers in sorted-id order. The two are
+    built in one scan of the reference lists, as the corpus once built
+    them on load, and kept per corpus.
+    """
+    if corpus not in _INDICES:
+        papers = corpus.papers
+        forward = {}
+        citers = {p: [] for p in papers}
+        for pid in sorted(papers):
+            paper = papers[pid]
+            forward[pid] = tuple(r for r in paper.references
+                                 if r in papers and r != pid)
+            for ref in forward[pid]:
+                citers[ref].append((pid, paper.year))
+        _INDICES[corpus] = (forward,
+                            {p: tuple(v) for p, v in citers.items()})
+    return _INDICES[corpus]
+
+
+def journal_of(corpus, paper_id):
+    """Journal id of a paper, or None when the journal is unregistered."""
+    jid = corpus.papers[paper_id].journal_id
+    return jid if jid in corpus.journals else None
+
+
+def citation_edges(corpus):
+    """(citing id, cited id) of every entry of the forward index, papers
+    in sorted-id order."""
+    forward, _citers = string_indices(corpus)
+    return [(pid, ref) for pid in sorted(forward) for ref in forward[pid]]
 
 
 # -- shortest-path machinery on small digraphs ------------------------------
@@ -277,7 +322,7 @@ def journal_network_oracle(corpus, year, window_years, link_type):
                          if corpus.journals[j].paper_count_by_year.get(year, 0)))
     node_set = set(nodes)
     edges = {}
-    for citing, cited in corpus.citation_edges():
+    for citing, cited in citation_edges(corpus):
         cy = corpus.papers[citing].year
         ty = corpus.papers[cited].year
         if link_type == "citation":
@@ -286,11 +331,108 @@ def journal_network_oracle(corpus, year, window_years, link_type):
             ok = cy == year and year - window_years <= ty <= year - 1
         if not ok:
             continue
-        src = corpus.journal_of(citing)
-        dst = corpus.journal_of(cited)
+        src = journal_of(corpus, citing)
+        dst = journal_of(corpus, cited)
         if src in node_set and dst in node_set:
             edges[(src, dst)] = edges.get((src, dst), 0) + 1
     return nodes, edges
+
+
+# -- journal impact metrics --------------------------------------------------
+
+
+def _papers_of_journal(corpus, journal_id, years):
+    """The journal's papers of each of ``years`` in turn, in id order."""
+    return [pid for year in years for pid in sorted(corpus.papers)
+            if corpus.papers[pid].journal_id == journal_id
+            and corpus.papers[pid].year == year]
+
+
+def _citations_in_year_to(corpus, paper_ids, year):
+    citers = string_indices(corpus)[1]
+    return sum(1 for pid in paper_ids for _c, cy in citers[pid] if cy == year)
+
+
+def journal_impact_reference(corpus, journal_id, year):
+    window_papers = _papers_of_journal(corpus, journal_id,
+                                       (year - 2, year - 1))
+    if not window_papers:
+        return None
+    cites = _citations_in_year_to(corpus, window_papers, year)
+    return Fraction(cites, len(window_papers))
+
+
+def immediacy_reference(corpus, journal_id, year):
+    papers = _papers_of_journal(corpus, journal_id, (year,))
+    if not papers:
+        return None
+    return _citations_in_year_to(corpus, papers, year) / len(papers)
+
+
+def cited_half_life_reference(corpus, journal_id, year):
+    """statistics.median of the ages, over the paper years the journal
+    record lists."""
+    ages = []
+    for jy in sorted(corpus.journals[journal_id].paper_count_by_year):
+        for pid in _papers_of_journal(corpus, journal_id, (jy,)):
+            for _citer, citer_year in string_indices(corpus)[1][pid]:
+                if citer_year == year:
+                    ages.append(year - jy)
+    return float(median(ages)) if ages else None
+
+
+def citing_half_life_reference(corpus, journal_id, year):
+    ages = []
+    for pid in _papers_of_journal(corpus, journal_id, (year,)):
+        for ref in string_indices(corpus)[0][pid]:
+            ages.append(year - corpus.papers[ref].year)
+    return float(median(ages)) if ages else None
+
+
+def normalized_impact_reference(raw, year, table):
+    if raw is None or table is None or year not in table.n_top:
+        return None
+    return float(raw) * table.n_top[table.reference_year] / table.n_top[year]
+
+
+def impact_table_reference(corpus, years, table=None):
+    """Every ImpactRecord field, as a tuple per (journal, year) row."""
+    rows = []
+    for jid in sorted(corpus.journals):
+        for y in years:
+            raw = journal_impact_reference(corpus, jid, y)
+            rows.append((jid, y, raw,
+                         normalized_impact_reference(raw, y, table),
+                         len(_papers_of_journal(corpus, jid, (y - 2, y - 1))),
+                         immediacy_reference(corpus, jid, y),
+                         cited_half_life_reference(corpus, jid, y),
+                         citing_half_life_reference(corpus, jid, y)))
+    return rows
+
+
+def normalization_reference(corpus, reference_year, top_field=None):
+    """(top_field, n_top) by a scan of every paper and its citers."""
+    citers = string_indices(corpus)[1]
+    if top_field is None:
+        received = {}
+        for pid in corpus.papers:
+            jid = journal_of(corpus, pid)
+            if jid is None:
+                continue
+            cites = sum(1 for _c, cy in citers[pid] if cy == reference_year)
+            if cites == 0:
+                continue
+            for cat in corpus.journals[jid].categories:
+                received[cat] = received.get(cat, 0) + cites
+        if not received:
+            raise ValueError(f"no citations received in {reference_year}")
+        top_field = max(sorted(received), key=lambda c: received[c])
+    n_top = {}
+    for pid, paper in corpus.papers.items():
+        jid = journal_of(corpus, pid)
+        if jid is not None and top_field in corpus.journals[jid].categories:
+            n_top[paper.year] = n_top.get(paper.year, 0) + 1
+    return top_field, dict(sorted(n_top.items()))
 
 
 # -- publisher market share -------------------------------------------------
@@ -340,7 +482,7 @@ def disruption_oracle(corpus, paper_id):
 
 def _citers(corpus, paper_id, window):
     out = set()
-    for citer, year in corpus.citers[paper_id]:
+    for citer, year in string_indices(corpus)[1][paper_id]:
         if window is not None and not (window[0] <= year <= window[1]):
             continue
         out.add(citer)
@@ -352,7 +494,7 @@ def disruption_counts_reference(corpus, paper_id, window=None):
     string indices; ``window`` restricts citers by publication year."""
     citers_x = _citers(corpus, paper_id, window)
     citers_refs = set()
-    for ref in corpus.forward[paper_id]:
+    for ref in string_indices(corpus)[0][paper_id]:
         citers_refs.update(_citers(corpus, ref, window))
     citers_refs.discard(paper_id)
 
@@ -389,7 +531,7 @@ def shuffle_citations(corpus, config, replicate_index):
     string edges, drawing one rng.integers block per stratum."""
     rng = np.random.default_rng([config.seed, replicate_index])
     strata = {}
-    for citing, cited in corpus.citation_edges():
+    for citing, cited in citation_edges(corpus):
         key = (corpus.papers[citing].year, corpus.papers[cited].year)
         strata.setdefault(key, []).append([citing, cited])
 
@@ -446,7 +588,7 @@ def pair_frequencies(corpus, edges, collapse=False):
     """Journal-pair co-reference counts over an explicit edge list."""
     by_paper = {}
     for citing, cited in edges:
-        jid = corpus.journal_of(cited)
+        jid = journal_of(corpus, cited)
         if jid is None:
             continue
         by_paper.setdefault(citing, []).append(jid)
@@ -459,7 +601,7 @@ def pair_frequencies(corpus, edges, collapse=False):
 
 def pair_zscores(corpus, config, ensembles=None):
     """PairStat per observed pair, from 1-D per-pair mean and std."""
-    observed = pair_frequencies(corpus, list(corpus.citation_edges()),
+    observed = pair_frequencies(corpus, citation_edges(corpus),
                                 config.collapse_multiplicity)
     if ensembles is None:
         ensembles = [pair_frequencies(corpus,
@@ -482,8 +624,8 @@ def paper_novelty(corpus, paper_id, zmap, collapse=False):
     """(median z, p10 z, defined count, undefined count) of one paper,
     with np.percentile over its list of defined z values."""
     journals = []
-    for ref in corpus.forward[paper_id]:
-        jid = corpus.journal_of(ref)
+    for ref in string_indices(corpus)[0][paper_id]:
+        jid = journal_of(corpus, ref)
         if jid is not None:
             journals.append(jid)
     zs = []
@@ -626,6 +768,7 @@ def author_demographics_reference(corpus, clusters, group_journals):
     """Per-cluster career statistics from Python sets of every paper's
     references and citers."""
     group = set(group_journals)
+    forward, citers_of = string_indices(corpus)
     rows = []
     for cluster_id in sorted(clusters.clusters):
         papers = sorted({pid for _key, pid in clusters.clusters[cluster_id]})
@@ -638,8 +781,8 @@ def author_demographics_reference(corpus, clusters, group_journals):
         own_group = set(group_papers)
         counts = [0] * 6
         for pid in papers:
-            refs = set(corpus.forward[pid])
-            citers = {c for c, _y in corpus.citers[pid]}
+            refs = set(forward[pid])
+            citers = {c for c, _y in citers_of[pid]}
             flags = (refs & (paper_set - {pid}),
                      citers & (paper_set - {pid}),
                      any(corpus.papers[r].journal_id in group for r in refs),

@@ -5,9 +5,11 @@ import pytest
 
 from citnet.corpus import (Corpus, CorpusFormatError, LoadReport, load_corpus,
                            validate_corpus)
+from citnet.synth import RewireConfig, rewire
 
 from conftest import (corpus_to_files, make_corpus, messy_corpus,
                       serialize_indices)
+from oracles import string_indices
 
 
 def write_fixture(tmp_path, papers=None, journals=None, publishers=None):
@@ -44,9 +46,11 @@ def test_three_paper_fixture_transposes(tmp_path):
     corpus = load_corpus(write_fixture(tmp_path, THREE_PAPER, JOURNALS,
                                        PUBLISHERS))
     assert corpus.forward["p1"] == ("p2", "p3")
-    assert corpus.citers["p2"] == (("p1", 2000),)
-    assert corpus.citers["p3"] == (("p1", 2000),)
-    assert len([e for e in corpus.citation_edges()]) == 2
+    assert corpus.forward["p2"] == corpus.forward["p3"] == ()
+    with pytest.raises(TypeError):
+        corpus.forward["p2"] = ("p3",)
+    assert list(corpus.citation_edges()) == [("p1", "p2"), ("p1", "p3")]
+    assert corpus.graph.year_of[corpus.graph.src].tolist() == [2000, 2000]
     assert corpus.load_report.summary()["dangling_references"] == 0
 
 
@@ -54,8 +58,9 @@ def test_dangling_reference_reported_not_fatal(tmp_path):
     papers = [paper("p1", refs=["p2", "ghost"]), paper("p2", jid="J2")]
     corpus = load_corpus(write_fixture(tmp_path, papers, JOURNALS, PUBLISHERS))
     assert corpus.load_report.dangling_references == [("p1", "ghost")]
-    # excluded from the index entirely
+    # excluded from the graph entirely
     assert corpus.forward["p1"] == ("p2",)
+    assert list(corpus.citation_edges()) == [("p1", "p2")]
 
 
 def test_deterministic_reload(tmp_path):
@@ -171,15 +176,47 @@ def test_graph_equals_citation_edges_with_missing_codes():
     assert {(-1, -1), (4, -1), (2, -1)} <= codes
 
 
-def test_transpose_property_roundtrip(tmp_path):
-    corpus = make_corpus(
-        [("a", "J1", 2000, ["b", "c"]), ("b", "J1", 2001, ["c"]),
-         ("c", "J2", 1999, [])],
-        {"J1": {"publisher_id": "P"}, "J2": {"publisher_id": "P"}})
-    forward = {(p, r) for p, refs in corpus.forward.items() for r in refs}
-    inverted = {(c, p) for p, cs in corpus.citers.items() for c, _y in cs}
-    assert forward == inverted
-    # file round trip preserves the indices byte for byte
+def rewired_corpus():
+    """Two publishers' papers with a dangling and a self reference,
+    rewired by 200 retargeted links."""
+    papers = [(f"x{i:02d}", ("A1", "A2", "B1", "B2")[i % 4], 2000 + i // 20,
+               [f"x{(i * 7 + k) % 80:02d}" for k in range(i % 5)])
+              for i in range(80)]
+    papers[10][3].append("ghost")
+    papers[11][3].extend(["x11", "x03", "x03"])
+    corpus = make_corpus(papers, {"A1": {"publisher_id": "PA"},
+                                  "A2": {"publisher_id": "PA"},
+                                  "B1": {"publisher_id": "PB"},
+                                  "B2": {"publisher_id": "PB"}})
+    return rewire(corpus, RewireConfig(seed=3), 200)
+
+
+@pytest.mark.parametrize("corpus", [
+    *(pytest.param(lambda s=s: messy_corpus(s), id=f"messy{s}")
+      for s in range(4)),
+    pytest.param(rewired_corpus, id="rewired")])
+def test_graph_equals_string_indices(corpus, tmp_path):
+    """The graph read through the ids is the string indices of the
+    reference lists: order, repeats, dangling and self references."""
+    corpus = corpus()
+    forward, citers = string_indices(corpus)
+    graph, ids = corpus.graph, corpus.ids
+    assert ids == sorted(corpus.papers)
+    assert corpus.node == {pid: v for v, pid in enumerate(ids)}
+    cited = {pid: [] for pid in ids}
+    citing = {pid: [] for pid in ids}
+    for s, t in zip(graph.src.tolist(), graph.dst.tolist()):
+        cited[ids[s]].append(ids[t])
+        citing[ids[t]].append((ids[s], int(graph.year_of[s])))
+    assert {p: tuple(r) for p, r in cited.items()} == forward
+    assert {p: tuple(c) for p, c in citing.items()} == citers
+    # the read-only views
+    assert dict(corpus.forward) == forward
+    assert list(corpus.citation_edges()) == \
+        [(p, r) for p in sorted(forward) for r in forward[p]]
+    assert sum(map(len, forward.values())) < sum(
+        len(p.references) for p in corpus.papers.values())
+    # a file round trip keeps the graph byte for byte
     files = corpus_to_files(corpus, tmp_path / "rt")
     assert (serialize_indices(load_corpus(files))
             == serialize_indices(corpus))

@@ -1,14 +1,21 @@
+from dataclasses import astuple, replace
 from fractions import Fraction
 
 import pytest
 
+from citnet.corpus import validate_corpus
 from citnet.impact import (NormalizationTable, build_normalization_table,
                            cited_half_life, citing_half_life, immediacy_index,
-                           journal_impact, market_share, _market_shares,
-                           normalize_citations, normalized_journal_impact)
+                           impact_table, journal_impact, market_share,
+                           _market_shares, normalize_citations,
+                           normalized_journal_impact)
+from citnet.matching import build_registry
 
-from conftest import make_corpus
-from oracles import market_share_oracle
+from conftest import make_corpus, messy_corpus
+from oracles import (cited_half_life_reference, citing_half_life_reference,
+                     immediacy_reference, impact_table_reference,
+                     journal_impact_reference, market_share_oracle,
+                     normalization_reference, normalized_impact_reference)
 
 
 def impact_fixture():
@@ -116,8 +123,6 @@ def test_half_life_single_value():
 
 def test_half_life_within_age_bounds():
     corpus = impact_fixture()
-    ages = [2005 - corpus.papers[r].year
-            for c, _ in corpus.citers.items() for r, _y in []]
     value = cited_half_life(corpus, "J1", 2005)
     assert 1 <= value <= 2  # papers from 2003/2004 cited in 2005
 
@@ -159,3 +164,96 @@ def test_market_share_sole_publisher():
     corpus = make_corpus([("a", "J1", 2005, [])],
                          {"J1": {"publisher_id": "P1"}})
     assert market_share(corpus, "P1", 2005) == 1.0
+
+
+def assert_table_equals_reference(corpus, years, reference_years):
+    """impact_table and the normalization table, repr-equal to the
+    references, with a table from each reference year that has one."""
+    tables = [None]
+    for ref_year in reference_years:
+        try:
+            expected = normalization_reference(corpus, ref_year)
+        except ValueError:
+            with pytest.raises(ValueError):
+                build_normalization_table(corpus, ref_year)
+            continue
+        table = build_normalization_table(corpus, ref_year)
+        assert (table.top_field, table.n_top) == expected
+        tables.append(table)
+    assert len(tables) > 1
+    for table in tables:
+        got = [astuple(r) for r in impact_table(corpus, years, table)]
+        assert repr(got) == repr(impact_table_reference(corpus, years, table))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_impact_table_equals_reference_on_messy_corpus(seed):
+    # papers over 2000-2010 in registered, publisher-less and unregistered
+    # journals, with self, repeated and dangling references
+    corpus = messy_corpus(seed)
+    assert_table_equals_reference(corpus, range(1998, 2013),
+                                  (1999, 2002, 2010))
+
+
+def test_impact_table_equals_reference_on_pipeline_corpus(pipeline_corpus):
+    assert_table_equals_reference(pipeline_corpus, range(1999, 2005),
+                                  (2001, 2002, 2003))
+
+
+def test_impact_table_reads_papers_where_counts_disagree():
+    """Journal records whose paper counts disagree with the papers: the
+    counts of papers come from the papers; the cited half-life keeps to
+    the paper years the record lists."""
+    corpus = messy_corpus(1)
+    for jid, counts in (("J0", {}), ("J1", {2003: 99, 2006: 1}),
+                        ("J2", {1990: 5}),
+                        ("J3", {y: 1 for y in range(2000, 2011, 2)})):
+        corpus.journals[jid] = replace(corpus.journals[jid],
+                                       paper_count_by_year=counts)
+    assert len(validate_corpus(corpus).by_kind("paper_count_mismatch")) == 4
+    assert_table_equals_reference(corpus, range(1998, 2013), (2004, 2008))
+
+
+def test_per_journal_metrics_equal_references():
+    corpus = messy_corpus(2)
+    table = build_normalization_table(corpus, 2006)
+    for jid in sorted(corpus.journals):
+        for year in range(1999, 2012):
+            raw = journal_impact_reference(corpus, jid, year)
+            assert repr(journal_impact(corpus, jid, year)) == repr(raw)
+            assert repr(normalized_journal_impact(corpus, jid, year, table)) \
+                == repr(normalized_impact_reference(raw, year, table))
+            for got, expected in (
+                    (immediacy_index, immediacy_reference),
+                    (cited_half_life, cited_half_life_reference),
+                    (citing_half_life, citing_half_life_reference)):
+                assert repr(got(corpus, jid, year)) == \
+                    repr(expected(corpus, jid, year))
+
+
+@pytest.mark.parametrize("journal_id", ["X1", "nowhere"])
+def test_per_journal_metrics_reject_unregistered_journal(journal_id):
+    # X1 has papers but no journal record
+    corpus = messy_corpus(0)
+    assert any(p.journal_id == "X1" for p in corpus.papers.values())
+    for metric in (journal_impact, immediacy_index, cited_half_life,
+                   citing_half_life):
+        with pytest.raises(KeyError):
+            metric(corpus, journal_id, 2005)
+    with pytest.raises(KeyError):
+        normalized_journal_impact(corpus, journal_id, 2005, None)
+
+
+@pytest.mark.parametrize("kind", ["raw", "normalized"])
+def test_registry_impacts_equal_references(kind):
+    corpus = messy_corpus(3)
+    table = build_normalization_table(corpus, 2008)
+    for year in (2001, 2008, 2012):
+        registry = build_registry(corpus, year, impact_kind=kind, table=table)
+        assert sorted(registry) == sorted(corpus.journals)
+        for jid, entry in registry.items():
+            raw = journal_impact_reference(corpus, jid, year)
+            expected = (normalized_impact_reference(raw, year, table)
+                        if kind == "normalized"
+                        else None if raw is None else float(raw))
+            assert repr(entry.impact) == repr(expected)

@@ -17,7 +17,7 @@ from conftest import make_corpus, messy_corpus
 from citnet import jnet
 from oracles import (betweenness_oracle, betweenness_reference,
                      closeness_reference, harmonic_closeness_oracle,
-                     journal_network_oracle, pagerank_oracle,
+                     journal_network_oracle, journal_of, pagerank_oracle,
                      pathcore_oracle, pathcore_reference, random_digraph)
 
 
@@ -73,7 +73,7 @@ def test_build_equals_edge_loop_reference(window, link_type):
     # the fixture reaches the journal without publisher and has paper
     # edges of unregistered journals for the tally to leave out
     assert "J4" in {j for pair in edges for j in pair}
-    assert any(corpus.journal_of(p) is None for e in corpus.citation_edges()
+    assert any(journal_of(corpus, p) is None for e in corpus.citation_edges()
                for p in e)
 
 
@@ -362,3 +362,14 @@ def test_import_loads_no_process_pool_nor_numpy_ma():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures',\n"
         "                         'numpy.ma') if m in sys.modules))")
     assert loaded.strip() == "[]"
+
+
+def test_only_corpus_module_knows_the_string_indices_and_node_order():
+    # one citation structure: the graph, whose node order Corpus.ids names
+    package = Path(citnet.__file__).resolve().parent
+    banned = (".forward", ".citers", "papers_of_journal",
+              "sorted(corpus.papers)")
+    found = [(path.name, word) for path in sorted(package.glob("*.py"))
+             if path.name != "corpus.py"
+             for word in banned if word in path.read_text(encoding="utf-8")]
+    assert found == []
