@@ -96,9 +96,6 @@ class AuthorClusters:
     clusters: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
     excluded: list[tuple[str, str]] = field(default_factory=list)
 
-    def papers_of(self, cluster_id) -> set[str]:
-        return {pid for _key, pid in self.clusters[cluster_id]}
-
 
 @dataclass(frozen=True)
 class AuthorStats:

@@ -13,9 +13,8 @@ import sys
 
 from .corpus import load_corpus, validate_corpus
 from .matching import binning_diagnostics
-from .pipeline import (ConfigError, _control_registry, _load_checked,
-                       _run_loaded, config_hash, emit_plot_data, load_config,
-                       run_synth, FIGURE_IDS)
+from .pipeline import (ConfigError, _load_checked, _run_loaded, config_hash,
+                       emit_plot_data, load_config, run_synth, FIGURE_IDS)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -104,13 +103,13 @@ def _cmd_validate(args):
 def _run_stages(args, stages=None):
     """Run the configured stages, or only ``stages``; one line per stage.
 
-    Returns the exit code, the config and the corpus the stages ran on.
+    Returns the exit code and the run context the stages ran on.
     """
     config = _load(args)
     if stages is not None:
         config.resolved["stages"] = stages
-    corpus = _load_checked(config)
-    return _print_results(config, _run_loaded(config, corpus)), config, corpus
+    results, ctx = _run_loaded(config, _load_checked(config))
+    return _print_results(config, results), ctx
 
 
 def _print_results(config, results):
@@ -136,10 +135,10 @@ def _cmd_synth(args):
 
 
 def _cmd_match(args):
-    code, config, corpus = _run_stages(args, ["impact", "matching"])
+    code, ctx = _run_stages(args, ["impact", "matching"])
     if code != EXIT_OK or not args.diagnose:
         return code
-    year, registry = _control_registry(config, corpus)
+    year, registry = ctx.registry
     print(f"matching year {year}")
     for scheme, stats in binning_diagnostics(registry).items():
         print(f"{scheme}: matched={stats['matched']} "

@@ -155,28 +155,25 @@ def normalized_journal_impact(corpus, journal_id, year,
     return _normalized(journal_impact(corpus, journal_id, year), year, table)
 
 
-def build_normalization_table(corpus: Corpus, reference_year: int = 2017,
-                              top_field: Optional[str] = None) -> NormalizationTable:
+def build_normalization_table(corpus: Corpus, reference_year: int = 2017
+                              ) -> NormalizationTable:
     """Derive the normalization table from the corpus.
 
-    The reference field defaults to the 2-digit category whose papers
-    received the most citations during ``reference_year`` (papers in
-    several categories count toward each). Supplying ``top_field`` skips
-    that choice; a precomputed table can also be loaded from file by the
-    pipeline instead of calling this.
+    The reference field is the 2-digit category whose papers received
+    the most citations during ``reference_year`` (papers in several
+    categories count toward each).
     """
     graph = corpus.graph
     papers, cited, _made = _tally(graph)
     categories = [corpus.journals[jid].categories for jid in graph.journal_ids]
-    if top_field is None:
-        received: dict[str, int] = {}
-        for (j, y, _py), n in cited.items():
-            if y == reference_year:
-                for cat in categories[j]:
-                    received[cat] = received.get(cat, 0) + n
-        if not received:
-            raise ValueError(f"no citations received in {reference_year}")
-        top_field = max(sorted(received), key=lambda c: received[c])
+    received: dict[str, int] = {}
+    for (j, y, _py), n in cited.items():
+        if y == reference_year:
+            for cat in categories[j]:
+                received[cat] = received.get(cat, 0) + n
+    if not received:
+        raise ValueError(f"no citations received in {reference_year}")
+    top_field = max(sorted(received), key=lambda c: received[c])
 
     n_top: dict[int, int] = {}
     for (j, y), n in papers.items():

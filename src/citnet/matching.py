@@ -3,9 +3,9 @@
 Flagged (questionable) journals are paired with unflagged controls that
 share a subject category and a publication-size tercile and sit closest
 in impact. Matching runs off a *registry*: a per-journal snapshot of
-categories, flag, annual size, and impact for one year. The registry can
-be derived from a corpus or built directly (synthetic registries are
-used heavily in tests).
+categories, flag, annual size, and impact for one year. The registry is
+built from a corpus and the impact rows of that year, or directly
+(synthetic registries are used heavily in tests).
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ import logging
 import math
 from dataclasses import dataclass
 from statistics import mean, stdev
-from typing import Optional
+from typing import Iterable, Optional
 
 from .corpus import Corpus
-from .impact import NormalizationTable, impact_table
+from .impact import ImpactRecord, NormalizationTable, impact_table
 
 logger = logging.getLogger(__name__)
 
@@ -64,18 +64,17 @@ class TercileReport:
     degenerate: bool = False    # fewer than 3 active journals
 
 
-def build_registry(corpus: Corpus, year: int, impact_kind: str = "normalized",
-                   table: Optional[NormalizationTable] = None
-                   ) -> dict[str, RegistryEntry]:
-    """Snapshot every registered journal for one matching year.
+def build_registry(corpus: Corpus, records: Iterable[ImpactRecord],
+                   impact_kind: str = "normalized") -> dict[str, RegistryEntry]:
+    """Snapshot every journal of ``records``, the impact rows of one year.
 
     ``impact_kind`` selects the impact used for gap comparisons:
-    "normalized" (default, needs a normalization table) or "raw".
+    "normalized" (default; None where the rows carry none) or "raw".
     """
     if impact_kind not in ("normalized", "raw"):
         raise ValueError(f"unknown impact kind: {impact_kind!r}")
     registry = {}
-    for record in impact_table(corpus, (year,), table):
+    for record in records:
         jid = record.journal_id
         journal = corpus.journals[jid]
         if impact_kind == "normalized":
@@ -86,7 +85,7 @@ def build_registry(corpus: Corpus, year: int, impact_kind: str = "normalized",
             journal_id=jid,
             categories=journal.categories,
             questionable=journal.questionable_flag,
-            annual_size=journal.paper_count_by_year.get(year, 0),
+            annual_size=journal.paper_count_by_year.get(record.year, 0),
             impact=imp,
         )
     return registry
@@ -156,8 +155,7 @@ def _category_terciles(registry, scheme="terciles"):
 
 
 def match_registry(registry: dict[str, RegistryEntry], qj_id: str,
-                   terciles: Optional[dict] = None,
-                   scheme: str = "terciles") -> list[MatchRecord]:
+                   terciles: Optional[dict] = None) -> list[MatchRecord]:
     """Match one flagged journal against the registry, one record per category.
 
     The control minimizes |impact difference| among unflagged, active,
@@ -167,7 +165,7 @@ def match_registry(registry: dict[str, RegistryEntry], qj_id: str,
     """
     qj = registry[qj_id]
     if terciles is None:
-        terciles = _category_terciles(registry, scheme=scheme)
+        terciles = _category_terciles(registry)
     records = []
     for cat in qj.categories:
         report = terciles.get(cat)
@@ -200,12 +198,11 @@ def match_registry(registry: dict[str, RegistryEntry], qj_id: str,
 
 def select_control(corpus: Corpus, qj_id: str, year: int,
                    impact_kind: str = "normalized",
-                   table: Optional[NormalizationTable] = None,
-                   registry: Optional[dict] = None) -> list[MatchRecord]:
+                   table: Optional[NormalizationTable] = None
+                   ) -> list[MatchRecord]:
     """Corpus-facing matching: one control record per category of ``qj_id``."""
-    if registry is None:
-        registry = build_registry(corpus, year, impact_kind=impact_kind,
-                                  table=table)
+    registry = build_registry(corpus, impact_table(corpus, (year,), table),
+                              impact_kind=impact_kind)
     return match_registry(registry, qj_id)
 
 
@@ -223,8 +220,7 @@ def binning_diagnostics(registry: dict[str, RegistryEntry],
         size_gaps = []
         matched = 0
         for qj_id in flagged:
-            for rec in match_registry(registry, qj_id, terciles=terciles,
-                                      scheme=scheme):
+            for rec in match_registry(registry, qj_id, terciles=terciles):
                 if rec.uj_id is None:
                     continue
                 matched += 1

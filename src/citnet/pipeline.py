@@ -3,11 +3,13 @@
 A run is described by a single config file (YAML or JSON). Stages
 execute in dependency order (corpus loading first, impact before
 matching, matching before everything comparative); each stage writes its
-own CSV outputs into the output directory and communicates with later
-stages only through those files. A manifest records the resolved config
-hash, per-stage status and timings; when a stage fails its dependents
-are skipped and the manifest carries a partial-run marker, with the
-completed outputs left in place.
+own CSV outputs into the output directory and passes results to later
+stages only through those files. Tables that depend on (config, corpus)
+alone, such as the normalization table, the impact rows and the control
+registry, are computed once per run on the run context. A manifest
+records the resolved config hash, per-stage status and timings; when a
+stage fails its dependents are skipped and the manifest carries a
+partial-run marker, with the completed outputs left in place.
 
 All randomness derives from the configured seed, so a rerun with the
 same config produces byte-identical CSVs. Stages run serially; the
@@ -26,6 +28,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -162,11 +165,13 @@ class RunConfig:
         unknown = set(self.resolved["stages"]) - set(STAGES)
         if unknown:
             errors.append(f"unknown stages: {sorted(unknown)}")
-        if "authors" in self.resolved["stages"] and \
-                not self.resolved["authors"].get("weights"):
+        weights = self.resolved["authors"]["weights"]
+        if "authors" in self.resolved["stages"] and not weights:
             errors.append("authors stage needs explicit similarity weights "
                           "(authors.weights); the built-in defaults are "
                           "fixture placeholders")
+        errors += [f"authors.weights.{key} missing from config"
+                   for key in _WEIGHT_KEYS if weights and key not in weights]
         query_path = self.query_path()
         if query_path and not query_path.exists():
             errors.append(f"selfcite.query_file: no such file: {query_path}")
@@ -200,11 +205,63 @@ class StageResult:
 
 @dataclass
 class _RunContext:
+    """One run's config and corpus; each table computed from them is a
+    cached property, built on first use."""
+
     config: RunConfig
     corpus: Corpus
     outdir: Path
-    threads: int
-    seed: int
+    normalization_error: str = ""
+
+    @cached_property
+    def normalization(self):
+        """The NormalizationTable, or None with ``normalization_error``."""
+        try:
+            return impact_mod.build_normalization_table(
+                self.corpus, self.config["impact"]["reference_year"])
+        except ValueError as exc:
+            self.normalization_error = str(exc)
+            return None
+
+    @cached_property
+    def impact(self):
+        """impact_table rows of every impact year."""
+        return impact_mod.impact_table(self.corpus, _impact_years(self.config),
+                                       self.normalization)
+
+    @cached_property
+    def registry(self):
+        """(matching year, registry) that control matching runs on."""
+        year = _matching_year(self.config)
+        if year not in _impact_years(self.config):
+            raise ConfigError(f"matching year {year} is not covered by the "
+                              f"impact stage years")
+        kind = self.config["matching"]["impact_kind"]
+        if kind == "normalized" and self.normalization is None:
+            raise ConfigError(f"normalized impact needs a normalization "
+                              f"table: {self.normalization_error}")
+        records = [r for r in self.impact if r.year == year]
+        return year, matching_mod.build_registry(self.corpus, records, kind)
+
+    @cached_property
+    def matches(self):
+        """matches.csv as the matching stage wrote it; [] without one."""
+        path = self.outdir / "matches.csv"
+        if not path.exists():
+            return []
+        with path.open(newline="", encoding="utf-8") as fh:
+            return [matching_mod.MatchRecord(
+                qj_id=row["qj_id"], category=row["category"],
+                uj_id=row["uj_id"] or None,
+                impact_gap=float(row["impact_gap"]) if row["impact_gap"] else None,
+                tercile=row["tercile"] or None) for row in csv.DictReader(fh)]
+
+    @cached_property
+    def groups(self):
+        """(QJ, UJ): the flagged journals and their matched controls."""
+        qj = {j for j, journal in self.corpus.journals.items()
+              if journal.questionable_flag}
+        return qj, {m.uj_id for m in self.matches if m.uj_id}
 
 
 def _fraction_or_none(x):
@@ -226,22 +283,12 @@ def _impact_years(config):
     return list(range(lo, hi + 1))
 
 
-def _normalization_table(config, corpus):
-    try:
-        return impact_mod.build_normalization_table(
-            corpus, config["impact"]["reference_year"])
-    except ValueError:
-        return None
-
-
 def _stage_impact(ctx: _RunContext):
     years = _impact_years(ctx.config)
-    records = impact_mod.impact_table(
-        ctx.corpus, years, _normalization_table(ctx.config, ctx.corpus))
     rows = [(r.journal_id, r.year, _fraction_or_none(r.impact),
              r.normalized_impact, r.immediacy, r.cited_half_life,
              r.citing_half_life)
-            for r in records]
+            for r in ctx.impact]
     write_csv(ctx.outdir / "impact.csv",
               ["journal_id", "year", "impact", "normalized_impact",
                "immediacy", "cited_half_life", "citing_half_life"], rows)
@@ -255,7 +302,8 @@ def _stage_impact(ctx: _RunContext):
         write_csv(ctx.outdir / "market_share.csv",
                   ["publisher_id", "year", "share"], share_rows)
         outputs.append("market_share.csv")
-    return outputs, {}
+    reason = ctx.normalization_error
+    return outputs, {"skipped": {"normalization": reason} if reason else {}}
 
 
 def _matching_year(config):
@@ -266,53 +314,16 @@ def _matching_year(config):
     return _impact_years(config)[-1]
 
 
-def _control_registry(config, corpus):
-    """(matching year, registry) that control matching runs on."""
-    year = _matching_year(config)
-    if year not in _impact_years(config):
-        raise ConfigError(f"matching year {year} is not covered by the "
-                          f"impact stage years")
-    return year, matching_mod.build_registry(
-        corpus, year, impact_kind=config["matching"]["impact_kind"],
-        table=_normalization_table(config, corpus))
-
-
 def _stage_matching(ctx: _RunContext):
-    _year, registry = _control_registry(ctx.config, ctx.corpus)
+    _year, registry = ctx.registry
+    terciles = matching_mod._category_terciles(registry)
     records = [rec for qj in sorted(registry) if registry[qj].questionable
-               for rec in matching_mod.match_registry(registry, qj)]
+               for rec in matching_mod.match_registry(registry, qj, terciles)]
     rows = [(r.qj_id, r.category, r.uj_id, r.impact_gap, r.tercile)
             for r in sorted(records, key=lambda r: (r.qj_id, r.category))]
     write_csv(ctx.outdir / "matches.csv",
               ["qj_id", "category", "uj_id", "impact_gap", "tercile"], rows)
     return ["matches.csv"], {}
-
-
-def _read_matches_csv(path):
-    records = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            records.append(matching_mod.MatchRecord(
-                qj_id=row["qj_id"],
-                category=row["category"],
-                uj_id=row["uj_id"] or None,
-                impact_gap=float(row["impact_gap"]) if row["impact_gap"] else None,
-                tercile=row["tercile"] or None,
-            ))
-    return records
-
-
-def _matches_written(ctx):
-    path = ctx.outdir / "matches.csv"
-    return _read_matches_csv(path) if path.exists() else []
-
-
-def _groups(corpus, matches):
-    """(QJ, UJ): the flagged journals and their matched unflagged controls."""
-    qj = {j for j, journal in corpus.journals.items()
-          if journal.questionable_flag}
-    uj = {m.uj_id for m in matches if m.uj_id}
-    return qj, uj
 
 
 def _stage_selfcite(ctx: _RunContext):
@@ -345,7 +356,7 @@ def _stage_selfcite(ctx: _RunContext):
         windows = [((y, y), (y, y)) for y in section["rate_years"]]
     else:
         windows = [(window or ctx.corpus.year_range, window)]
-    qj, uj = _groups(ctx.corpus, _matches_written(ctx))
+    qj, uj = ctx.groups
     rate_rows = []
     for jid in sorted(qj | uj):
         journal = ctx.corpus.journals[jid]
@@ -398,7 +409,6 @@ def _stage_jnet(ctx: _RunContext):
     year = section["year"]
     if year is None:
         year = _matching_year(ctx.config)
-    matches = _matches_written(ctx)
     computed, skipped = jnet_mod.centrality_variants(
         ctx.corpus, year, section["windows"], section["link_types"])
 
@@ -416,9 +426,9 @@ def _stage_jnet(ctx: _RunContext):
             write_csv(ctx.outdir / name, ["journal_id", "score"],
                       sorted(vec.scores.items()))
             outputs.append(name)
-        if not matches:
+        if not ctx.matches:
             continue
-        comparison = jnet_mod.centrality_comparison(matches, vectors)
+        comparison = jnet_mod.centrality_comparison(ctx.matches, vectors)
         for metric in sorted(comparison):
             rep = comparison[metric]
             comparison_rows.append((year, window, link_type, metric,
@@ -438,11 +448,11 @@ def _stage_novelty(ctx: _RunContext):
     config = novelty_mod.ShuffleConfig(
         ensemble_count=int(section["ensemble_count"]),
         swaps_per_edge=float(section["swaps_per_edge"]),
-        seed=ctx.seed,
+        seed=int(ctx.config["seed"]),
         collapse_multiplicity=bool(section["collapse_multiplicity"]),
     )
     zscores = novelty_mod.pair_zscores(ctx.corpus, config,
-                                       threads=ctx.threads)
+                                       threads=int(ctx.config["threads"]))
     rows = [(nov.paper_id, nov.median_z, nov.p10_z, nov.defined_pair_count,
              nov.undefined_pair_count)
             for nov in novelty_mod.paper_novelty(
@@ -482,12 +492,12 @@ def _stage_disruption(ctx: _RunContext):
 
 def _stage_authors(ctx: _RunContext):
     section = ctx.config["authors"]
-    w = section["weights"] or {}
+    w = section["weights"]
     weights = authors_mod.SimilarityWeights(
-        w_self_citation=float(w.get("self_citation", 1.0)),
-        w_shared_author=float(w.get("shared_author", 0.5)),
-        w_shared_citation=float(w.get("shared_citation", 0.2)),
-        w_shared_reference=float(w.get("shared_reference", 0.2)),
+        w_self_citation=float(w["self_citation"]),
+        w_shared_author=float(w["shared_author"]),
+        w_shared_citation=float(w["shared_citation"]),
+        w_shared_reference=float(w["shared_reference"]),
         pair_threshold=float(section["pair_threshold"]),
         group_threshold=float(section["group_threshold"]),
     )
@@ -499,7 +509,7 @@ def _stage_authors(ctx: _RunContext):
     write_csv(ctx.outdir / "clusters.csv",
               ["cluster_id", "author_key", "paper_id"], rows)
 
-    qj, uj = _groups(ctx.corpus, _matches_written(ctx))
+    qj, uj = ctx.groups
     stat_rows = []
     for label, group in (("qj", qj), ("uj", uj)):
         if not group:
@@ -547,7 +557,7 @@ def run_pipeline(config: RunConfig, outdir=None):
     ``excluded_mentions`` (mentions left out of ``clusters.csv`` as lone
     mentions of uncited single-authored papers).
     """
-    return _run_loaded(config, _load_checked(config), outdir)
+    return _run_loaded(config, _load_checked(config), outdir)[0]
 
 
 def _load_checked(config: RunConfig) -> Corpus:
@@ -560,12 +570,10 @@ def _load_checked(config: RunConfig) -> Corpus:
 
 
 def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
-    """run_pipeline on a corpus already loaded by _load_checked."""
-    outdir = Path(outdir or config["output"])
-    outdir.mkdir(parents=True, exist_ok=True)
-    ctx = _RunContext(config=config, corpus=corpus, outdir=outdir,
-                      threads=int(config["threads"]),
-                      seed=int(config["seed"]))
+    """run_pipeline on a loaded corpus; returns (results, run context)."""
+    ctx = _RunContext(config, corpus, Path(outdir or config["output"]))
+    seed, threads = int(config["seed"]), int(config["threads"])
+    ctx.outdir.mkdir(parents=True, exist_ok=True)
 
     enabled = [s for s in STAGES if s in config["stages"]]
     results: list[StageResult] = []
@@ -593,8 +601,8 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
     manifest = {
         "config_hash": config_hash(config),
         "version": __version__,
-        "seed": ctx.seed,
-        "threads": ctx.threads,
+        "seed": seed,
+        "threads": threads,
         "partial": bool(failed),
         "load_report": corpus.load_report.summary(),
         "stages": [{"name": r.name, "status": r.status,
@@ -603,10 +611,10 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
                     "counts": r.counts}
                    for r in results],
     }
-    with atomic_write(outdir / "manifest.json") as fh:
+    with atomic_write(ctx.outdir / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return results
+    return results, ctx
 
 
 def run_synth(config: RunConfig, outdir=None):
@@ -667,16 +675,17 @@ def _read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def _load_groups(config, outdir):
+def _figure_context(config, outdir):
+    """A run context over the config's corpus, once matches.csv exists."""
     corpus = load_corpus(config.corpus_paths(),
                          year_range=tuple(config["year_range"]))
-    matches = _read_matches_csv(_need(outdir, "matches.csv", "matching"))
-    return (corpus, matches) + _groups(corpus, matches)
+    _need(outdir, "matches.csv", "matching")
+    return _RunContext(config, corpus, Path(outdir))
 
 
 def _mean_rate_figure(config, outdir, target_label):
     rows = _read_rows(_need(outdir, "rates.csv", "selfcite"))
-    _corpus, _matches, qj, _uj = _load_groups(config, outdir)
+    qj, _uj = _figure_context(config, outdir).groups
     acc: dict[tuple, list[float]] = {}
     for row in rows:
         if row["target"] != target_label and target_label != "group":
@@ -697,12 +706,12 @@ def _mean_rate_figure(config, outdir, target_label):
 
 
 def _figure_2f(config, outdir):
-    corpus, matches, _qj, _uj = _load_groups(config, outdir)
+    ctx = _figure_context(config, outdir)
     solidarity = {r["journal_id"]: r for r in
                   _read_rows(_need(outdir, "solidarity.csv", "selfcite"))}
-    _year, registry = _control_registry(config, corpus)
+    _year, registry = ctx.registry
     rows = []
-    for m in sorted({(m.qj_id, m.uj_id) for m in matches if m.uj_id}):
+    for m in sorted({(m.qj_id, m.uj_id) for m in ctx.matches if m.uj_id}):
         qj_id, uj_id = m
         sq, su = solidarity.get(qj_id), solidarity.get(uj_id)
         if not sq or not su or not sq["psi"] or not su["psi"]:
@@ -718,7 +727,7 @@ def _figure_2f(config, outdir):
 
 
 def _figure_3(config, outdir):
-    _corpus, matches, _qj, _uj = _load_groups(config, outdir)
+    matches = _figure_context(config, outdir).matches
     pairs = sorted({(m.qj_id, m.uj_id) for m in matches if m.uj_id})
     rows = []
     for path in sorted(Path(outdir).glob("centrality_*_*.csv")):
@@ -738,8 +747,9 @@ def _figure_3(config, outdir):
              "log10_ratio"], rows)
 
 
-def _paper_group(corpus, pid, qj, uj):
-    jid = corpus.papers[pid].journal_id
+def _paper_group(ctx, pid):
+    qj, uj = ctx.groups
+    jid = ctx.corpus.papers[pid].journal_id
     if jid in qj:
         return "qj"
     if jid in uj:
@@ -749,22 +759,22 @@ def _paper_group(corpus, pid, qj, uj):
 
 def _figure_4a(config, outdir):
     data = _read_rows(_need(outdir, "disruption.csv", "disruption"))
-    corpus, _matches, qj, uj = _load_groups(config, outdir)
+    ctx = _figure_context(config, outdir)
     rows = []
     for r in data:
         pid = r["paper_id"]
         cites = int(r["n_i"]) + int(r["n_j"])
-        rows.append((_paper_group(corpus, pid, qj, uj), pid, cites))
+        rows.append((_paper_group(ctx, pid), pid, cites))
     return ["group", "paper_id", "citation_count"], sorted(rows)
 
 
 def _figure_4b(config, outdir):
     data = _read_rows(_need(outdir, "novelty.csv", "novelty"))
-    corpus, _matches, qj, uj = _load_groups(config, outdir)
+    ctx = _figure_context(config, outdir)
     rows = []
     for r in data:
         pid = r["paper_id"]
-        rows.append((_paper_group(corpus, pid, qj, uj), pid,
+        rows.append((_paper_group(ctx, pid), pid,
                      float(r["median_z"]) if r["median_z"] else None,
                      float(r["p10_z"]) if r["p10_z"] else None))
     return ["group", "paper_id", "median_z", "p10_z"], sorted(rows)
@@ -772,12 +782,12 @@ def _figure_4b(config, outdir):
 
 def _figure_4c(config, outdir):
     data = _read_rows(_need(outdir, "disruption.csv", "disruption"))
-    corpus, _matches, qj, uj = _load_groups(config, outdir)
+    ctx = _figure_context(config, outdir)
     acc: dict[tuple, list[float]] = {}
     for r in data:
         if not r["D"]:
             continue
-        group = _paper_group(corpus, r["paper_id"], qj, uj)
+        group = _paper_group(ctx, r["paper_id"])
         acc.setdefault((group, int(r["author_count"])), []).append(float(r["D"]))
     rows = [(g, k, sum(v) / len(v), len(v))
             for (g, k), v in sorted(acc.items())]

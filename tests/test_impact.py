@@ -249,7 +249,8 @@ def test_registry_impacts_equal_references(kind):
     corpus = messy_corpus(3)
     table = build_normalization_table(corpus, 2008)
     for year in (2001, 2008, 2012):
-        registry = build_registry(corpus, year, impact_kind=kind, table=table)
+        registry = build_registry(corpus, impact_table(corpus, (year,), table),
+                                  impact_kind=kind)
         assert sorted(registry) == sorted(corpus.journals)
         for jid, entry in registry.items():
             raw = journal_impact_reference(corpus, jid, year)

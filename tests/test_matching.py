@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from citnet.impact import impact_table
 from citnet.matching import (RegistryEntry, _category_terciles,
                              assign_terciles, binning_diagnostics,
                              build_registry, match_registry, select_control)
@@ -75,8 +76,8 @@ def test_size_terciles_from_corpus():
         papers += [(f"p{i}_{k}", f"J{i}", 2005, []) for k in range(count)]
     corpus = make_corpus(papers, {f"J{i}": {"categories": ("10",)}
                                   for i in (1, 2, 3)})
-    report = _category_terciles(build_registry(corpus, 2005,
-                                               impact_kind="raw"))["10"]
+    report = _category_terciles(build_registry(
+        corpus, impact_table(corpus, (2005,)), impact_kind="raw"))["10"]
     assert report.assignment == {"J3": "large", "J2": "moderate",
                                  "J1": "small"}
 
@@ -179,10 +180,11 @@ def test_select_control_from_corpus():
 def test_registry_uses_normalized_impact_by_default():
     corpus = make_corpus([("a", "J1", 2003, []), ("c", "J2", 2005, ["a"])],
                          {"J1": {}, "J2": {}})
-    registry = build_registry(corpus, 2005, impact_kind="raw")
+    registry = build_registry(corpus, impact_table(corpus, (2005,)),
+                              impact_kind="raw")
     assert registry["J1"].impact == 1.0
-    registry = build_registry(corpus, 2005, impact_kind="normalized",
-                              table=None)
+    registry = build_registry(corpus, impact_table(corpus, (2005,), None),
+                              impact_kind="normalized")
     # without a table the normalized impact cannot be computed
     assert registry["J1"].impact is None
 

@@ -11,7 +11,7 @@ from citnet.cli import main as cli_main
 from citnet.corpus import load_corpus
 from citnet.matching import binning_diagnostics
 from citnet.novelty import ShuffleConfig
-from citnet.pipeline import (ConfigError, _control_registry, config_hash,
+from citnet.pipeline import (ConfigError, _RunContext, config_hash,
                              emit_plot_data, load_config, run_pipeline)
 
 import oracles
@@ -462,8 +462,9 @@ def test_diagnose_loads_the_corpus_once(tmp_path, pipeline_files, capsys,
     outdir = tmp_path / "out"
     config_path = write_pipeline_config(tmp_path, pipeline_files, outdir)
     config = load_config(config_path)
-    year, registry = _control_registry(config, load_corpus(
-        config.corpus_paths(), year_range=tuple(config["year_range"])))
+    year, registry = _RunContext(config, load_corpus(
+        config.corpus_paths(), year_range=tuple(config["year_range"])),
+        outdir).registry
     expected = [f"matching year {year}"] + [
         f"{scheme}: matched={stats['matched']} "
         f"mean_impact_gap={stats['mean_impact_gap']} "
@@ -560,3 +561,115 @@ def test_selfcite_builds_one_count_table_per_window(tmp_path, pipeline_files,
         expected = fn(corpus, source, group,
                       window=(int(row["year_start"]), int(row["year_end"])))
         assert row["rate"] == ("" if expected is None else repr(expected))
+
+
+@pytest.mark.parametrize("kind", ["normalized", "raw"])
+def test_reference_year_without_a_table_shows_in_the_manifest(
+        tmp_path, pipeline_files, kind):
+    stages = ["impact", "matching", "selfcite"]
+
+    def run(name, reference_year):
+        outdir = tmp_path / name
+        config_path = write_pipeline_config(
+            tmp_path, pipeline_files, outdir,
+            extra={"stages": stages,
+                   "impact": {"reference_year": reference_year},
+                   "matching": {"impact_kind": kind}})
+        run_pipeline(load_config(config_path))
+        return outdir, json.loads((outdir / "manifest.json").read_text())
+
+    outdir, manifest = run("bad", 1990)
+    entries = {s["name"]: s for s in manifest["stages"]}
+    reason = "no citations received in 1990"
+    assert entries["impact"]["status"] == "ok"
+    assert entries["impact"]["skipped"] == {"normalization": reason}
+    if kind == "normalized":
+        assert manifest["partial"] is True
+        assert entries["matching"]["status"] == "failed"
+        assert reason in entries["matching"]["error"]
+        assert entries["selfcite"]["status"] == "skipped"
+        assert not (outdir / "matches.csv").exists()
+    else:
+        assert manifest["partial"] is False
+        assert [entries[s]["status"] for s in stages] == ["ok"] * 3
+        good, good_manifest = run("good", 2002)
+        assert good_manifest["stages"][0]["skipped"] == {}
+        for name in ("matches.csv", "rates.csv"):
+            assert (outdir / name).read_bytes() == (good / name).read_bytes()
+
+
+def test_partial_author_weights_fail_validation(tmp_path, pipeline_files):
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, tmp_path / "o",
+        extra={"authors": {"weights": {"self_citation": 3.0}}})
+    assert load_config(config_path).validate() == [
+        f"authors.weights.{key} missing from config"
+        for key in ("shared_author", "shared_citation", "shared_reference")]
+    assert cli_main(["validate", "--config", str(config_path)]) == 2
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+
+
+@pytest.mark.parametrize("flagged", [("P1-J1",), ("P1-J1", "P3-J1")])
+def test_a_run_builds_each_per_run_table_once(tmp_path, pipeline_files,
+                                              monkeypatch, full_run, flagged):
+    from collections import Counter
+
+    from citnet import impact, matching
+
+    # the fixture flags P1-J1; a second flagged journal shows that the
+    # terciles are assigned once per run, not once per flagged journal
+    with pipeline_files["journals"].open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[4] = "true" if row[0] in flagged else "false"
+    files = dict(pipeline_files, journals=tmp_path / "journals.csv")
+    write_csv(files["journals"], rows[0], rows[1:])
+
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((impact, "_tally"),
+                         (impact, "build_normalization_table"),
+                         (impact, "impact_table"),
+                         (matching, "_category_terciles"),
+                         (matching, "match_registry")):
+        count(module, name)
+    path_open = Path.open
+
+    def counted_open(path, *args, **kwargs):
+        if path.name == "matches.csv":
+            calls["open matches.csv"] += 1
+        return path_open(path, *args, **kwargs)
+    monkeypatch.setattr(Path, "open", counted_open)
+
+    outdir = tmp_path / "out"
+    run_pipeline(load_config(write_pipeline_config(tmp_path, files, outdir)))
+    monkeypatch.undo()
+    assert calls == {"_tally": 2, "build_normalization_table": 1,
+                     "impact_table": 1, "_category_terciles": 1,
+                     "match_registry": len(flagged), "open matches.csv": 1}
+    if flagged == ("P1-J1",):
+        outputs = read_outputs(outdir)
+        assert set(ALL_CSVS) <= set(outputs)
+        for name, data in outputs.items():
+            assert data == (full_run[1] / name).read_bytes()
+
+
+def test_a_stage_list_without_impact_still_matches(tmp_path, pipeline_files,
+                                                   full_run):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["matching", "selfcite"]})
+    results = run_pipeline(load_config(config_path))
+    assert [r.status for r in results] == ["ok", "ok"]
+    for name in ("matches.csv", "solidarity.csv", "rates.csv"):
+        assert (outdir / name).read_bytes() == \
+            (full_run[1] / name).read_bytes()
