@@ -2,8 +2,10 @@
 
 The null model rewires the paper citation graph with double-edge swaps
 stratified by the years at both edge ends, so degrees and timing are
-exact. Journal pairs that co-appear in reference lists far more often
-than the shuffled ensemble predicts get large positive z-scores;
+exact. The swaps come in rounds: each round pairs up the edges of every
+stratum at random and makes every proposed swap that adds no duplicate
+or self edge. Journal pairs that co-appear in reference lists far more
+often than the shuffled ensemble predicts get large positive z-scores;
 negative scores mark rare, novel pairings.
 """
 
@@ -19,7 +21,8 @@ corpus = generate_synthetic(SynthConfig(
 config = ShuffleConfig(ensemble_count=10, swaps_per_edge=10.0, seed=2)
 
 # Margins survive shuffling exactly. The shuffle runs on the corpus's
-# integer graph, whose node v is paper ``corpus.ids[v]``.
+# integer graph, whose node v is paper ``corpus.ids[v]``; at 10 swaps
+# per edge its 20 or so rounds move nearly every edge.
 ids = corpus.ids
 original = list(corpus.citation_edges())
 src, dst = shuffle_edges(corpus.graph, config, replicate_index=0)

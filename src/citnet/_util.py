@@ -8,15 +8,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 
-def fmt_cell(value):
-    """CSV cell formatting: None becomes an empty cell, never 0."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @contextmanager
 def atomic_write(path):
     """Text handle on a temporary file beside ``path``.
@@ -36,9 +27,21 @@ def atomic_write(path):
 
 
 def write_csv(path, header, rows):
-    """Write rows (already deterministically ordered) with ``\\n`` endings."""
+    """Write rows (already deterministically ordered) with ``\\n`` endings.
+
+    A cell is empty for None (never 0), the repr of a float and the str
+    of anything else. ``csv.writer`` writes None and str() the same way,
+    and a Python float's str is its repr, so only a column holding a
+    float subclass whose str may differ, such as numpy.float64, is
+    converted first. Rows must all have one length.
+    """
+    columns = list(zip(*rows, strict=True))
+    for i, column in enumerate(columns):
+        if any(issubclass(kind, float) for kind in set(map(type, column))
+               - {float}):
+            columns[i] = [repr(v) if isinstance(v, float) else v
+                          for v in column]
     with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_cell(v) for v in row])
+        writer.writerows(zip(*columns))

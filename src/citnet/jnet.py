@@ -20,12 +20,15 @@ The core score follows the geodesic core-periphery method: for every
 edge (s, t), the shortest s -> t paths of the graph *without* that edge
 are enumerated, and each interior node collects its fractional
 participation; totals are rescaled by the maximum into [0, 1]. Core
-nodes score high because the periphery's detours run through them. No
-copy of the graph is made per edge: a search never re-enters its
-source, so removing (s, t) only changes the first expansion, and the
-forward search from s skips t there while the backward search from t
-over the predecessor arrays skips s. The algorithm is isolated behind
-:func:`pathcore` so alternates can be swapped without touching callers.
+nodes score high because the periphery's detours run through them. An
+edge with a two-step bypass s -> v -> t needs no search: its interior
+nodes are those v, found by matching the graph's two-paths against the
+edge keys. The other edges are searched, and no copy of the graph is
+made per edge: a search never re-enters its source, so removing (s, t)
+only changes the first expansion, and the forward search from s skips t
+there while the backward search from t over the predecessor arrays
+skips s. The algorithm is isolated behind :func:`pathcore` so alternates
+can be swapped without touching callers.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-from .corpus import Corpus
+from .corpus import Corpus, csr_expand
 from .matching import MatchRecord
 
 __all__ = [
@@ -77,8 +80,10 @@ class JournalCitationNetwork:
         arrays in sorted (citing, cited) name order, and the successor and
         predecessor adjacency as CSR pairs (indptr, indices) whose rows
         keep that order. The batched BFS kernel runs on ``succ``; PathCore
-        also runs it on ``pred`` and makes one row per edge, whose first
-        expansion skips the edge's other end instead of copying the graph.
+        expands its two-paths from ``succ``, and for an edge without a
+        two-step bypass also runs the kernel on ``pred``, one row per
+        edge, whose first expansion skips the edge's other end instead of
+        copying the graph.
         """
         index = {u: i for i, u in enumerate(self.nodes)}
         simple = [(index[u], index[v]) for u, v in sorted(self.edges)
@@ -166,16 +171,21 @@ def _vector(network, metric, scores) -> CentralityVector:
                                     for n in network.nodes})
 
 
-# Cells the largest array of one batch of searches may hold. A search
+# Cells the largest array of one batch of searches may hold: the
+# searches from every source for betweenness and closeness, and for
+# PathCore only those of the edges without a two-step bypass. A search
 # expands each skeleton edge at most once and fills one row of n cells,
 # so _BATCH_CELLS // max(n, edges) searches per batch stay below it.
 # At 512 KiB per int64 array, a larger budget ran no faster on 200- and
-# 1000-node networks and only raised peak memory.
+# 1000-node networks and only raised peak memory. PathCore's runs of
+# edges keep their two-step bypass candidates within the same budget.
 _BATCH_CELLS = 1 << 16
 
 
 def _batches(count, n, m):
-    """Slices of range(count) that each fit one batch of searches."""
+    """Slices of range(count), ``_BATCH_CELLS // max(n, m)`` items each:
+    searches over n nodes and m edges, or edges of at most n bypass
+    candidates each."""
     step = max(1, _BATCH_CELLS // max(n, m))
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
@@ -230,8 +240,8 @@ def _bfs(csr, sources, targets=None):
 def _add_rows(total, cells):
     """Add the rows of ``cells`` to ``total`` one at a time, in order.
 
-    Each score then sums its terms in source (or edge) order, whatever
-    the batch size, and adding 0.0 for a cell that takes no part is exact.
+    Each score then sums its terms in source order, whatever the batch
+    size, and adding 0.0 for a cell that takes no part is exact.
     """
     for row in cells.reshape(-1, total.size):
         total += row
@@ -323,29 +333,54 @@ def pathcore(network: JournalCitationNetwork) -> CentralityVector:
     divided by the maximum so scores land in [0, 1]; an all-isolated
     graph scores 0 everywhere.
 
-    Each batch row is one skeleton edge: a forward search from s to t
-    and a backward search from t to s, both without the edge (s, t) and
-    both ending at the level that reaches the other end, which is as far
-    as an interior node can lie. Rows add into the totals in sorted edge
-    order.
+    Most edges have a two-step bypass s -> v -> t. Its interior nodes
+    are exactly those v, and each adds ``1.0 / c`` with c the number of
+    them, the float the searches below would add. So for each edge the
+    successors v of s are looked up as keys ``v * n + t`` among the
+    sorted edge keys. Only the edges with no two-step bypass go through
+    batched searches: a forward search from s to t and a backward search
+    from t to s, both without the edge (s, t) and both ending at the
+    level that reaches the other end. Edges go in runs of consecutive
+    sorted edges whose candidates fit ``_BATCH_CELLS``, and each run adds
+    its terms into the node totals in sorted edge order, as one search
+    row after another would add them.
     """
     if network.empty:
         raise ValueError("empty network")
     n = len(network.nodes)
     src, dst, succ, pred = network.skeleton()
+    # a key past every edge key, so each lookup lands inside ``keys``
+    keys = np.append(np.sort(src * n + dst), n * n)
+    fanout = np.diff(succ[0])[src]          # candidates v of each edge
     raw = np.zeros(n)
-    for batch in _batches(len(src), n, len(src)):
-        s, t = src[batch], dst[batch]
-        rows = np.arange(s.size) * n
-        dist_f, sigma_f, _ = _bfs(succ, s, targets=t)
-        dist_b, sigma_b, _ = _bfs(pred, t, targets=s)
-        length = np.repeat(dist_f[rows + t], n)
-        total = np.repeat(sigma_f[rows + t], n)
-        on = (dist_f >= 0) & (dist_b >= 0) & (dist_f + dist_b == length)
-        on[rows + s] = False
-        on[rows + t] = False
-        _add_rows(raw, np.divide(sigma_f * sigma_b, total,
-                                 out=np.zeros(on.size), where=on))
+    for run in _batches(len(src), int(fanout.max(initial=1)), 0):
+        edges = np.arange(len(src))[run]
+        which, pos = csr_expand(src[edges], succ[0])
+        edge, node = edges[which], succ[1][pos]
+        bypass = node * n + dst[edge]
+        hit = keys[np.searchsorted(keys, bypass)] == bypass
+        edge, node = edge[hit], node[hit]
+        count = np.bincount(edge - edges[0], minlength=len(edges))
+        terms = [(edge, node, 1.0 / count[edge - edges[0]])]
+        longer = edges[count == 0]
+        for batch in _batches(len(longer), n, len(src)):
+            s, t = src[longer[batch]], dst[longer[batch]]
+            rows = np.arange(s.size) * n
+            dist_f, sigma_f, _ = _bfs(succ, s, targets=t)
+            dist_b, sigma_b, _ = _bfs(pred, t, targets=s)
+            length = np.repeat(dist_f[rows + t], n)
+            on = (dist_f >= 0) & (dist_b >= 0) & (dist_f + dist_b == length)
+            on[rows + s] = False
+            on[rows + t] = False
+            cells = np.flatnonzero(on)
+            row = cells // n
+            terms.append((longer[batch][row], cells % n,
+                          sigma_f[cells] * sigma_b[cells]
+                          / sigma_f[rows[row] + t[row]]))
+        edge, node, value = (np.concatenate(column) for column in zip(*terms))
+        # a node takes at most one term per edge; np.add.at adds in order
+        order = np.argsort(edge, kind="stable")
+        np.add.at(raw, node[order], value[order])
     top = raw.max()
     if top > 0:
         raw = raw / top

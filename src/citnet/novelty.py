@@ -3,9 +3,12 @@
 The null model randomizes the paper-level citation network with
 double-edge swaps stratified on (citing year, cited year), so every
 paper keeps its exact reference count, its exact received-citation
-count, and the year at both ends of every edge. Pair frequencies from an
-ensemble of such shuffles give the expectation and spread against which
-the observed pairing frequency is standardized:
+count, and the year at both ends of every edge. The swaps are proposed
+in rounds of disjoint edge pairs, one random pairing of every stratum
+per round, and a round applies all of its proposals that keep the
+edges simple at once (parallel edge switching). Pair frequencies from
+an ensemble of such shuffles give the expectation and spread against
+which the observed pairing frequency is standardized:
 
     z = (observed - ensemble mean) / ensemble std
 
@@ -108,50 +111,101 @@ class PaperNovelty:
     undefined_pair_count: int = 0
 
 
+def _year_strata(graph: CitationGraph):
+    """The edges grouped by (citing year, cited year), in sorted year order.
+
+    Returns the stable order that groups them and, per stratum, its first
+    position in that order and its size. Strata of fewer than two edges
+    are logged: no swap can touch them.
+    """
+    year_s, year_t = graph.year_of[graph.src], graph.year_of[graph.dst]
+    order = np.lexsort((year_t, year_s))
+    year_s, year_t = year_s[order], year_t[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (year_s[1:] != year_s[:-1]) | (year_t[1:] != year_t[:-1])
+    start = np.flatnonzero(first)
+    size = np.diff(np.append(start, len(order)))
+    for lo, m in zip(start[size < 2].tolist(), size[size < 2].tolist()):
+        logger.info("year stratum %s has %d edge(s); left untouched",
+                    (int(year_s[lo]), int(year_t[lo])), m)
+    return order, start, size
+
+
 def shuffle_edges(graph: CitationGraph, config: ShuffleConfig,
                   replicate_index: int) -> tuple[np.ndarray, np.ndarray]:
     """One degree- and time-preserving randomization of the citation edges.
 
     Edges are grouped by (citing year, cited year); within each stratum
-    target endpoints are exchanged by repeated double-edge swaps that
-    reject self-citations and duplicate edges. Strata with fewer than two
-    edges are left untouched. Returns (src, dst) node arrays, stratum by
-    stratum in sorted year order and in graph edge order within one. The
-    result is reproducible from (config.seed, replicate_index) alone.
+    target endpoints are exchanged by double-edge swaps, proposed in
+    rounds. Each round draws one uniform per edge and orders the edges
+    by stratum plus that draw, so every stratum is permuted in place;
+    the edges at positions 2i and 2i + 1 of a stratum make one proposal.
+    A stratum of m edges makes ``round(swaps_per_edge * m)`` proposals,
+    ``m // 2`` a round, and its last round takes only the first pairs
+    its count has left. A proposal is rejected when t1 == t2, when it
+    would make a self-citation or an edge present before the round, or
+    when another proposal of the round would make the same edge; the
+    others are all applied. So no round adds a duplicate or self edge,
+    and every paper keeps its reference and citation counts and every
+    edge the years at both ends. Strata with fewer than two edges are
+    left untouched. Returns (src, dst) node arrays, stratum by stratum in
+    sorted year order and in graph edge order within one. The result is
+    reproducible from (config.seed, replicate_index) alone.
     """
     rng = np.random.default_rng([config.seed, replicate_index])
     n = graph.n_nodes
-    year_s, year_t = graph.year_of[graph.src], graph.year_of[graph.dst]
-    order = np.lexsort((year_t, year_s))
+    order, start, size = _year_strata(graph)
     src, dst = graph.src[order], graph.dst[order]
-    year_s, year_t = year_s[order], year_t[order]
-    cuts = np.flatnonzero((np.diff(year_s) != 0) | (np.diff(year_t) != 0)) + 1
-    bounds = [0, *cuts.tolist(), len(src)] if len(src) else []
-    for lo, hi in zip(bounds, bounds[1:]):
-        m = hi - lo
-        if m < 2:
-            logger.info("year stratum %s has %d edge(s); left untouched",
-                        (int(year_s[lo]), int(year_t[lo])), m)
-            continue
-        s, t = src[lo:hi].tolist(), dst[lo:hi].tolist()
-        present = {a * n + b for a, b in zip(s, t)}
-        attempts = int(round(config.swaps_per_edge * m))
-        for a, b in rng.integers(0, m, size=(attempts, 2)).tolist():
-            if a == b:
-                continue
-            s1, t1, s2, t2 = s[a], t[a], s[b], t[b]
-            if t1 == t2 or s1 == t2 or s2 == t1:
-                continue
-            k12, k21 = s1 * n + t2, s2 * n + t1
-            if k12 in present or k21 in present:
-                continue
-            present.discard(s1 * n + t1)
-            present.discard(s2 * n + t2)
-            present.add(k12)
-            present.add(k21)
-            t[a], t[b] = t2, t1
-        dst[lo:hi] = t
+    stratum = np.repeat(np.arange(len(size)), size)
+    # twice the stratum, so that a uniform rounded up to 1.0 still sorts
+    # inside its own stratum's block
+    block = 2.0 * stratum
+    offset = np.arange(len(src)) - start[stratum]
+    # the first position of every pair a round can propose, its index i
+    # among the stratum's pairs, and the stratum's pairs per round and
+    # proposals in all
+    lead = np.flatnonzero((offset % 2 == 0) & (offset + 1 < size[stratum]))
+    index = offset[lead] // 2
+    per_round = size[stratum[lead]] // 2
+    budget = np.round(config.swaps_per_edge * size[stratum[lead]]
+                      ).astype(np.int64)
+    rounds = int(((budget + per_round - 1) // per_round).max(initial=0))
+    for r in range(rounds):
+        key = block + rng.random(len(src))
+        perm = np.argsort(key)
+        if (key[perm[1:]] == key[perm[:-1]]).any():    # ties go by position
+            perm = np.argsort(key, kind="stable")
+        pick = lead[index + r * per_round < budget]
+        a, b = perm[pick], perm[pick + 1]
+        take = _accepted(src, dst, a, b, n)
+        dst[a[take]], dst[b[take]] = dst[b[take]], dst[a[take]]
     return src, dst
+
+
+def _accepted(src, dst, a, b, n):
+    """Which of the swaps of targets between edges a[i] and b[i] to make.
+
+    The pairs are disjoint. Edge keys are ``s * n + t``; membership is a
+    ``searchsorted`` of the sorted new keys in the sorted present ones.
+    """
+    s1, t1, s2, t2 = src[a], dst[a], src[b], dst[b]
+    take = (t1 != t2) & (s1 != t2) & (s2 != t1)
+    ok = np.flatnonzero(take)
+    new = np.concatenate((s1[ok] * n + t2[ok], s2[ok] * n + t1[ok]))
+    by_key = np.argsort(new)
+    new, owner = new[by_key], np.tile(np.arange(len(ok)), 2)[by_key]
+    # a key past every edge key, so each lookup lands inside ``present``
+    present = np.append(np.sort(src * n + dst), n * n)
+    fresh = np.ones(len(ok), dtype=bool)
+    fresh[owner[present[np.searchsorted(present, new)] == new]] = False
+    # among the proposals left, a new key made twice rejects every maker
+    left = fresh[owner]
+    new, owner = new[left], owner[left]
+    same = new[1:] == new[:-1]
+    fresh[owner[1:][same]] = False
+    fresh[owner[:-1][same]] = False
+    take[ok] = fresh
+    return take
 
 
 def _reference_pairs(graph: CitationGraph, src, dst, collapse):

@@ -172,10 +172,36 @@ class RunConfig:
                           "fixture placeholders")
         errors += [f"authors.weights.{key} missing from config"
                    for key in _WEIGHT_KEYS if weights and key not in weights]
+        errors += _value_errors(self.resolved)
         query_path = self.query_path()
         if query_path and not query_path.exists():
             errors.append(f"selfcite.query_file: no such file: {query_path}")
         return errors
+
+
+def _number(value):
+    """Whether a config value is a finite int or float (not a bool)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _value_errors(resolved):
+    """The numeric settings that the stages would fail to use."""
+    authors, novelty = resolved["authors"], resolved["novelty"]
+    checks = [(f"authors.weights.{key}", value, _number(value), "a number")
+              for key, value in (authors["weights"] or {}).items()]
+    checks += [(f"authors.{key}", authors[key],
+                _number(authors[key]) and authors[key] > 0,
+                "a positive number")
+               for key in ("pair_threshold", "group_threshold")]
+    count, swaps = novelty["ensemble_count"], novelty["swaps_per_edge"]
+    checks += [("novelty.ensemble_count", count,
+                _number(count) and isinstance(count, int) and count >= 1,
+                "an integer >= 1"),
+               ("novelty.swaps_per_edge", swaps, _number(swaps) and swaps > 0,
+                "a positive number")]
+    return [f"{name} must be {what}, not {value!r}"
+            for name, value, ok, what in checks if not ok]
 
 
 def load_config(path) -> RunConfig:

@@ -7,10 +7,11 @@ scans instead of indices. Tests compare the two sides; nothing here may
 import the functions it checks.
 """
 
+import csv
 import re
 import weakref
 from bisect import insort
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from statistics import median
 
@@ -32,6 +33,28 @@ def issn_valid_oracle(candidate):
     for ch, weight in zip(chars, range(8, 0, -1)):
         total += (10 if ch == "X" else int(ch)) * weight
     return total % 11 == 0
+
+
+# -- CSV output ----------------------------------------------------------------
+
+
+def fmt_cell(value):
+    """CSV cell formatting: None becomes an empty cell, never 0."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_csv_per_cell(path, header, rows):
+    """The CSV writer that formats each cell on its own, with ``\\n``
+    line endings."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_cell(v) for v in row])
 
 
 # -- string citation indices -----------------------------------------------
@@ -521,14 +544,17 @@ def percentile_oracle(values, q):
 #
 # The former library path, kept as the reference for the integer kernels
 # in citnet.novelty: edges as (citing id, cited id) tuples, pair counts
-# as dicts keyed by (journal id, journal id).
+# as dicts keyed by (journal id, journal id). shuffle_citations is the
+# one-swap-at-a-time chain the swap rounds replaced; the stability test
+# compares the z-scores of the two chains.
 
 PairStat = namedtuple("PairStat", "journal_pair o e sigma z")
 
 
 def shuffle_citations(corpus, config, replicate_index):
     """Double-edge swaps within (citing year, cited year) strata, over
-    string edges, drawing one rng.integers block per stratum."""
+    string edges, drawing one rng.integers block per stratum and making
+    one swap at a time."""
     rng = np.random.default_rng([config.seed, replicate_index])
     strata = {}
     for citing, cited in citation_edges(corpus):
@@ -564,6 +590,54 @@ def shuffle_citations(corpus, config, replicate_index):
             edges[b][1] = t1
         shuffled.extend((s, t) for s, t in edges)
     return shuffled
+
+
+def shuffle_rounds_reference(corpus, config, replicate_index):
+    """Swap rounds within (citing year, cited year) strata, over string
+    edges, one proposal at a time.
+
+    Each round draws one ``rng.random`` value per edge, orders the edges
+    by (2 * stratum rank + value), stably, and pairs positions 2i and
+    2i + 1 of every stratum until the stratum's
+    ``round(swaps_per_edge * m)`` proposals are spent. A proposal stands
+    when it keeps the edges simple against the edges present before the
+    round and no other standing proposal of the round makes the same
+    edge; the standing ones are then applied together.
+    """
+    rng = np.random.default_rng([config.seed, replicate_index])
+    strata = {}
+    for citing, cited in citation_edges(corpus):
+        key = (corpus.papers[citing].year, corpus.papers[cited].year)
+        strata.setdefault(key, []).append([citing, cited])
+    keys = sorted(strata)
+    edges = [edge for key in keys for edge in strata[key]]
+    rank = [k for k, key in enumerate(keys) for _edge in strata[key]]
+    budget = {key: int(round(config.swaps_per_edge * len(strata[key])))
+              for key in keys}
+    rounds = max((-(-budget[key] // (len(strata[key]) // 2))
+                  for key in keys if len(strata[key]) >= 2), default=0)
+    for r in range(rounds):
+        u = rng.random(len(edges)).tolist()
+        perm = sorted(range(len(edges)), key=lambda p: 2.0 * rank[p] + u[p])
+        present = {tuple(edge) for edge in edges}
+        standing = []
+        lo = 0
+        for key in keys:
+            half = len(strata[key]) // 2
+            for i in range(max(0, min(half, budget[key] - r * half))):
+                a, b = perm[lo + 2 * i], perm[lo + 2 * i + 1]
+                (s1, t1), (s2, t2) = edges[a], edges[b]
+                if t1 == t2 or s1 == t2 or s2 == t1:
+                    continue
+                if (s1, t2) in present or (s2, t1) in present:
+                    continue
+                standing.append((a, b, (s1, t2), (s2, t1)))
+            lo += len(strata[key])
+        made = Counter(new for proposal in standing for new in proposal[2:])
+        for a, b, new_a, new_b in standing:
+            if made[new_a] == 1 and made[new_b] == 1:
+                edges[a][1], edges[b][1] = new_a[1], new_b[1]
+    return [tuple(edge) for edge in edges]
 
 
 def paper_pairs(journals, collapse=False):
@@ -605,7 +679,8 @@ def pair_zscores(corpus, config, ensembles=None):
                                 config.collapse_multiplicity)
     if ensembles is None:
         ensembles = [pair_frequencies(corpus,
-                                      shuffle_citations(corpus, config, idx),
+                                      shuffle_rounds_reference(corpus, config,
+                                                               idx),
                                       config.collapse_multiplicity)
                      for idx in range(config.ensemble_count)]
     stats = {}

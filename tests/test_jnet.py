@@ -219,10 +219,60 @@ def layered_digraph(seed, n, m):
     return nodes, edges
 
 
-@pytest.mark.parametrize("n, m", [(20, 45), (60, 150), (120, 400),
-                                  (250, 1200)])
-def test_path_metrics_equal_per_source_references(n, m):
-    nodes, edges = layered_digraph(n, n, m)
+def bypassed_digraph(seed, n):
+    """Seeded digraph in which every edge has a two-step bypass.
+
+    Random edges among all nodes but two relays, shuffled against name
+    order; the relays link both ways to each other and to every node,
+    so u -> relay -> v bypasses each random edge and the other relay
+    bypasses each relay edge.
+    """
+    rng = np.random.default_rng(seed)
+    nodes = [f"J{i:03d}" for i in rng.permutation(n)]
+    *rest, r1, r2 = nodes
+    edges = {(r1, r2): 1, (r2, r1): 2}
+    for u, v in rng.integers(0, len(rest), size=(3 * n, 2)):
+        edges[(rest[u], rest[v])] = int(rng.integers(1, 4))
+    for u in rest:
+        for relay in (r1, r2):
+            edges[(u, relay)] = edges[(relay, u)] = 1
+    return nodes, edges
+
+
+def ring_digraph(n, steps):
+    """Edges i -> i + step (mod n): with steps (1, 3) and n >= 8 no edge
+    has a two-step bypass, but every edge has a longer one."""
+    nodes = [f"J{i:03d}" for i in range(n)]
+    return nodes, {(nodes[i], nodes[(i + k) % n]): 1
+                   for i in range(n) for k in steps}
+
+
+def two_step_bypasses(nodes, edges):
+    """The number of skeleton edges with and without a two-step bypass."""
+    simple = {(u, v) for u, v in edges if u != v}
+    has = sum(1 for u, v in simple
+              if any((u, w) in simple and (w, v) in simple for w in nodes))
+    return has, len(simple) - has
+
+
+@pytest.mark.parametrize("shape, n, m", [
+    *[pytest.param("layered", n, m, id=f"{n}-{m}")
+      for n, m in ((20, 45), (60, 150), (120, 400), (250, 1200))],
+    *[pytest.param(shape, n, 0, id=f"{shape}-{n}")
+      for shape, n in (("bypassed", 12), ("bypassed", 80), ("ring", 9),
+                       ("ring", 40))]])
+def test_path_metrics_equal_per_source_references(shape, n, m, monkeypatch):
+    if shape == "layered":
+        nodes, edges = layered_digraph(n, n, m)
+    elif shape == "bypassed":
+        nodes, edges = bypassed_digraph(n, n)
+    else:
+        nodes, edges = ring_digraph(n, (1, 3))
+    # PathCore takes both kinds of edge on the layered shapes, only edges
+    # with a two-step bypass on the bypassed ones, only others on rings
+    has, lacks = two_step_bypasses(nodes, edges)
+    assert {"layered": has and lacks, "bypassed": has and not lacks,
+            "ring": lacks and not has}[shape]
     network = JournalCitationNetwork(year=2000, window_years=2,
                                      link_type="citation",
                                      nodes=tuple(nodes), edges=edges)
@@ -237,6 +287,11 @@ def test_path_metrics_equal_per_source_references(n, m):
         # both the per-source and the per-edge searches span several batches
         simple = sum(1 for u, v in edges if u != v)
         assert jnet._BATCH_CELLS // max(n, simple) < min(n, simple)
+        assert jnet._BATCH_CELLS // max(n, simple) < lacks
+    # PathCore in runs of a few edges, each adding into the totals
+    monkeypatch.setattr(jnet, "_BATCH_CELLS", 4 * n)
+    assert repr(pathcore(network).scores) == repr(
+        pathcore_reference(nodes, edges))
 
 
 def match(qj, uj):
@@ -362,6 +417,37 @@ def test_import_loads_no_process_pool_nor_numpy_ma():
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures',\n"
         "                         'numpy.ma') if m in sys.modules))")
     assert loaded.strip() == "[]"
+
+
+def _functions(module):
+    """Every top-level function of a module, by name, as an AST node."""
+    import ast
+
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_array_kernels_stay_loop_free():
+    # the swap rounds and the two-step bypasses run as array operations:
+    # no conversion to Python lists, and in the shuffle one loop, over
+    # the rounds
+    import ast
+
+    from citnet import novelty
+
+    kernels = {**{name: _functions(novelty)[name]
+                  for name in ("shuffle_edges", "_accepted")},
+               "pathcore": _functions(jnet)["pathcore"]}
+    for name, function in kernels.items():
+        calls = [node.func.attr for node in ast.walk(function)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)]
+        assert "tolist" not in calls, name
+    for name, most in (("shuffle_edges", 1), ("_accepted", 0)):
+        loops = [node for node in ast.walk(kernels[name])
+                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+        assert len(loops) <= most, name
 
 
 def test_only_corpus_module_knows_the_string_indices_and_node_order():

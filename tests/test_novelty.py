@@ -10,6 +10,7 @@ from citnet.novelty import (PairStatistics, PairZScores, ShuffleConfig,
                             paper_novelty, shuffle_edges)
 
 import oracles
+from citnet.synth import SynthConfig, generate_synthetic
 from conftest import make_corpus, messy_corpus
 from oracles import percentile_oracle
 
@@ -228,11 +229,64 @@ def messy_with_half_registered_pair(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shuffle_edges_equal_string_reference(seed):
     corpus = messy_corpus(seed)
+    # the fixture's reference lists repeat references
+    edges = list(corpus.citation_edges())
+    assert len(set(edges)) < len(edges)
     for config in (ShuffleConfig(seed=seed),
-                   ShuffleConfig(swaps_per_edge=0.5, seed=seed + 7)):
+                   ShuffleConfig(swaps_per_edge=0.5, seed=seed + 7),
+                   ShuffleConfig(swaps_per_edge=0.002, seed=seed + 3)):
         for replicate in (0, 3):
             assert shuffled_ids(corpus, config, replicate) == \
-                oracles.shuffle_citations(corpus, config, replicate)
+                oracles.shuffle_rounds_reference(corpus, config, replicate)
+
+
+def test_tied_draws_pair_edges_in_position_order(monkeypatch):
+    """Draws rounded to one decimal tie within a stratum; the kernel then
+    orders tied edges by position, as the reference's stable sort does."""
+    real = np.random.default_rng
+
+    class Rounded:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self, size):
+            return np.round(self.rng.random(size), 1)
+
+    corpus = messy_corpus(1)
+    monkeypatch.setattr(np.random, "default_rng", Rounded)
+    config = ShuffleConfig(swaps_per_edge=3.0, seed=4)
+    assert shuffled_ids(corpus, config, 0) == \
+        oracles.shuffle_rounds_reference(corpus, config, 0)
+
+
+def test_rounds_z_as_stable_as_loop_z():
+    """Pair z from the swap rounds rank the pairs as the one-swap loop's
+    do, within 0.02 of how the loop agrees with itself at another seed."""
+    from scipy.stats import spearmanr
+
+    corpus = generate_synthetic(SynthConfig(
+        publisher_count=4, journals_per_publisher=4,
+        component_size_range=(60, 80), out_degree_mean=5.0,
+        out_degree_std=2.0, seed=0, year_range=(2000, 2004)))
+
+    def loop_z(config):
+        ensembles = [oracles.pair_frequencies(
+            corpus, oracles.shuffle_citations(corpus, config, replicate))
+            for replicate in range(config.ensemble_count)]
+        return oracles.pair_zscores(corpus, config, ensembles)
+
+    first, second = (ShuffleConfig(ensemble_count=20, swaps_per_edge=5.0,
+                                   seed=seed) for seed in (1, 2))
+    loop, other_loop = loop_z(first), loop_z(second)
+    rounds = pair_zscores(corpus, first).stats()
+    pairs = [p for p in loop if None not in
+             (loop[p].z, other_loop[p].z, rounds[p].z)]
+    assert len(pairs) >= 100
+
+    def agreement(a, b):
+        return spearmanr([a[p].z for p in pairs], [b[p].z for p in pairs])[0]
+
+    assert agreement(loop, rounds) >= agreement(loop, other_loop) - 0.02
 
 
 @pytest.mark.parametrize("collapse", [False, True])

@@ -158,6 +158,24 @@ def test_write_csv_failure_keeps_previous_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
+def test_write_csv_equals_per_cell_writer(tmp_path):
+    import numpy as np
+
+    rows = [
+        (None, -0.0, float("nan"), 7, True, "a,b", np.float64(0.1)),
+        (1.5, float("inf"), None, -3, False, 'say "hi"', None),
+        (2, float("-inf"), 1e-300, None, None, "two\nlines", np.float64(-0.0)),
+        (0.1 + 0.2, 5e-324, 3.0, 0, np.int64(4), "", np.float32(0.1)),
+    ]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    write_csv(tmp_path / "columns.csv", header, rows)
+    oracles.write_csv_per_cell(tmp_path / "cells.csv", header, rows)
+    assert (tmp_path / "columns.csv").read_bytes() == \
+        (tmp_path / "cells.csv").read_bytes()
+    write_csv(tmp_path / "empty.csv", header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b,c,d,e,f,g\n"
+
+
 def test_rerun_is_byte_identical(tmp_path, pipeline_files):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -607,6 +625,42 @@ def test_partial_author_weights_fail_validation(tmp_path, pipeline_files):
         for key in ("shared_author", "shared_citation", "shared_reference")]
     assert cli_main(["validate", "--config", str(config_path)]) == 2
     assert cli_main(["run", "--config", str(config_path)]) == 2
+
+
+WEIGHTS = {"self_citation": 1.0, "shared_author": 0.5,
+           "shared_citation": 0.2, "shared_reference": 0.2}
+
+
+@pytest.mark.parametrize("name, value", [
+    *[(f"authors.weights.{key}", "half") for key in WEIGHTS],
+    ("authors.weights.shared_author", float("nan")),
+    ("authors.pair_threshold", "1.0"),
+    ("authors.group_threshold", None),
+    ("authors.group_threshold", 0),
+    ("novelty.ensemble_count", 0),
+    ("novelty.ensemble_count", 2.5),
+    ("novelty.ensemble_count", True),
+    ("novelty.swaps_per_edge", 0),
+    ("novelty.swaps_per_edge", -1.0),
+    ("novelty.swaps_per_edge", "many"),
+])
+def test_unusable_numeric_settings_fail_validation(tmp_path, pipeline_files,
+                                                   name, value):
+    section, *path = name.split(".")
+    settings = {"weights": dict(WEIGHTS)} if section == "authors" else {}
+    target = settings
+    for part in path[:-1]:
+        target = target[part]
+    target[path[-1]] = value
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, tmp_path / "o",
+        extra={"stages": ["impact", "matching", section],
+               section: settings})
+    errors = load_config(config_path).validate()
+    assert len(errors) == 1 and errors[0].startswith(f"{name} must be ")
+    assert cli_main(["validate", "--config", str(config_path)]) == 2
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flagged", [("P1-J1",), ("P1-J1", "P3-J1")])
