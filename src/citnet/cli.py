@@ -27,8 +27,7 @@ def _add_common(parser):
                         help="override the configured seed")
     parser.add_argument("--threads", type=int, default=None,
                         help="override the configured number of worker "
-                             "processes for the novelty null-model "
-                             "replicates")
+                             "processes for the stages after matching")
     parser.add_argument("--out", default=None,
                         help="override the configured output directory")
 

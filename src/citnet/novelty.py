@@ -18,16 +18,14 @@ an infinite z would otherwise dominate the per-paper percentiles.
 The whole stage runs on the corpus's integer ``CitationGraph``: a
 journal pair is the key ``lo * J + hi`` over journal codes (``lo <= hi``,
 ``J`` journals), and pair counts, z-scores and per-paper percentiles are
-array operations over those keys. With ``threads > 1`` the replicates
-run in forked worker processes where the platform supports ``fork``;
-each replicate is seeded by (seed, replicate index) and the parent
-reduces them in index order, so the worker count never changes a result.
+array operations over those keys. Each replicate is seeded by (seed,
+replicate index), and the replicates run one after another, in index
+order, in the calling process.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -236,61 +234,21 @@ def pair_counts(graph: CitationGraph, src, dst, collapse=False):
     return np.unique(keys, return_counts=True)
 
 
-def _replicate_counts(graph, config, replicate_index):
-    src, dst = shuffle_edges(graph, config, replicate_index)
-    return pair_counts(graph, src, dst, config.collapse_multiplicity)
-
-
-_worker_args = None       # (graph, config), set only in a forked worker
-
-
-def _init_worker(graph, config):
-    global _worker_args
-    _worker_args = (graph, config)
-
-
-def _worker_replicate(replicate_index):
-    return _replicate_counts(*_worker_args, replicate_index)
-
-
-def _ensemble_pair_counts(graph: CitationGraph, config: ShuffleConfig,
-                          threads: int = 1):
-    """(keys, counts) of every replicate of the shuffled ensemble, in order.
-
-    With ``threads > 1`` and ``fork`` available, replicates run in a pool
-    of ``min(threads, ensemble_count)`` forked worker processes, which is
-    shut down before this returns. Forked workers share the graph with
-    the parent instead of importing the package and unpickling it; a
-    process running other threads is not forked (a lock one of them
-    holds would stay held in the child) and runs the replicates itself.
-    """
-    import multiprocessing      # here, so that importing citnet stays cheap
-
-    indices = range(config.ensemble_count)
-    workers = min(threads, config.ensemble_count)
-    if (workers <= 1 or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return [_replicate_counts(graph, config, i) for i in indices]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, _init_worker, (graph, config)) as pool:
-        counts = pool.map(_worker_replicate, indices, chunksize=1)
-        pool.close()
-        pool.join()
-    return counts
-
-
 def pair_zscores(corpus: Corpus, config: ShuffleConfig,
-                 ensembles=None, threads: int = 1) -> PairZScores:
+                 ensembles=None) -> PairZScores:
     """Standardized rarity for every journal pair observed in the data.
 
     ``ensembles`` may inject precomputed replicate (keys, counts) (used
-    by the estimator self-checks); otherwise the ensemble is generated.
+    by the estimator self-checks); otherwise replicates 0 to
+    ``ensemble_count - 1`` are shuffled and counted, in index order.
     """
     graph = corpus.graph
     keys, o = pair_counts(graph, graph.src, graph.dst,
                           config.collapse_multiplicity)
     if ensembles is None:
-        ensembles = _ensemble_pair_counts(graph, config, threads=threads)
+        ensembles = [pair_counts(graph, *shuffle_edges(graph, config, i),
+                                 config.collapse_multiplicity)
+                     for i in range(config.ensemble_count)]
     # pairs x replicates, C order: each pair's mean and std reduce along
     # the contiguous axis, as a 1-D array of its samples would
     samples = np.zeros((len(keys), len(ensembles)))

@@ -7,25 +7,30 @@ own CSV outputs into the output directory and passes results to later
 stages only through those files. Tables that depend on (config, corpus)
 alone, such as the normalization table, the impact rows and the control
 registry, are computed once per run on the run context. A manifest
-records the resolved config hash, per-stage status and timings; when a
+records the resolved config hash, the seconds of the citation graph
+build that precedes the stages, per-stage status and timings; when a
 stage fails its dependents are skipped and the manifest carries a
 partial-run marker, with the completed outputs left in place.
 
-All randomness derives from the configured seed, so a rerun with the
-same config produces byte-identical CSVs. Stages run serially; the
-``threads`` setting only spreads the novelty null-model replicates over
-worker processes (forked, where the platform supports ``fork``), and
-their results are reduced in replicate order, so the worker count never
-changes an output.
+Stages run in waves: a wave is every enabled stage whose dependencies
+have all settled (impact; then matching; then the five comparative
+stages). With ``threads`` above 1, a wave of two or more stages runs in
+that many forked worker processes at most, where the platform supports
+``fork``; every other wave runs in this process. All randomness derives
+from the configured seed and results are reported in stage order, so a
+rerun with the same config produces byte-identical CSVs, and manifest
+stage entries equal apart from their seconds, at any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import difflib
+import gc
 import hashlib
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -364,14 +369,9 @@ def _stage_selfcite(ctx: _RunContext):
                                                                  win)
         return tables[win]
 
-    table = table_for(window)
-    rows = []
-    for jid in sorted(ctx.corpus.journals):
-        s = selfcite_mod.solidarity_index(ctx.corpus, jid, window,
-                                          include_self=include_self,
-                                          table=table)
-        rows.append((s.journal_id, s.psi, s.q_r, s.q_c,
-                     s.publisher_paper_total))
+    rows = [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
+            for s in selfcite_mod.solidarity_scores(
+                ctx.corpus, window, include_self, table_for(window))]
     write_csv(ctx.outdir / "solidarity.csv",
               ["journal_id", "psi", "Q_r", "Q_c", "publisher_paper_total"],
               rows)
@@ -477,8 +477,7 @@ def _stage_novelty(ctx: _RunContext):
         seed=int(ctx.config["seed"]),
         collapse_multiplicity=bool(section["collapse_multiplicity"]),
     )
-    zscores = novelty_mod.pair_zscores(ctx.corpus, config,
-                                       threads=int(ctx.config["threads"]))
+    zscores = novelty_mod.pair_zscores(ctx.corpus, config)
     rows = [(nov.paper_id, nov.median_z, nov.p10_z, nov.defined_pair_count,
              nov.undefined_pair_count)
             for nov in novelty_mod.paper_novelty(
@@ -567,6 +566,72 @@ _STAGE_FNS = {
 }
 
 
+def _run_stage(ctx: _RunContext, name: str) -> StageResult:
+    """Run one stage; an exception it raises makes it a failed result."""
+    t0 = time.perf_counter()
+    try:
+        outputs, extra = _STAGE_FNS[name](ctx)
+        return StageResult(name, "ok", seconds=time.perf_counter() - t0,
+                           outputs=outputs, **extra)
+    except Exception as exc:  # stage isolation: report, halt dependents
+        return StageResult(name, "failed", seconds=time.perf_counter() - t0,
+                           error=f"{type(exc).__name__}: {exc}")
+
+
+_worker_ctx: Optional[_RunContext] = None    # set only in a forked worker
+
+
+def _init_worker(ctx):
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _worker_stage(name):
+    return _run_stage(_worker_ctx, name)
+
+
+def _run_wave(ctx: _RunContext, names, threads: int) -> list[StageResult]:
+    """Run stages that depend on none of each other; results in ``names``
+    order.
+
+    Two or more stages with ``threads > 1`` run in a pool of
+    ``min(threads, len(names))`` forked workers, which is shut down
+    before this returns. Workers inherit the run context from this
+    process rather than unpickling it, and collections are frozen
+    meanwhile so that a worker's garbage collector does not copy every
+    inherited page. Without ``fork``, or in a process running other
+    threads (a lock one of them holds would stay held in the child), the
+    stages run here. A dead worker fails every stage still without a
+    result.
+    """
+    import multiprocessing      # here, so that importing citnet stays cheap
+
+    workers = min(threads, len(names))
+    if (workers < 2 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [_run_stage(ctx, name) for name in names]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results = []
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(ctx,)) as pool:
+            futures = [pool.submit(_worker_stage, name) for name in names]
+            for name, future in zip(names, futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    results.append(StageResult(
+                        name, "failed", error=f"{type(exc).__name__}: {exc}"))
+    finally:
+        gc.unfreeze()
+    return results
+
+
 def run_pipeline(config: RunConfig, outdir=None):
     """Execute the enabled stages and write the manifest.
 
@@ -601,36 +666,41 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
     seed, threads = int(config["seed"]), int(config["threads"])
     ctx.outdir.mkdir(parents=True, exist_ok=True)
 
+    # every stage reads the graph; built once here, forked workers share it
+    t0 = time.perf_counter()
+    graph = corpus.graph
+    graph_seconds = time.perf_counter() - t0
+
     enabled = [s for s in STAGES if s in config["stages"]]
-    results: list[StageResult] = []
-    failed: set[str] = set()
-    for name in enabled:
-        deps = STAGE_DEPS[name]
-        blocked = [d for d in deps if d in failed]
-        if blocked:
-            results.append(StageResult(name, "skipped",
-                                       error=f"dependency failed: {blocked[0]}"))
-            failed.add(name)
-            continue
-        t0 = time.perf_counter()
-        try:
-            outputs, extra = _STAGE_FNS[name](ctx)
-            results.append(StageResult(name, "ok",
-                                       seconds=time.perf_counter() - t0,
-                                       outputs=outputs, **extra))
-        except Exception as exc:  # stage isolation: report, halt dependents
-            results.append(StageResult(name, "failed",
-                                       seconds=time.perf_counter() - t0,
-                                       error=f"{type(exc).__name__}: {exc}"))
-            failed.add(name)
+    done: dict[str, StageResult] = {}
+    while len(done) < len(enabled):
+        wave = []
+        for name in enabled:
+            deps = STAGE_DEPS[name]
+            if name in done or any(d in enabled and d not in done
+                                   for d in deps):
+                continue
+            blocked = [d for d in deps if d in done and done[d].status != "ok"]
+            if blocked:
+                done[name] = StageResult(
+                    name, "skipped", error=f"dependency failed: {blocked[0]}")
+            else:
+                wave.append(name)
+        for result in _run_wave(ctx, wave, threads):
+            done[result.name] = result
+            if result.name == "matching" and result.status == "ok":
+                ctx.groups      # read once here, so forked workers share it
+    results = [done[name] for name in enabled]
 
     manifest = {
         "config_hash": config_hash(config),
         "version": __version__,
         "seed": seed,
         "threads": threads,
-        "partial": bool(failed),
+        "partial": any(r.status != "ok" for r in results),
         "load_report": corpus.load_report.summary(),
+        "graph": {"seconds": round(graph_seconds, 6),
+                  "nodes": graph.n_nodes, "edges": len(graph.src)},
         "stages": [{"name": r.name, "status": r.status,
                     "seconds": round(r.seconds, 6), "error": r.error,
                     "outputs": r.outputs, "skipped": r.skipped,

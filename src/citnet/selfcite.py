@@ -41,6 +41,7 @@ __all__ = [
     "reference_rate",
     "publisher_self_expectations",
     "solidarity_index",
+    "solidarity_scores",
     "solidarity_ratio",
     "psi_from_counts",
     "expectations_from_counts",
@@ -217,7 +218,12 @@ def psi_from_counts(table: CitationCounts, journal_id: str,
                                status="excluded")
     paper_total = sum(paper_totals[j] for j in members)
     exp = expectations_from_counts(table, "", members)
+    return _score(table, journal_id, members, paper_total, exp, include_self)
 
+
+def _score(table, journal_id, members, paper_total, exp, include_self):
+    """psi of one journal from its publisher's members, paper total and
+    expectation."""
     summed = [j for j in members if include_self or j != journal_id]
     made = table.out_total.get(journal_id, 0)
     received = table.in_total.get(journal_id, 0)
@@ -258,6 +264,35 @@ def solidarity_index(corpus, journal_id, window=None, include_self=True,
     totals = {j: corpus.journals[j].paper_count(years) for j in pub.journal_ids}
     return psi_from_counts(table, journal_id, pub.journal_ids, totals,
                            include_self=include_self)
+
+
+def solidarity_scores(corpus, window=None, include_self=True,
+                      table: Optional[CitationCounts] = None
+                      ) -> list[SolidarityScore]:
+    """``solidarity_index`` of every journal, in journal-id order.
+
+    Each publisher's expectation and paper total are computed once and
+    shared by its journals.
+    """
+    if table is None:
+        table = aggregate_citation_counts(corpus, window)
+    years = None if window is None else range(window[0], window[1] + 1)
+    terms = {}      # publisher id -> (members, paper total, expectation)
+    scores = []
+    for jid in sorted(corpus.journals):
+        pub_id = corpus.journals[jid].publisher_id
+        pub = corpus.publishers.get(pub_id) if pub_id else None
+        if pub is None or len(pub.journal_ids) < 2:
+            scores.append(SolidarityScore(jid, None, 0, None, None,
+                                          status="excluded"))
+            continue
+        if pub_id not in terms:
+            members = list(pub.journal_ids)
+            total = sum(corpus.journals[j].paper_count(years) for j in members)
+            terms[pub_id] = (members, total,
+                             expectations_from_counts(table, pub_id, members))
+        scores.append(_score(table, jid, *terms[pub_id], include_self))
+    return scores
 
 
 def solidarity_ratio(score_q: SolidarityScore,

@@ -1,5 +1,3 @@
-import multiprocessing
-import threading
 from collections import Counter
 
 import numpy as np
@@ -329,57 +327,6 @@ def test_zscores_and_novelty_equal_references(collapse, ensemble_count):
                  if len(corpus.forward[pid]) >= 2]
     assert repr(rows) == repr(reference)
     assert ("q", None, None, 0, 0) in rows
-
-
-def spy_on_pools(monkeypatch):
-    """Record the start method of every context the novelty module asks
-    multiprocessing for."""
-    methods = []
-    real = multiprocessing.get_context
-
-    def get_context(method=None):
-        methods.append(method)
-        return real(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    return methods
-
-
-def assert_same_table(a, b):
-    for name in ("keys", "o", "e", "sigma", "z"):
-        assert repr(getattr(a, name).tolist()) == \
-            repr(getattr(b, name).tolist())
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork on this platform")
-def test_forked_workers_equal_serial(monkeypatch):
-    corpus = messy_corpus(5)
-    config = ShuffleConfig(ensemble_count=5, swaps_per_edge=3.0, seed=8)
-    serial = pair_zscores(corpus, config)
-    methods = spy_on_pools(monkeypatch)
-    for threads in (2, 8):
-        assert_same_table(pair_zscores(corpus, config, threads=threads),
-                          serial)
-    assert methods == ["fork", "fork"]
-    assert multiprocessing.active_children() == []
-
-
-def test_process_with_threads_is_not_forked(monkeypatch):
-    corpus = messy_corpus(6)
-    config = ShuffleConfig(ensemble_count=3, swaps_per_edge=2.0, seed=4)
-    serial = pair_zscores(corpus, config)
-    methods = spy_on_pools(monkeypatch)
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(30,))
-    other.start()
-    try:
-        assert_same_table(pair_zscores(corpus, config, threads=2), serial)
-    finally:
-        release.set()
-        other.join(timeout=30)
-    assert not other.is_alive()
-    assert methods == []
 
 
 def test_percentiles_equal_numpy():

@@ -1,5 +1,9 @@
 import csv
 import json
+import multiprocessing
+import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -43,7 +47,7 @@ def full_run(tmp_path_factory, pipeline_files):
 
 
 def test_full_run_produces_every_module_csv(full_run):
-    _config, outdir, results = full_run
+    config, outdir, results = full_run
     assert all(r.status == "ok" for r in results)
     present = {p.name for p in outdir.glob("*.csv")}
     for name in ALL_CSVS:
@@ -53,6 +57,12 @@ def test_full_run_produces_every_module_csv(full_run):
     assert {s["name"] for s in manifest["stages"]} == {
         "impact", "matching", "selfcite", "jnet", "novelty", "disruption",
         "authors"}
+    corpus = load_corpus(config.corpus_paths(),
+                         year_range=tuple(config["year_range"]))
+    graph = manifest["graph"]
+    assert (graph["nodes"], graph["edges"]) == (len(corpus.papers),
+                                                len(corpus.graph.src))
+    assert graph["seconds"] > 0
 
 
 @pytest.mark.parametrize("novelty", [
@@ -191,18 +201,125 @@ def test_rerun_is_byte_identical(tmp_path, pipeline_files):
         assert a[name] == b[name], name
 
 
+def manifest_without_timing(outdir):
+    """manifest.json less what a worker count may change: the seconds,
+    the threads setting and, with it, the config hash."""
+    manifest = json.loads((Path(outdir) / "manifest.json").read_text())
+    del manifest["config_hash"], manifest["threads"]
+    del manifest["graph"]["seconds"]
+    for stage in manifest["stages"]:
+        del stage["seconds"]
+    return manifest
+
+
+def run_at(tmp_path, pipeline_files, threads):
+    """One full pipeline run at ``threads``: (results, CSVs, manifest)."""
+    outdir = tmp_path / f"t{threads}"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir, extra={"threads": threads})
+    results = run_pipeline(load_config(config_path))
+    return results, read_outputs(outdir), manifest_without_timing(outdir)
+
+
+def spy_on_forks(monkeypatch):
+    """Record the start method of every context the pipeline asks
+    multiprocessing for."""
+    methods = []
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        methods.append(method)
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return methods
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork on this platform")
+
+
 def test_thread_count_does_not_change_outputs(tmp_path, pipeline_files):
-    baseline = None
-    for threads in (1, 4):
-        outdir = tmp_path / f"t{threads}"
-        config_path = write_pipeline_config(
-            tmp_path, pipeline_files, outdir, extra={"threads": threads})
-        run_pipeline(load_config(config_path))
-        outputs = read_outputs(outdir)
-        if baseline is None:
-            baseline = outputs
-        else:
-            assert outputs == baseline
+    runs = {}
+    for threads in (1, 2, 4):
+        results, outputs, manifest = run_at(tmp_path, pipeline_files, threads)
+        assert all(r.status == "ok" for r in results)
+        assert multiprocessing.active_children() == []
+        runs[threads] = outputs, manifest
+    assert runs[2] == runs[1]
+    assert runs[4] == runs[1]
+
+
+@needs_fork
+def test_forked_workers_equal_serial(tmp_path, pipeline_files, monkeypatch):
+    # selfcite finishes last in a pool and jnet raises inside its worker:
+    # the results still come in stage order, the failure as in process
+    real_selfcite = pipeline_mod._STAGE_FNS["selfcite"]
+
+    def slow_selfcite(ctx):
+        time.sleep(0.5)
+        return real_selfcite(ctx)
+
+    def failing_jnet(ctx):
+        raise ValueError("no network")
+
+    monkeypatch.setitem(pipeline_mod._STAGE_FNS, "selfcite", slow_selfcite)
+    monkeypatch.setitem(pipeline_mod._STAGE_FNS, "jnet", failing_jnet)
+    serial = run_at(tmp_path, pipeline_files, 1)
+    methods = spy_on_forks(monkeypatch)
+    for threads in (2, 4):
+        results, outputs, manifest = run_at(tmp_path, pipeline_files, threads)
+        assert multiprocessing.active_children() == []
+        assert [r.name for r in results] == list(pipeline_mod.STAGES)
+        assert [(r.status, r.error) for r in results] == \
+            [(r.status, r.error) for r in serial[0]]
+        assert (outputs, manifest) == serial[1:]
+    # one pool per run, for the wave after matching
+    assert methods == ["fork", "fork"]
+    jnet = next(r for r in serial[0] if r.name == "jnet")
+    assert (jnet.status, jnet.error) == ("failed", "ValueError: no network")
+    assert serial[2]["partial"] is True
+
+
+def test_process_with_threads_is_not_forked(tmp_path, pipeline_files,
+                                            monkeypatch):
+    _results, serial, _manifest = run_at(tmp_path, pipeline_files, 1)
+    methods = spy_on_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        _results, outputs, _manifest = run_at(tmp_path, pipeline_files, 2)
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert methods == []
+    assert outputs == serial
+
+
+@needs_fork
+def test_dead_worker_fails_its_wave(tmp_path, pipeline_files, monkeypatch):
+    monkeypatch.setitem(pipeline_mod._STAGE_FNS, "novelty",
+                        lambda ctx: os._exit(3))
+    # a stage after novelty, so that the failure has a dependent
+    monkeypatch.setitem(pipeline_mod.STAGE_DEPS, "authors",
+                        ("matching", "novelty"))
+    results, _outputs, manifest = run_at(tmp_path, pipeline_files, 2)
+    assert multiprocessing.active_children() == []
+    status = {r.name: (r.status, r.error) for r in results}
+    assert status["impact"] == status["matching"] == ("ok", "")
+    assert status["novelty"][0] == "failed"
+    assert status["novelty"][1].startswith("BrokenProcessPool: ")
+    # a wave mate runs to the end or dies with the pool
+    for name in ("selfcite", "jnet", "disruption"):
+        assert status[name] == ("ok", "") or \
+            status[name] == ("failed", status["novelty"][1])
+    assert status["authors"] == ("skipped", "dependency failed: novelty")
+    assert manifest["partial"] is True
+    assert [s["name"] for s in manifest["stages"]] == \
+        list(pipeline_mod.STAGES)
 
 
 def test_config_hash_changes_iff_config_changes(tmp_path, pipeline_files):

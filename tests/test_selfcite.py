@@ -3,9 +3,10 @@ import pytest
 from citnet.selfcite import (aggregate_citation_counts, citation_rate,
                              psi_from_counts, publisher_self_expectations,
                              reference_rate, solidarity_index,
-                             solidarity_ratio, SolidarityScore)
+                             solidarity_ratio, solidarity_scores,
+                             SolidarityScore)
 
-from conftest import make_corpus
+from conftest import make_corpus, messy_corpus
 from oracles import journal_of
 
 
@@ -268,3 +269,16 @@ def test_count_table_matches_edge_loop():
         want = _edge_loop_table(corpus, window)
         assert got == want
         assert [list(d) for d in got] == [list(d) for d in want]
+
+
+@pytest.mark.parametrize("window", [None, (2003, 2007)])
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize("seed", range(4))
+def test_solidarity_scores_equal_solidarity_index(seed, include_self, window):
+    corpus = messy_corpus(seed)
+    expected = [solidarity_index(corpus, jid, window,
+                                 include_self=include_self)
+                for jid in sorted(corpus.journals)]
+    got = solidarity_scores(corpus, window, include_self=include_self)
+    assert repr(got) == repr(expected)
+    assert {s.status for s in got} == {"ok", "excluded"}
