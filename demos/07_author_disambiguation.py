@@ -20,12 +20,8 @@ def make_corpus(paper_specs, journal_ids):
         papers[pid] = Paper(paper_id=pid, journal_id=jid, year=year,
                             author_keys=tuple(authors),
                             references=tuple(refs))
-    counts = {j: {} for j in journal_ids}
-    for p in papers.values():
-        counts[p.journal_id][p.year] = counts[p.journal_id].get(p.year, 0) + 1
     journals = {j: Journal(journal_id=j, categories=("10",),
-                           questionable_flag=(j == "QJ"),
-                           paper_count_by_year=counts[j])
+                           questionable_flag=(j == "QJ"))
                 for j in journal_ids}
     return Corpus(papers, journals, {}, LoadReport())
 

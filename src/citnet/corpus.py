@@ -2,9 +2,11 @@
 
 The corpus is the read-only substrate every metric runs on. It is built
 from three interchange files (see ``load_corpus``) and, once loaded, is
-never mutated. Its one citation structure is the integer
-``CitationGraph``, built from the papers' reference lists on first use;
-``Corpus.ids`` fixes its node order.
+never mutated. Its records hold only the fields of those files. What
+the metrics read besides them is derived once, on first use: the one
+citation structure, the integer ``CitationGraph`` over the papers'
+reference lists in ``Corpus.ids`` node order, each journal's papers per
+year and each publisher's journals.
 
 Serial-number (ISSN) helpers live here as well because journal registry
 construction is a corpus concern.
@@ -15,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -28,6 +30,7 @@ __all__ = [
     "Journal",
     "Publisher",
     "CitationGraph",
+    "count_rows",
     "row_pairs",
     "distinct",
     "csr_pointer",
@@ -81,19 +84,11 @@ class Journal:
     publisher_id: Optional[str] = None
     categories: tuple[str, ...] = ()
     questionable_flag: bool = False
-    # year -> number of papers; derived from the paper table at load time
-    paper_count_by_year: Mapping[int, int] = field(default_factory=dict)
-
-    def paper_count(self, years=None):
-        if years is None:
-            return sum(self.paper_count_by_year.values())
-        return sum(self.paper_count_by_year.get(y, 0) for y in years)
 
 
 @dataclass(frozen=True)
 class Publisher:
     publisher_id: str
-    journal_ids: tuple[str, ...] = ()
     name: str = ""
 
 
@@ -143,18 +138,44 @@ class CitationGraph:
     def n_nodes(self):
         return len(self.year_of)
 
+    def paper_counts(self) -> dict[str, dict[int, int]]:
+        """journal id -> {year: papers}, years ascending, for every
+        journal code; papers of an unregistered journal never count."""
+        counts: dict[str, dict[int, int]] = {j: {} for j in self.journal_ids}
+        for (j, year), n in count_rows(self.journal_of, self.year_of).items():
+            counts[self.journal_ids[j]][year] = n
+        return counts
+
     def journal_pair_counts(self, mask=True) -> dict[tuple[str, str], int]:
         """Edges selected by ``mask`` per (citing, cited) journal pair.
 
         ``mask`` is a boolean per edge, or True for all edges. Pairs come
         sorted; edges with an unregistered journal never count.
         """
-        a, b = self.journal_of[self.src], self.journal_of[self.dst]
-        keep = (a >= 0) & (b >= 0) & mask
-        ids, n = self.journal_ids, len(self.journal_ids)
-        keys, counts = np.unique(a[keep] * n + b[keep], return_counts=True)
-        return {(ids[k // n], ids[k % n]): c
-                for k, c in zip(keys.tolist(), counts.tolist())}
+        cited = self.journal_of[self.dst]
+        keep = (cited >= 0) & mask
+        ids = self.journal_ids
+        return {(ids[a], ids[b]): c for (a, b), c in count_rows(
+            self.journal_of[self.src][keep], cited[keep]).items()}
+
+
+def count_rows(*columns) -> dict[tuple, int]:
+    """How often each row of the int arrays ``columns`` occurs, rows
+    sorted, rows whose first entry (a journal or publisher code) is -1
+    left out; one ``np.unique`` over mixed-radix row keys."""
+    keep = columns[0] >= 0
+    columns = [c[keep] for c in columns]
+    lo = min(int(c.min(initial=0)) for c in columns)
+    base = max(int(c.max(initial=0)) for c in columns) - lo + 1
+    key = 0
+    for c in columns:
+        key = key * base + (c - lo)
+    key, counts = np.unique(key, return_counts=True)
+    rows = []
+    for _c in columns:
+        key, digit = np.divmod(key, base)
+        rows.insert(0, (digit + lo).tolist())
+    return dict(zip(zip(*rows), counts.tolist()))
 
 
 def distinct(values: np.ndarray) -> np.ndarray:
@@ -167,7 +188,8 @@ def distinct(values: np.ndarray) -> np.ndarray:
 
 
 def csr_pointer(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR row pointer of n rows holding ``rows`` (row labels, sorted)."""
+    """CSR row pointer of n rows for items with row labels ``rows``, once
+    the items are put in row order."""
     return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
@@ -197,7 +219,7 @@ def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Corpus:
-    """Immutable corpus: the records and the citation graph over them.
+    """Immutable corpus: the records and what is derived from them.
 
     Attributes
     ----------
@@ -209,8 +231,13 @@ class Corpus:
     node : dict paper_id -> graph node
     graph : CitationGraph, one edge per reference that ``is_edge``
         accepts, in node order and then list order, repeats kept
+    paper_counts : dict journal_id -> {year: papers}, years ascending,
+        for every registered journal (an empty dict when it has none)
+    publisher_journals : dict publisher_id -> sorted ids of the
+        journals that name it, for every registered publisher
     forward : read-only view of the graph, paper_id -> cited ids
-    All but the records are built on first use.
+    The records hold only what the input files hold; everything else
+    is built on first use.
     """
 
     def __init__(self, papers, journals, publishers, load_report,
@@ -253,13 +280,33 @@ class Corpus:
                  for p in papers]
         return CitationGraph(
             journal_ids=journal_ids,
-            publishers=[sorted(self.publishers[p].journal_ids)
+            publishers=[list(self.publisher_journals[p])
                         for p in publisher_ids],
             journal_of=journal_of, publisher_of=publisher_of[journal_of],
             year_of=np.array([p.year for p in papers], dtype=np.int64),
             src=np.repeat(np.arange(len(ids), dtype=np.int64),
                           [len(refs) for refs in cited]),
             dst=np.array([t for refs in cited for t in refs], dtype=np.int64))
+
+    @cached_property
+    def paper_counts(self) -> dict[str, dict[int, int]]:
+        return self.graph.paper_counts()
+
+    def paper_count(self, journal_id, years=None) -> int:
+        """Papers of a registered journal, in ``years`` or in all years."""
+        by_year = self.paper_counts[journal_id]
+        if years is None:
+            return sum(by_year.values())
+        return sum(by_year.get(y, 0) for y in years)
+
+    @cached_property
+    def publisher_journals(self) -> dict[str, tuple[str, ...]]:
+        members: dict[str, list[str]] = {p: [] for p in sorted(self.publishers)}
+        for jid in sorted(self.journals):
+            pub = self.journals[jid].publisher_id
+            if pub in members:
+                members[pub].append(jid)
+        return {p: tuple(jids) for p, jids in members.items()}
 
     @cached_property
     def forward(self) -> Mapping[str, tuple[str, ...]]:
@@ -363,15 +410,16 @@ def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
 
     report = LoadReport()
 
-    publishers_raw: dict[str, str] = {}
+    publishers: dict[str, Publisher] = {}
     for lineno, row in _read_csv(publishers_path, ("publisher_id",)):
         pub_id = (row["publisher_id"] or "").strip()
         if not pub_id:
             raise CorpusFormatError(publishers_path, lineno, "publisher_id", "empty")
-        if pub_id in publishers_raw:
+        if pub_id in publishers:
             raise CorpusFormatError(publishers_path, lineno, "publisher_id",
                                     f"duplicate id {pub_id!r}")
-        publishers_raw[pub_id] = (row.get("name") or "").strip()
+        publishers[pub_id] = Publisher(publisher_id=pub_id,
+                                       name=(row.get("name") or "").strip())
 
     journals: dict[str, Journal] = {}
     journal_csv = ("journal_id", "issns", "publisher_id", "categories",
@@ -388,7 +436,7 @@ def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
         categories = tuple(s.strip() for s in (row["categories"] or "").split(LIST_SEP)
                            if s.strip())
         publisher_id = (row["publisher_id"] or "").strip() or None
-        if publisher_id is not None and publisher_id not in publishers_raw:
+        if publisher_id is not None and publisher_id not in publishers:
             report.unknown_publisher_journals.append(jid)
         journals[jid] = Journal(
             journal_id=jid,
@@ -426,28 +474,6 @@ def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
         if paper.journal_id not in journals:
             report.unknown_journal_papers.append(pid)
 
-    # Derived journal paper counts.
-    counts: dict[str, dict[int, int]] = {jid: {} for jid in journals}
-    for paper in papers.values():
-        if paper.journal_id in counts:
-            per = counts[paper.journal_id]
-            per[paper.year] = per.get(paper.year, 0) + 1
-    journals = {
-        jid: replace(j, paper_count_by_year=dict(sorted(counts[jid].items())))
-        for jid, j in journals.items()
-    }
-
-    by_publisher: dict[str, list[str]] = {p: [] for p in publishers_raw}
-    for jid in sorted(journals):
-        pub = journals[jid].publisher_id
-        if pub in by_publisher:
-            by_publisher[pub].append(jid)
-    publishers = {
-        pid: Publisher(publisher_id=pid, journal_ids=tuple(by_publisher[pid]),
-                       name=publishers_raw[pid])
-        for pid in publishers_raw
-    }
-
     return Corpus(papers, journals, publishers, report, year_range=year_range)
 
 
@@ -483,11 +509,8 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
     report = ValidationReport()
     lo, hi = corpus.year_range
 
-    actual: dict[str, dict[int, int]] = {}     # journal -> year -> papers
     for pid in corpus.ids:
         paper = corpus.papers[pid]
-        by_year = actual.setdefault(paper.journal_id, {})
-        by_year[paper.year] = by_year.get(paper.year, 0) + 1
         if not (lo <= paper.year <= hi):
             report.add("year_out_of_range", pid,
                        f"year {paper.year} outside [{lo}, {hi}]")
@@ -506,27 +529,14 @@ def validate_corpus(corpus: Corpus) -> ValidationReport:
                 report.add("issn_checksum", jid, f"invalid ISSN {issn!r}")
         if not journal.categories:
             report.add("empty_categories", jid, "no subject categories")
-        if actual.get(jid, {}) != dict(journal.paper_count_by_year):
-            report.add("paper_count_mismatch", jid,
-                       "paper_count_by_year disagrees with paper table")
-        if journal.publisher_id is not None:
-            pub = corpus.publishers.get(journal.publisher_id)
-            if pub is None:
-                report.add("unknown_publisher", jid,
-                           f"publisher {journal.publisher_id!r} not registered")
-            elif jid not in pub.journal_ids:
-                report.add("publisher_backref", jid,
-                           "publisher does not list this journal")
+        if (journal.publisher_id is not None
+                and journal.publisher_id not in corpus.publishers):
+            report.add("unknown_publisher", jid,
+                       f"publisher {journal.publisher_id!r} not registered")
 
-    for pub_id in sorted(corpus.publishers):
-        pub = corpus.publishers[pub_id]
-        if not pub.journal_ids:
+    for pub_id, members in corpus.publisher_journals.items():
+        if not members:
             report.add("empty_publisher", pub_id, "no journals")
-        for jid in pub.journal_ids:
-            journal = corpus.journals.get(jid)
-            if journal is None or journal.publisher_id != pub_id:
-                report.add("publisher_backref", pub_id,
-                           f"journal {jid!r} does not point back")
 
     return report
 

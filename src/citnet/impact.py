@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, count_rows
 
 __all__ = [
     "ImpactRecord",
@@ -66,38 +66,17 @@ class NormalizationTable:
 
 
 def _tally(graph):
-    """(papers, received, made): ``papers[j, y]`` counts journal code j's
-    papers of year y, ``received[j, y, py]`` the citations made during y
-    to j's papers of year py, ``made[j, y, cy]`` the references from j's
-    papers of year y to papers of year cy."""
+    """(received, made): ``received[j, y, py]`` counts the citations made
+    during y to journal code j's papers of year py, ``made[j, y, cy]`` the
+    references from j's papers of year y to papers of year cy."""
     src, dst, year = graph.src, graph.dst, graph.year_of
-    return (_count(graph.journal_of, year),
-            _count(graph.journal_of[dst], year[src], year[dst]),
-            _count(graph.journal_of[src], year[src], year[dst]))
+    return (count_rows(graph.journal_of[dst], year[src], year[dst]),
+            count_rows(graph.journal_of[src], year[src], year[dst]))
 
 
 def _record(corpus, journal_id, year) -> ImpactRecord:
     """impact_table's row of one journal and year; KeyError if unregistered."""
     return {r.journal_id: r for r in impact_table(corpus, (year,))}[journal_id]
-
-
-def _count(*columns) -> dict[tuple, int]:
-    """How often each row of the int arrays ``columns`` occurs, rows whose
-    first entry (a journal or publisher code) is -1 left out; one
-    ``np.unique`` over mixed-radix row keys."""
-    keep = columns[0] >= 0
-    columns = [c[keep] for c in columns]
-    lo = min(int(c.min(initial=0)) for c in columns)
-    base = max(int(c.max(initial=0)) for c in columns) - lo + 1
-    key = 0
-    for c in columns:
-        key = key * base + (c - lo)
-    key, counts = np.unique(key, return_counts=True)
-    rows = []
-    for _c in columns:
-        key, digit = np.divmod(key, base)
-        rows.insert(0, (digit + lo).tolist())
-    return dict(zip(zip(*rows), counts.tolist()))
 
 
 def _median_age(ages: dict[int, int]) -> Optional[float]:
@@ -164,7 +143,7 @@ def build_normalization_table(corpus: Corpus, reference_year: int = 2017
     categories count toward each).
     """
     graph = corpus.graph
-    papers, cited, _made = _tally(graph)
+    cited, _made = _tally(graph)
     categories = [corpus.journals[jid].categories for jid in graph.journal_ids]
     received: dict[str, int] = {}
     for (j, y, _py), n in cited.items():
@@ -176,9 +155,10 @@ def build_normalization_table(corpus: Corpus, reference_year: int = 2017
     top_field = max(sorted(received), key=lambda c: received[c])
 
     n_top: dict[int, int] = {}
-    for (j, y), n in papers.items():
-        if top_field in categories[j]:
-            n_top[y] = n_top.get(y, 0) + n
+    for jid, by_year in corpus.paper_counts.items():
+        if top_field in corpus.journals[jid].categories:
+            for y, n in by_year.items():
+                n_top[y] = n_top.get(y, 0) + n
     if n_top.get(reference_year, 0) <= 0:
         raise ValueError(f"reference field {top_field!r} published nothing "
                          f"in {reference_year}")
@@ -218,7 +198,7 @@ def _market_shares(corpus, years) -> dict[tuple[str, int], float]:
     """
     graph = corpus.graph
     known = (graph.publisher_of >= 0) & np.isin(graph.year_of, list(years))
-    own = _count(graph.publisher_of[known], graph.year_of[known])
+    own = count_rows(graph.publisher_of[known], graph.year_of[known])
     total = Counter(graph.year_of[known].tolist())
     return {(pub, y): own.get((p, y), 0) / total[y]
             for y in total for p, pub in enumerate(sorted(corpus.publishers))}
@@ -228,18 +208,17 @@ def impact_table(corpus, years, table: Optional[NormalizationTable] = None
                  ) -> list[ImpactRecord]:
     """All timing metrics for every journal over ``years``, sorted rows."""
     graph = corpus.graph
-    papers, received, made = _tally(graph)
+    received, made = _tally(graph)
     every_year = sorted(set(graph.year_of.tolist()))
     records = []
     for j, jid in enumerate(graph.journal_ids):
-        # the cited half-life reads the paper years the journal lists
-        listed = corpus.journals[jid].paper_count_by_year
+        papers = corpus.paper_counts[jid]
         for y in years:
-            eligible = papers.get((j, y - 2), 0) + papers.get((j, y - 1), 0)
+            eligible = papers.get(y - 2, 0) + papers.get(y - 1, 0)
             raw = Fraction(received.get((j, y, y - 2), 0)
                            + received.get((j, y, y - 1), 0),
                            eligible) if eligible else None
-            same_year = papers.get((j, y), 0)
+            same_year = papers.get(y, 0)
             records.append(ImpactRecord(
                 journal_id=jid,
                 year=y,
@@ -249,7 +228,7 @@ def impact_table(corpus, years, table: Optional[NormalizationTable] = None
                 immediacy=(received.get((j, y, y), 0) / same_year
                            if same_year else None),
                 cited_half_life=_median_age(
-                    {y - py: received.get((j, y, py), 0) for py in listed}),
+                    {y - py: received.get((j, y, py), 0) for py in papers}),
                 citing_half_life=_median_age(
                     {y - cy: made.get((j, y, cy), 0) for cy in every_year}),
             ))

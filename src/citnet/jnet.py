@@ -42,7 +42,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-from .corpus import Corpus, csr_expand
+from .corpus import Corpus, csr_expand, csr_pointer
 from .matching import MatchRecord
 
 __all__ = [
@@ -91,14 +91,9 @@ class JournalCitationNetwork:
         src = np.array([u for u, _v in simple], dtype=np.int64)
         dst = np.array([v for _u, v in simple], dtype=np.int64)
         n = len(self.nodes)
-        return src, dst, _csr(n, src, dst), _csr(n, dst, src)
-
-
-def _csr(n, rows, cols):
-    """CSR (indptr, indices) of the pairs (rows[i], cols[i]), stable in i."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[np.argsort(rows, kind="stable")]
+        succ = csr_pointer(src, n), dst[np.argsort(src, kind="stable")]
+        pred = csr_pointer(dst, n), src[np.argsort(dst, kind="stable")]
+        return src, dst, succ, pred
 
 
 @dataclass(frozen=True)
@@ -145,8 +140,8 @@ def build_journal_network(corpus: Corpus, year: int, window_years: int = 2,
     if error:
         raise ValueError(error)
 
-    nodes = tuple(sorted(j for j in corpus.journals
-                         if corpus.journals[j].paper_count_by_year.get(year, 0)))
+    nodes = tuple(sorted(j for j, papers in corpus.paper_counts.items()
+                         if year in papers))
     if not nodes:
         logger.warning("no journal published in %d; returning an empty "
                        "network", year)
@@ -215,11 +210,8 @@ def _bfs(csr, sources, targets=None):
     levels = []
     while frontier.size:
         node = frontier % n
-        start = indptr[node]
-        degree = indptr[node + 1] - start
-        owner = np.repeat(np.arange(frontier.size), degree)
-        first = np.repeat(start - np.cumsum(degree) + degree, degree)
-        nbr = indices[first + np.arange(owner.size)]
+        owner, pos = csr_expand(node, indptr)
+        nbr = indices[pos]
         if targets is not None and not levels:    # owner is the row here
             keep = nbr != targets[owner]
             owner, nbr = owner[keep], nbr[keep]

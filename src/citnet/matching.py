@@ -37,8 +37,6 @@ __all__ = [
 # inactive and take no part in tercile assignment or matching.
 ACTIVE_MIN_PAPERS = 30
 
-TERCILES = ("large", "moderate", "small")
-
 
 @dataclass(frozen=True)
 class RegistryEntry:
@@ -85,7 +83,7 @@ def build_registry(corpus: Corpus, records: Iterable[ImpactRecord],
             journal_id=jid,
             categories=journal.categories,
             questionable=journal.questionable_flag,
-            annual_size=journal.paper_count_by_year.get(record.year, 0),
+            annual_size=corpus.paper_counts[jid].get(record.year, 0),
             impact=imp,
         )
     return registry

@@ -7,7 +7,8 @@ own CSV outputs into the output directory and passes results to later
 stages only through those files. Tables that depend on (config, corpus)
 alone, such as the normalization table, the impact rows and the control
 registry, are computed once per run on the run context. A manifest
-records the resolved config hash, the seconds of the citation graph
+records the hash of the resolved settings that can change a result
+(all but ``threads`` and ``output``), the seconds of the citation graph
 build that precedes the stages, per-stage status and timings; when a
 stage fails its dependents are skipped and the manifest carries a
 partial-run marker, with the completed outputs left in place.
@@ -32,6 +33,7 @@ import json
 import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -104,6 +106,7 @@ _DEFAULTS = {
 _CORPUS_KEYS = ("papers", "journals", "publishers")
 _WEIGHT_KEYS = ("self_citation", "shared_author", "shared_citation",
                 "shared_reference")
+_QUERY_KEYS = ("source", "targets", "window", "kind")
 
 
 class ConfigError(ValueError):
@@ -181,6 +184,8 @@ class RunConfig:
         query_path = self.query_path()
         if query_path and not query_path.exists():
             errors.append(f"selfcite.query_file: no such file: {query_path}")
+        elif query_path:
+            errors += _rate_queries(query_path)[1]
         return errors
 
 
@@ -188,6 +193,47 @@ def _number(value):
     """Whether a config value is a finite int or float (not a bool)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _rate_queries(path):
+    """(queries, errors): the RateQuery of each entry of a rate-query file,
+    and an error for each malformed entry, named ``query <n>`` counting
+    from 1. Whether an id names a journal or publisher is left to the
+    stage."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            entries = yaml.safe_load(fh) or []
+    except yaml.YAMLError as exc:
+        return [], [f"selfcite.query_file: {exc}"]
+    if not isinstance(entries, list):
+        return [], [f"selfcite.query_file: {path} must hold a list of queries"]
+    queries, errors = [], []
+    for n, entry in enumerate(entries, start=1):
+        entry = entry if isinstance(entry, dict) else {}
+        targets, window = entry.get("targets", ""), entry.get("window")
+        targets = targets if isinstance(targets, list) else [targets]
+        ids = [entry.get("source", ""), *targets]
+        kind = entry.get("kind", "citation")
+        checks = [(f"unknown key {key!r}", key in _QUERY_KEYS)
+                  for key in entry]
+        checks += [(f"{key} missing", key in entry)
+                   for key in ("source", "targets")]
+        checks += [("source and targets must be ids",
+                    bool(targets) and all(isinstance(i, str) for i in ids)),
+                   (f"kind must be citation or reference, not {kind!r}",
+                    kind in ("citation", "reference")),
+                   (f"window must be two integers, not {window!r}",
+                    window is None or isinstance(window, list)
+                    and len(window) == 2
+                    and all(type(y) is int for y in window))]
+        problems = [what for what, ok in checks if not ok]
+        errors += [f"selfcite.query_file: query {n}: {what}"
+                   for what in problems]
+        if not problems:
+            queries.append(selfcite_mod.RateQuery(
+                entry["source"], tuple(targets),
+                tuple(window) if window else None, kind))
+    return queries, errors
 
 
 def _value_errors(resolved):
@@ -219,7 +265,10 @@ def load_config(path) -> RunConfig:
 
 
 def config_hash(config: RunConfig) -> str:
-    canon = json.dumps(config.resolved, sort_keys=True, default=str)
+    """sha256 of the resolved settings, less the two that cannot change a
+    result: the worker count and the output directory."""
+    canon = json.dumps(dict(config.resolved, threads=None, output=None),
+                       sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -354,7 +403,8 @@ def _stage_matching(ctx: _RunContext):
             for r in sorted(records, key=lambda r: (r.qj_id, r.category))]
     write_csv(ctx.outdir / "matches.csv",
               ["qj_id", "category", "uj_id", "impact_gap", "tercile"], rows)
-    return ["matches.csv"], {}
+    unmatched = sum(1 for r in records if r.uj_id is None)
+    return ["matches.csv"], {"counts": {"unmatched_categories": unmatched}}
 
 
 def _stage_selfcite(ctx: _RunContext):
@@ -369,13 +419,16 @@ def _stage_selfcite(ctx: _RunContext):
                                                                  win)
         return tables[win]
 
-    rows = [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
-            for s in selfcite_mod.solidarity_scores(
-                ctx.corpus, window, include_self, table_for(window))]
+    scores = selfcite_mod.solidarity_scores(ctx.corpus, window, include_self,
+                                            table_for(window))
     write_csv(ctx.outdir / "solidarity.csv",
               ["journal_id", "psi", "Q_r", "Q_c", "publisher_paper_total"],
-              rows)
+              [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
+               for s in scores])
     outputs = ["solidarity.csv"]
+    status = Counter(s.status for s in scores)
+    counts = {"undefined_psi": status["undefined"],
+              "excluded_psi": status["excluded"]}
 
     # (window written to rates.csv, window of its count table)
     if section["rate_years"]:
@@ -387,9 +440,8 @@ def _stage_selfcite(ctx: _RunContext):
     for jid in sorted(qj | uj):
         journal = ctx.corpus.journals[jid]
         targets = {"self": {jid}, "qj_group": qj, "uj_group": uj}
-        if journal.publisher_id in ctx.corpus.publishers:
-            targets["publisher"] = set(
-                ctx.corpus.publishers[journal.publisher_id].journal_ids)
+        targets["publisher"] = set(ctx.corpus.publisher_journals.get(
+            journal.publisher_id, ()))
         for (lo, hi), key in windows:
             tab = table_for(key)
             for label in sorted(targets):
@@ -403,18 +455,16 @@ def _stage_selfcite(ctx: _RunContext):
                 rate_rows.append((jid, label, "citation", lo, hi, cr))
                 rate_rows.append((jid, label, "reference", lo, hi, rr))
 
+    skipped = {}
     query_path = ctx.config.query_path()
-    if query_path:
-        with query_path.open(encoding="utf-8") as fh:
-            raw_queries = yaml.safe_load(fh) or []
-        for raw in raw_queries:
-            targets = raw["targets"] if isinstance(raw["targets"], list) \
-                else [raw["targets"]]
-            query = selfcite_mod.RateQuery(
-                source=raw["source"], targets=tuple(targets),
-                window=tuple(raw["window"]) if raw.get("window") else None,
-                kind=raw.get("kind", "citation"))
-            group = selfcite_mod.resolve_group(ctx.corpus, query.targets)
+    if query_path:      # validated: every entry is a query
+        for n, query in enumerate(_rate_queries(query_path)[0], start=1):
+            try:
+                selfcite_mod.resolve_group(ctx.corpus, query.source)
+                group = selfcite_mod.resolve_group(ctx.corpus, query.targets)
+            except KeyError as exc:
+                skipped[f"query {n}"] = exc.args[0]
+                continue
             fn = (selfcite_mod.citation_rate if query.kind == "citation"
                   else selfcite_mod.reference_rate)
             rate = fn(ctx.corpus, query.source, group,
@@ -427,7 +477,7 @@ def _stage_selfcite(ctx: _RunContext):
               ["source", "target", "kind", "year_start", "year_end", "rate"],
               sorted(rate_rows, key=lambda r: (r[0], r[1], r[2], r[3])))
     outputs.append("rates.csv")
-    return outputs, {}
+    return outputs, {"counts": counts, "skipped": skipped}
 
 
 def _stage_jnet(ctx: _RunContext):
@@ -638,9 +688,13 @@ def run_pipeline(config: RunConfig, outdir=None):
     Returns the list of StageResult in execution order. Stage failures
     do not raise; they mark the run partial and skip dependents. Items a
     stage leaves out (such as a journal-network variant outside the
-    corpus range) are listed with the reason under the stage's
+    corpus range, or a rate query naming an id the corpus lacks, as
+    ``query <n>``) are listed with the reason under the stage's
     ``skipped`` entry, and the stage stays ok. Counts of excluded or
-    undefined items go under ``counts``: the novelty stage records
+    undefined items go under ``counts``: the matching stage records
+    ``unmatched_categories`` (``matches.csv`` rows without a control),
+    the selfcite stage ``undefined_psi`` and ``excluded_psi``
+    (``solidarity.csv`` rows of those statuses), the novelty stage
     ``undefined_pairs`` (observed journal pairs whose ensemble spread is
     0) and ``undefined_papers`` (rows without a defined pair), the
     disruption stage ``undefined_D`` (rows whose D is empty: never cited
@@ -919,12 +973,22 @@ _FIGURES = {
 def emit_plot_data(config: RunConfig, outdir, figure_id: str) -> Path:
     """Write one figure panel's tidy table under <outdir>/figures/.
 
-    Raises KeyError for unknown panel ids and FileNotFoundError naming
-    the absent stage when required inputs are missing.
+    Raises KeyError for unknown panel ids, ConfigError unless the
+    manifest in ``outdir`` records this config's hash (the synthetic
+    panels, read from ``run_synth`` outputs, go unchecked: it writes no
+    manifest), and FileNotFoundError naming the absent stage when
+    required inputs are missing.
     """
     if figure_id not in _FIGURES:
         raise KeyError(f"unknown figure id: {figure_id!r}; "
                        f"known: {', '.join(FIGURE_IDS)}")
+    manifest = Path(outdir) / "manifest.json"
+    if figure_id not in ("S15", "S18"):
+        if not manifest.exists():
+            raise ConfigError(f"no {manifest}; run the stages first")
+        recorded = json.loads(manifest.read_text(encoding="utf-8"))
+        if recorded["config_hash"] != config_hash(config):
+            raise ConfigError(f"{manifest} records another config's hash")
     header, rows = _FIGURES[figure_id](config, Path(outdir))
     path = Path(outdir) / "figures" / f"figure_{figure_id}.csv"
     write_csv(path, header, rows)

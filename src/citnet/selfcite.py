@@ -118,8 +118,8 @@ def resolve_group(corpus: Corpus, group) -> set[str]:
     for gid in group:
         if gid in corpus.journals:
             journals.add(gid)
-        elif gid in corpus.publishers:
-            journals.update(corpus.publishers[gid].journal_ids)
+        elif gid in corpus.publisher_journals:
+            journals.update(corpus.publisher_journals[gid])
         else:
             raise KeyError(f"unknown journal or publisher id: {gid!r}")
     return journals
@@ -186,7 +186,7 @@ def publisher_self_expectations(corpus, publisher_id, window=None,
     """
     if table is None:
         table = aggregate_citation_counts(corpus, window)
-    members = corpus.publishers[publisher_id].journal_ids
+    members = corpus.publisher_journals[publisher_id]
     return expectations_from_counts(table, publisher_id, members)
 
 
@@ -252,17 +252,13 @@ def solidarity_index(corpus, journal_id, window=None, include_self=True,
     undefined score. ``window`` restricts both the citation counts and
     the paper totals to those years.
     """
-    journal = corpus.journals[journal_id]
-    pub = (corpus.publishers.get(journal.publisher_id)
-           if journal.publisher_id else None)
-    if pub is None or len(pub.journal_ids) < 2:
-        return SolidarityScore(journal_id, None, 0, None, None,
-                               status="excluded")
+    members = corpus.publisher_journals.get(
+        corpus.journals[journal_id].publisher_id, ())
     if table is None:
         table = aggregate_citation_counts(corpus, window)
     years = None if window is None else range(window[0], window[1] + 1)
-    totals = {j: corpus.journals[j].paper_count(years) for j in pub.journal_ids}
-    return psi_from_counts(table, journal_id, pub.journal_ids, totals,
+    totals = {j: corpus.paper_count(j, years) for j in members}
+    return psi_from_counts(table, journal_id, members, totals,
                            include_self=include_self)
 
 
@@ -281,14 +277,13 @@ def solidarity_scores(corpus, window=None, include_self=True,
     scores = []
     for jid in sorted(corpus.journals):
         pub_id = corpus.journals[jid].publisher_id
-        pub = corpus.publishers.get(pub_id) if pub_id else None
-        if pub is None or len(pub.journal_ids) < 2:
+        members = corpus.publisher_journals.get(pub_id, ())
+        if len(members) < 2:
             scores.append(SolidarityScore(jid, None, 0, None, None,
                                           status="excluded"))
             continue
         if pub_id not in terms:
-            members = list(pub.journal_ids)
-            total = sum(corpus.journals[j].paper_count(years) for j in members)
+            total = sum(corpus.paper_count(j, years) for j in members)
             terms[pub_id] = (members, total,
                              expectations_from_counts(table, pub_id, members))
         scores.append(_score(table, jid, *terms[pub_id], include_self))

@@ -105,8 +105,8 @@ class RewireConfig:
 
 
 def _journal_totals(net: CitationGraph) -> dict[str, int]:
-    counts = np.bincount(net.journal_of, minlength=len(net.journal_ids))
-    return dict(zip(net.journal_ids, counts.tolist()))
+    return {j: sum(by_year.values())
+            for j, by_year in net.paper_counts().items()}
 
 
 def _generate_network(config: SynthConfig, rng) -> CitationGraph:
@@ -172,28 +172,20 @@ def _materialize(net: CitationGraph, year_range) -> Corpus:
         return f"n{v:05d}"
 
     papers = {}
-    counts: dict[str, dict[int, int]] = {j: {} for j in net.journal_ids}
     for v, (code, year) in enumerate(zip(net.journal_of.tolist(),
                                          net.year_of.tolist())):
-        jid = net.journal_ids[code]
         papers[pid(v)] = Paper(
-            paper_id=pid(v), journal_id=jid, year=year,
+            paper_id=pid(v), journal_id=net.journal_ids[code], year=year,
             references=tuple(pid(t) for t in sorted(refs_of.get(v, ()))))
-        counts[jid][year] = counts[jid].get(year, 0) + 1
 
     journals = {}
     publishers = {}
     for p, jids in enumerate(net.publishers):
         pub_id = f"P{p + 1}"
-        publishers[pub_id] = Publisher(publisher_id=pub_id,
-                                       journal_ids=tuple(sorted(jids)))
+        publishers[pub_id] = Publisher(publisher_id=pub_id)
         for jid in jids:
-            journals[jid] = Journal(
-                journal_id=jid,
-                publisher_id=pub_id,
-                categories=(SYNTH_CATEGORY,),
-                paper_count_by_year=dict(sorted(counts[jid].items())),
-            )
+            journals[jid] = Journal(journal_id=jid, publisher_id=pub_id,
+                                    categories=(SYNTH_CATEGORY,))
     return Corpus(papers, journals, publishers, LoadReport(),
                   year_range=year_range)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +25,8 @@ def make_corpus(papers, journals, year_range=(1996, 2018)):
                                    author_keys=tuple(authors),
                                    references=tuple(refs))
 
-    counts = {jid: {} for jid in journals}
-    for p in paper_records.values():
-        if p.journal_id in counts:
-            per = counts[p.journal_id]
-            per[p.year] = per.get(p.year, 0) + 1
-
     journal_records = {}
-    publisher_members = {}
+    publishers = {}
     for jid, spec in journals.items():
         pub = spec.get("publisher_id")
         journal_records[jid] = Journal(
@@ -40,13 +35,9 @@ def make_corpus(papers, journals, year_range=(1996, 2018)):
             publisher_id=pub,
             categories=tuple(spec.get("categories", ("10",))),
             questionable_flag=spec.get("questionable", False),
-            paper_count_by_year=dict(sorted(counts[jid].items())),
         )
         if pub:
-            publisher_members.setdefault(pub, []).append(jid)
-    publishers = {pid: Publisher(publisher_id=pid,
-                                 journal_ids=tuple(sorted(members)))
-                  for pid, members in publisher_members.items()}
+            publishers.setdefault(pub, Publisher(publisher_id=pub))
     return Corpus(paper_records, journal_records, publishers, LoadReport(),
                   year_range=year_range)
 
@@ -154,14 +145,9 @@ def small_pipeline_corpus(seed=5):
                             year=p.year, author_keys=authors,
                             references=p.references)
 
-    journals = {}
     flagged = {"P1-J1"}
-    for jid, j in corpus.journals.items():
-        journals[jid] = Journal(
-            journal_id=jid, issns=j.issns, publisher_id=j.publisher_id,
-            categories=j.categories,
-            questionable_flag=jid in flagged,
-            paper_count_by_year=j.paper_count_by_year)
+    journals = {jid: replace(j, questionable_flag=jid in flagged)
+                for jid, j in corpus.journals.items()}
     return Corpus(papers, journals, dict(corpus.publishers), LoadReport(),
                   year_range=corpus.year_range)
 

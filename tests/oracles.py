@@ -99,6 +99,27 @@ def citation_edges(corpus):
     return [(pid, ref) for pid in sorted(forward) for ref in forward[pid]]
 
 
+# -- facts derived from the records ------------------------------------------
+
+
+def paper_counts_reference(corpus):
+    """journal id -> {year: papers} by one scan of the paper records, for
+    every registered journal."""
+    counts = {jid: Counter() for jid in corpus.journals}
+    for paper in corpus.papers.values():
+        if paper.journal_id in counts:
+            counts[paper.journal_id][paper.year] += 1
+    return {jid: dict(c) for jid, c in counts.items()}
+
+
+def publisher_journals_reference(corpus):
+    """publisher id -> the set of journals whose record names it, for
+    every registered publisher."""
+    return {pub: {jid for jid, journal in corpus.journals.items()
+                  if journal.publisher_id == pub}
+            for pub in corpus.publishers}
+
+
 # -- shortest-path machinery on small digraphs ------------------------------
 
 
@@ -341,8 +362,8 @@ def journal_network_oracle(corpus, year, window_years, link_type):
 
     The per-edge dict loop that ``build_journal_network`` replaced.
     """
-    nodes = tuple(sorted(j for j in corpus.journals
-                         if corpus.journals[j].paper_count_by_year.get(year, 0)))
+    nodes = tuple(sorted({p.journal_id for p in corpus.papers.values()
+                          if p.year == year} & set(corpus.journals)))
     node_set = set(nodes)
     edges = {}
     for citing, cited in citation_edges(corpus):
@@ -393,10 +414,10 @@ def immediacy_reference(corpus, journal_id, year):
 
 
 def cited_half_life_reference(corpus, journal_id, year):
-    """statistics.median of the ages, over the paper years the journal
-    record lists."""
+    """statistics.median of the ages, over the journal's paper years."""
     ages = []
-    for jy in sorted(corpus.journals[journal_id].paper_count_by_year):
+    for jy in sorted({p.year for p in corpus.papers.values()
+                      if p.journal_id == journal_id}):
         for pid in _papers_of_journal(corpus, journal_id, (jy,)):
             for _citer, citer_year in string_indices(corpus)[1][pid]:
                 if citer_year == year:

@@ -34,7 +34,8 @@ from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
 from conftest import make_corpus, write_pipeline_config
 from oracles import (agglomerate_oracle, betweenness_oracle,
                      disruption_oracle, harmonic_closeness_oracle,
-                     issn_valid_oracle, pagerank_oracle, pathcore_oracle,
+                     issn_valid_oracle, pagerank_oracle, paper_counts_reference,
+                     pathcore_oracle, publisher_journals_reference,
                      random_digraph)
 
 ACCEPT_SEED = 11
@@ -239,13 +240,14 @@ def test_criterion_07_psi_algebra():
         component_size_range=(80, 100), out_degree_mean=6.0,
         out_degree_std=2.0, seed=ACCEPT_SEED, year_range=(2000, 2004)))
     table = aggregate_citation_counts(corpus)
-    totals = {j: corpus.journals[j].paper_count()
-              for j in corpus.journals}
+    totals = {j: sum(c.values())
+              for j, c in paper_counts_reference(corpus).items()}
+    publisher_journals = publisher_journals_reference(corpus)
 
     worst_psi = 0.0
     for jid in sorted(corpus.journals):
-        members = corpus.publishers[
-            corpus.journals[jid].publisher_id].journal_ids
+        members = sorted(
+            publisher_journals[corpus.journals[jid].publisher_id])
         base = psi_from_counts(table, jid, members,
                                {j: totals[j] for j in members})
         for k in (2, 10, 1000):

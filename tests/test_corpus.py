@@ -1,15 +1,15 @@
 import json
-from dataclasses import replace
 
 import pytest
 
-from citnet.corpus import (Corpus, CorpusFormatError, LoadReport, load_corpus,
-                           validate_corpus)
+from citnet.corpus import (Corpus, CorpusFormatError, Journal, LoadReport,
+                           Publisher, load_corpus, validate_corpus)
 from citnet.synth import RewireConfig, rewire
 
 from conftest import (corpus_to_files, make_corpus, messy_corpus,
                       serialize_indices)
-from oracles import string_indices
+from oracles import (paper_counts_reference, publisher_journals_reference,
+                     string_indices)
 
 
 def write_fixture(tmp_path, papers=None, journals=None, publishers=None):
@@ -131,17 +131,6 @@ def test_validate_year_range(tmp_path):
     assert not validate_corpus(corpus).by_kind("year_out_of_range")
 
 
-def test_validate_flags_paper_count_mismatch():
-    corpus = make_corpus([("p1", "J1", 2000, []), ("p2", "J1", 2001, []),
-                          ("p3", "J2", 2000, [])], {"J1": {}, "J2": {}})
-    assert not validate_corpus(corpus).by_kind("paper_count_mismatch")
-    corpus.journals["J1"] = replace(corpus.journals["J1"],
-                                    paper_count_by_year={2000: 1, 2001: 2})
-    flagged = validate_corpus(corpus).by_kind("paper_count_mismatch")
-    assert [(v.entity, v.detail) for v in flagged] == [
-        ("J1", "paper_count_by_year disagrees with paper table")]
-
-
 def test_unknown_journal_tracked(tmp_path):
     papers = [paper("p1", jid="JX")]
     corpus = load_corpus(write_fixture(tmp_path, papers, JOURNALS, PUBLISHERS))
@@ -220,3 +209,44 @@ def test_graph_equals_string_indices(corpus, tmp_path):
     files = corpus_to_files(corpus, tmp_path / "rt")
     assert (serialize_indices(load_corpus(files))
             == serialize_indices(corpus))
+
+
+def registry_messy_corpus(seed):
+    """messy_corpus with PB unregistered (J2 and J3 name it), PZ
+    registered without journals, J9 registered without papers, and
+    papers on both sides of year_range."""
+    base = messy_corpus(seed)
+    journals = dict(base.journals, J9=Journal("J9", publisher_id="PA"))
+    publishers = {"PA": base.publishers["PA"], "PZ": Publisher("PZ")}
+    return Corpus(base.papers, journals, publishers, LoadReport(),
+                  year_range=(2003, 2007))
+
+
+@pytest.mark.parametrize("corpus", [
+    *(pytest.param(lambda s=s: registry_messy_corpus(s), id=f"messy{s}")
+      for s in range(3)),
+    pytest.param(rewired_corpus, id="rewired")])
+def test_derived_facts_equal_record_scans(corpus):
+    corpus = corpus()
+    counts = corpus.paper_counts
+    assert counts == paper_counts_reference(corpus)
+    assert list(counts) == sorted(corpus.journals)
+    assert all(list(by_year) == sorted(by_year) for by_year in counts.values())
+    for jid, by_year in counts.items():
+        assert corpus.paper_count(jid) == sum(by_year.values())
+        assert corpus.paper_count(jid, range(2003, 2006)) == sum(
+            n for y, n in by_year.items() if 2003 <= y < 2006)
+    members = corpus.publisher_journals
+    assert {p: set(js) for p, js in members.items()} == \
+        publisher_journals_reference(corpus)
+    assert all(list(js) == sorted(js) for js in members.values())
+    assert corpus.graph.publishers == [list(members[p])
+                                       for p in sorted(corpus.publishers)]
+    if "J9" in corpus.journals:
+        lo, hi = corpus.year_range
+        assert counts["J9"] == {} and members["PZ"] == ()
+        assert {y for c in counts.values() for y in c} - set(range(lo, hi + 1))
+        report = validate_corpus(corpus)
+        assert [v.entity for v in report.by_kind("empty_publisher")] == ["PZ"]
+        assert [v.entity for v in report.by_kind("unknown_publisher")] == \
+            ["J2", "J3"]

@@ -1,9 +1,8 @@
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
-from citnet.corpus import validate_corpus
 from citnet.impact import (NormalizationTable, build_normalization_table,
                            cited_half_life, citing_half_life, immediacy_index,
                            impact_table, journal_impact, market_share,
@@ -198,20 +197,6 @@ def test_impact_table_equals_reference_on_messy_corpus(seed):
 def test_impact_table_equals_reference_on_pipeline_corpus(pipeline_corpus):
     assert_table_equals_reference(pipeline_corpus, range(1999, 2005),
                                   (2001, 2002, 2003))
-
-
-def test_impact_table_reads_papers_where_counts_disagree():
-    """Journal records whose paper counts disagree with the papers: the
-    counts of papers come from the papers; the cited half-life keeps to
-    the paper years the record lists."""
-    corpus = messy_corpus(1)
-    for jid, counts in (("J0", {}), ("J1", {2003: 99, 2006: 1}),
-                        ("J2", {1990: 5}),
-                        ("J3", {y: 1 for y in range(2000, 2011, 2)})):
-        corpus.journals[jid] = replace(corpus.journals[jid],
-                                       paper_count_by_year=counts)
-    assert len(validate_corpus(corpus).by_kind("paper_count_mismatch")) == 4
-    assert_table_equals_reference(corpus, range(1998, 2013), (2004, 2008))
 
 
 def test_per_journal_metrics_equal_references():

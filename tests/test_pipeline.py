@@ -118,6 +118,43 @@ def test_manifest_counts_disruption_and_author_exclusions(full_run):
     assert undefined > 0 and len(mentions - written) > 0
 
 
+def test_manifest_counts_selfcite_and_matching_exclusions(tmp_path,
+                                                         pipeline_files):
+    # P1-J9 publishes nothing (undefined psi); P3-J2 names no publisher
+    # and leaves P3-J1 alone in P3 (both excluded); no other journal
+    # shares P1-J1's second category (an unmatched category)
+    with pipeline_files["journals"].open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        if row[0] == "P1-J1":
+            row[3] += "|99"
+        if row[0] == "P3-J2":
+            row[2] = ""
+    rows.append(["P1-J9", "", "P1", "00", "false"])
+    files = dict(pipeline_files, journals=tmp_path / "journals.csv")
+    write_csv(files["journals"], rows[0], rows[1:])
+    outdir = tmp_path / "out"
+    config = load_config(write_pipeline_config(
+        tmp_path, files, outdir,
+        extra={"stages": ["impact", "matching", "selfcite"]}))
+    assert all(r.status == "ok" for r in run_pipeline(config))
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    counts = {s["name"]: s["counts"] for s in manifest["stages"]}
+
+    _header, matches = figure_rows(outdir / "matches.csv")
+    unmatched = sum(1 for r in matches if r["uj_id"] == "")
+    corpus = load_corpus(config.corpus_paths())
+    members = oracles.publisher_journals_reference(corpus)
+    _header, scores = figure_rows(outdir / "solidarity.csv")
+    excluded = sum(1 for r in scores if len(members.get(
+        corpus.journals[r["journal_id"]].publisher_id, ())) < 2)
+    undefined = sum(1 for r in scores if r["psi"] == "") - excluded
+    assert counts["matching"] == {"unmatched_categories": unmatched}
+    assert counts["selfcite"] == {"undefined_psi": undefined,
+                                  "excluded_psi": excluded}
+    assert (unmatched, undefined, excluded) == (1, 1, 2)
+
+
 def test_disruption_journal_means_equal_oracle_means(tmp_path,
                                                      pipeline_files):
     outdir = tmp_path / "out"
@@ -202,10 +239,10 @@ def test_rerun_is_byte_identical(tmp_path, pipeline_files):
 
 
 def manifest_without_timing(outdir):
-    """manifest.json less what a worker count may change: the seconds,
-    the threads setting and, with it, the config hash."""
+    """manifest.json less what a worker count may change: the seconds
+    and the threads setting."""
     manifest = json.loads((Path(outdir) / "manifest.json").read_text())
-    del manifest["config_hash"], manifest["threads"]
+    del manifest["threads"]
     del manifest["graph"]["seconds"]
     for stage in manifest["stages"]:
         del stage["seconds"]
@@ -329,6 +366,10 @@ def test_config_hash_changes_iff_config_changes(tmp_path, pipeline_files):
     path_b = write_pipeline_config(tmp_path, pipeline_files, tmp_path / "o",
                                    extra={"seed": 34})
     assert config_hash(load_config(path_b)) != hash_a
+    # neither the worker count nor the output directory changes a result
+    path_c = write_pipeline_config(tmp_path, pipeline_files, tmp_path / "p",
+                                   extra={"threads": 4})
+    assert config_hash(load_config(path_c)) == hash_a
 
 
 def test_stage_failure_halts_dependents(tmp_path, pipeline_files):
@@ -376,6 +417,67 @@ def test_rate_query_file_rows(tmp_path, pipeline_files):
     targets = {(r["source"], r["target"], r["kind"]) for r in rows}
     assert ("P1-J1", "P2", "reference") in targets
     assert ("P1", "P1-J2", "citation") in targets
+
+
+def run_queries(tmp_path, pipeline_files, text):
+    """CLI run of impact, matching and selfcite with ``text`` as the query
+    file: (exit code, outdir)."""
+    query_file = tmp_path / "queries.yaml"
+    query_file.write_text(text, encoding="utf-8")
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "selfcite"],
+               "selfcite": {"query_file": str(query_file)}})
+    return cli_main(["run", "--config", str(config_path)]), outdir
+
+
+@pytest.mark.parametrize("query, message", [
+    ("{source: P1-J1, targets: [P2], kind: citations}",
+     "kind must be citation or reference, not 'citations'"),
+    ("{source: P1-J1}", "targets missing"),
+    ("{targets: [P2]}", "source missing"),
+    ("{source: P1-J1, targets: [P2], window: [2001]}",
+     "window must be two integers, not [2001]"),
+    ("{source: P1-J1, targets: [P2], window: [2001, x]}",
+     "window must be two integers"),
+    ("{source: P1-J1, targets: [P2], windows: [2001, 2002]}",
+     "unknown key 'windows'"),
+    ("{source: P1-J1, targets: []}", "source and targets must be ids"),
+    ("{source: 2017, targets: P2}", "source and targets must be ids"),
+    ("P1-J1", "source missing"),
+])
+def test_malformed_rate_query_fails_validation(tmp_path, pipeline_files,
+                                               capsys, query, message):
+    code, outdir = run_queries(
+        tmp_path, pipeline_files,
+        f"- {{source: P1, targets: P2}}\n- {query}\n")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "selfcite.query_file: query 2" in err and message in err
+    assert "query 1" not in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("query", ["{source: P9-J9, targets: [P2]}",
+                                   "{source: P1-J1, targets: [P2, P9]}"])
+def test_rate_query_with_unknown_id_is_skipped(tmp_path, pipeline_files,
+                                               query):
+    code, outdir = run_queries(
+        tmp_path, pipeline_files,
+        f"- {{source: P1, targets: P2}}\n- {query}\n"
+        f"- {{source: P2, targets: P1, kind: reference}}\n")
+    assert code == 0
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    selfcite = next(s for s in manifest["stages"] if s["name"] == "selfcite")
+    assert selfcite["status"] == "ok"
+    unknown = "P9-J9" if "P9-J9" in query else "P9"
+    assert selfcite["skipped"] == {
+        "query 2": f"unknown journal or publisher id: {unknown!r}"}
+    _header, rows = figure_rows(outdir / "rates.csv")
+    queried = {(r["source"], r["target"], r["kind"]) for r in rows
+               if r["target"] in ("P1", "P2")}
+    assert queried == {("P1", "P2", "citation"), ("P2", "P1", "reference")}
 
 
 def test_cli_query_file_resolved_beside_config(tmp_path, pipeline_files,
@@ -505,6 +607,30 @@ def test_cli_run_and_report(tmp_path, pipeline_files, capsys):
     assert (outdir / "figures" / "figure_2F.csv").exists()
     assert cli_main(["report", "--config", str(config_path),
                      "--figure", "XX"]) == 1
+
+
+def test_cli_report_refuses_outputs_of_another_config(tmp_path,
+                                                     pipeline_files, capsys):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "selfcite"]})
+    report = ["report", "--config", str(config_path), "--figure", "2F"]
+    assert cli_main(report) == 2
+    assert "no " in capsys.readouterr().err
+    assert cli_main(["run", "--config", str(config_path), "--threads", "2"]) == 0
+    assert cli_main(report + ["--threads", "3"]) == 0
+    (tmp_path / "other").mkdir()
+    other = write_pipeline_config(
+        tmp_path / "other", pipeline_files, outdir,
+        extra={"stages": ["impact", "matching", "selfcite"], "seed": 34})
+    assert cli_main(["report", "--config", str(other), "--figure", "2F"]) == 2
+    assert "records another config's hash" in capsys.readouterr().err
+    # the synth panels come from citnet synth, which writes no manifest
+    (outdir / "manifest.json").unlink()
+    (outdir / "synth_psi_scenarios.csv").write_text(
+        "scenario,sweep_value,psi\na,0.1,1.0\n", encoding="utf-8")
+    assert cli_main(["report", "--config", str(other), "--figure", "S15"]) == 0
 
 
 def test_cli_match_with_diagnostics(tmp_path, pipeline_files, capsys):
@@ -687,7 +813,7 @@ def test_selfcite_builds_one_count_table_per_window(tmp_path, pipeline_files,
             group = {source}
         elif target == "publisher":
             pub = corpus.journals[source].publisher_id
-            group = set(corpus.publishers[pub].journal_ids)
+            group = oracles.publisher_journals_reference(corpus)[pub]
         else:
             group = groups.get(target) or selfcite.resolve_group(
                 corpus, target.split("+"))

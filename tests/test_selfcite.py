@@ -147,8 +147,9 @@ def solidarity_fixture(extra_self=0):
 
 def brute_force_psi(corpus, journal_id):
     """Direct evaluation of the defining sums from raw paper loops."""
-    members = corpus.publishers[corpus.journals[journal_id].publisher_id]
-    members = list(members.journal_ids)
+    publisher = corpus.journals[journal_id].publisher_id
+    members = [j for j in sorted(corpus.journals)
+               if corpus.journals[j].publisher_id == publisher]
 
     def jrnl(pid):
         return corpus.papers[pid].journal_id
