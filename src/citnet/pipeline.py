@@ -8,7 +8,7 @@ stages only through those files. Tables that depend on (config, corpus)
 alone, such as the normalization table, the impact rows and the control
 registry, are computed once per run on the run context. A manifest
 records the hash of the resolved settings that can change a result
-(all but ``threads`` and ``output``), the seconds of the citation graph
+(all but ``threads``, ``output`` and ``stages``), the seconds of the citation graph
 build that precedes the stages, per-stage status and timings; when a
 stage fails its dependents are skipped and the manifest carries a
 partial-run marker, with the completed outputs left in place.
@@ -33,7 +33,6 @@ import json
 import math
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -152,11 +151,6 @@ class RunConfig:
         section = self.resolved.get("corpus") or {}
         return {k: self._beside_config(v) for k, v in section.items()}
 
-    def query_path(self) -> Optional[Path]:
-        """selfcite.query_file, resolved like the corpus paths; or None."""
-        query_file = self.resolved["selfcite"]["query_file"]
-        return self._beside_config(query_file) if query_file else None
-
     def _beside_config(self, path) -> Path:
         return (self.path.parent if self.path else Path(".")) / path
 
@@ -181,59 +175,61 @@ class RunConfig:
         errors += [f"authors.weights.{key} missing from config"
                    for key in _WEIGHT_KEYS if weights and key not in weights]
         errors += _value_errors(self.resolved)
-        query_path = self.query_path()
-        if query_path and not query_path.exists():
-            errors.append(f"selfcite.query_file: no such file: {query_path}")
-        elif query_path:
-            errors += _rate_queries(query_path)[1]
-        return errors
+        return errors + self.rate_queries[1]
+
+    @cached_property
+    def rate_queries(self):
+        """(queries, errors) of selfcite.query_file, resolved like the
+        corpus paths: each well-formed entry as (n, RateQuery), n counting
+        the file's entries from 1, and an error naming ``query <n>`` for
+        each malformed one. Whether an id names a journal or publisher is
+        left to the stage."""
+        query_file = self.resolved["selfcite"]["query_file"]
+        if not query_file:
+            return [], []
+        path = self._beside_config(query_file)
+        if not path.exists():
+            return [], [f"selfcite.query_file: no such file: {path}"]
+        try:
+            with path.open(encoding="utf-8") as fh:
+                entries = yaml.safe_load(fh) or []
+        except yaml.YAMLError as exc:
+            return [], [f"selfcite.query_file: {exc}"]
+        if not isinstance(entries, list):
+            return [], [f"selfcite.query_file: {path} must hold a list of queries"]
+        queries, errors = [], []
+        for n, entry in enumerate(entries, start=1):
+            entry = entry if isinstance(entry, dict) else {}
+            targets, window = entry.get("targets", ""), entry.get("window")
+            targets = targets if isinstance(targets, list) else [targets]
+            kind = entry.get("kind", "citation")
+            problems = [f"unknown key {key!r}" for key in entry
+                        if key not in _QUERY_KEYS]
+            problems += [f"{key} missing" for key in ("source", "targets")
+                         if key not in entry]
+            if not targets or not all(isinstance(i, str) for i in
+                                      (entry.get("source", ""), *targets)):
+                problems.append("source and targets must be ids")
+            if kind not in ("citation", "reference"):
+                problems.append(f"kind must be citation or reference, "
+                                f"not {kind!r}")
+            if window is not None and not (
+                    isinstance(window, list) and len(window) == 2
+                    and all(type(y) is int for y in window)):
+                problems.append(f"window must be two integers, not {window!r}")
+            errors += [f"selfcite.query_file: query {n}: {what}"
+                       for what in problems]
+            if not problems:
+                queries.append((n, selfcite_mod.RateQuery(
+                    entry["source"], tuple(targets),
+                    tuple(window) if window else None, kind)))
+        return queries, errors
 
 
 def _number(value):
     """Whether a config value is a finite int or float (not a bool)."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
-
-
-def _rate_queries(path):
-    """(queries, errors): the RateQuery of each entry of a rate-query file,
-    and an error for each malformed entry, named ``query <n>`` counting
-    from 1. Whether an id names a journal or publisher is left to the
-    stage."""
-    try:
-        with path.open(encoding="utf-8") as fh:
-            entries = yaml.safe_load(fh) or []
-    except yaml.YAMLError as exc:
-        return [], [f"selfcite.query_file: {exc}"]
-    if not isinstance(entries, list):
-        return [], [f"selfcite.query_file: {path} must hold a list of queries"]
-    queries, errors = [], []
-    for n, entry in enumerate(entries, start=1):
-        entry = entry if isinstance(entry, dict) else {}
-        targets, window = entry.get("targets", ""), entry.get("window")
-        targets = targets if isinstance(targets, list) else [targets]
-        ids = [entry.get("source", ""), *targets]
-        kind = entry.get("kind", "citation")
-        checks = [(f"unknown key {key!r}", key in _QUERY_KEYS)
-                  for key in entry]
-        checks += [(f"{key} missing", key in entry)
-                   for key in ("source", "targets")]
-        checks += [("source and targets must be ids",
-                    bool(targets) and all(isinstance(i, str) for i in ids)),
-                   (f"kind must be citation or reference, not {kind!r}",
-                    kind in ("citation", "reference")),
-                   (f"window must be two integers, not {window!r}",
-                    window is None or isinstance(window, list)
-                    and len(window) == 2
-                    and all(type(y) is int for y in window))]
-        problems = [what for what, ok in checks if not ok]
-        errors += [f"selfcite.query_file: query {n}: {what}"
-                   for what in problems]
-        if not problems:
-            queries.append(selfcite_mod.RateQuery(
-                entry["source"], tuple(targets),
-                tuple(window) if window else None, kind))
-    return queries, errors
 
 
 def _value_errors(resolved):
@@ -265,10 +261,10 @@ def load_config(path) -> RunConfig:
 
 
 def config_hash(config: RunConfig) -> str:
-    """sha256 of the resolved settings, less the two that cannot change a
-    result: the worker count and the output directory."""
-    canon = json.dumps(dict(config.resolved, threads=None, output=None),
-                       sort_keys=True, default=str)
+    """sha256 of the resolved settings, less those that cannot change a
+    result: the worker count, the output directory and the stages run."""
+    canon = json.dumps(dict(config.resolved, threads=None, output=None,
+                            stages=None), sort_keys=True, default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -426,9 +422,8 @@ def _stage_selfcite(ctx: _RunContext):
               [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
                for s in scores])
     outputs = ["solidarity.csv"]
-    status = Counter(s.status for s in scores)
-    counts = {"undefined_psi": status["undefined"],
-              "excluded_psi": status["excluded"]}
+    counts = {f"{status}_psi": sum(s.status == status for s in scores)
+              for status in ("undefined", "excluded")}
 
     # (window written to rates.csv, window of its count table)
     if section["rate_years"]:
@@ -438,10 +433,10 @@ def _stage_selfcite(ctx: _RunContext):
     qj, uj = ctx.groups
     rate_rows = []
     for jid in sorted(qj | uj):
-        journal = ctx.corpus.journals[jid]
-        targets = {"self": {jid}, "qj_group": qj, "uj_group": uj}
-        targets["publisher"] = set(ctx.corpus.publisher_journals.get(
-            journal.publisher_id, ()))
+        publisher = ctx.corpus.journals[jid].publisher_id
+        targets = {"self": {jid}, "qj_group": qj, "uj_group": uj,
+                   "publisher": set(ctx.corpus.publisher_journals.get(
+                       publisher, ()))}
         for (lo, hi), key in windows:
             tab = table_for(key)
             for label in sorted(targets):
@@ -456,22 +451,20 @@ def _stage_selfcite(ctx: _RunContext):
                 rate_rows.append((jid, label, "reference", lo, hi, rr))
 
     skipped = {}
-    query_path = ctx.config.query_path()
-    if query_path:      # validated: every entry is a query
-        for n, query in enumerate(_rate_queries(query_path)[0], start=1):
-            try:
-                selfcite_mod.resolve_group(ctx.corpus, query.source)
-                group = selfcite_mod.resolve_group(ctx.corpus, query.targets)
-            except KeyError as exc:
-                skipped[f"query {n}"] = exc.args[0]
-                continue
-            fn = (selfcite_mod.citation_rate if query.kind == "citation"
-                  else selfcite_mod.reference_rate)
-            rate = fn(ctx.corpus, query.source, group,
-                      table=table_for(query.window))
-            lo, hi = query.window if query.window else ctx.corpus.year_range
-            rate_rows.append((query.source, "+".join(query.targets),
-                              query.kind, lo, hi, rate))
+    for n, query in ctx.config.rate_queries[0]:
+        try:
+            selfcite_mod.resolve_group(ctx.corpus, query.source)
+            group = selfcite_mod.resolve_group(ctx.corpus, query.targets)
+        except KeyError as exc:
+            skipped[f"query {n}"] = exc.args[0]
+            continue
+        fn = (selfcite_mod.citation_rate if query.kind == "citation"
+              else selfcite_mod.reference_rate)
+        rate = fn(ctx.corpus, query.source, group,
+                  table=table_for(query.window))
+        lo, hi = query.window if query.window else ctx.corpus.year_range
+        rate_rows.append((query.source, "+".join(query.targets),
+                          query.kind, lo, hi, rate))
 
     write_csv(ctx.outdir / "rates.csv",
               ["source", "target", "kind", "year_start", "year_end", "rate"],
@@ -807,10 +800,6 @@ def run_synth(config: RunConfig, outdir=None):
 # Figure-ready exports
 # ---------------------------------------------------------------------------
 
-FIGURE_IDS = ("2B", "2C", "2D", "2E", "2F", "3", "4A", "4B", "4C", "4D",
-              "S15", "S18")
-
-
 def _need(outdir, filename, stage):
     path = Path(outdir) / filename
     if not path.exists():
@@ -951,6 +940,7 @@ def _passthrough(filename, stage):
             return [], []
         header = list(rows[0].keys())
         return header, [tuple(r[h] for h in header) for r in rows]
+    build.stage = stage
     return build
 
 
@@ -968,28 +958,28 @@ _FIGURES = {
     "S15": _passthrough("synth_psi_scenarios.csv", "synth"),
     "S18": _passthrough("synth_psi_rewire.csv", "synth"),
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def emit_plot_data(config: RunConfig, outdir, figure_id: str) -> Path:
     """Write one figure panel's tidy table under <outdir>/figures/.
 
     Raises KeyError for unknown panel ids, ConfigError unless the
-    manifest in ``outdir`` records this config's hash (the synthetic
-    panels, read from ``run_synth`` outputs, go unchecked: it writes no
-    manifest), and FileNotFoundError naming the absent stage when
-    required inputs are missing.
+    manifest in ``outdir`` records this config's hash (panels of synth
+    outputs go unchecked: ``run_synth`` writes no manifest), and
+    FileNotFoundError naming the absent stage when inputs are missing.
     """
     if figure_id not in _FIGURES:
         raise KeyError(f"unknown figure id: {figure_id!r}; "
                        f"known: {', '.join(FIGURE_IDS)}")
-    manifest = Path(outdir) / "manifest.json"
-    if figure_id not in ("S15", "S18"):
+    build, manifest = _FIGURES[figure_id], Path(outdir) / "manifest.json"
+    if getattr(build, "stage", None) != "synth":
         if not manifest.exists():
             raise ConfigError(f"no {manifest}; run the stages first")
         recorded = json.loads(manifest.read_text(encoding="utf-8"))
         if recorded["config_hash"] != config_hash(config):
             raise ConfigError(f"{manifest} records another config's hash")
-    header, rows = _FIGURES[figure_id](config, Path(outdir))
+    header, rows = build(config, Path(outdir))
     path = Path(outdir) / "figures" / f"figure_{figure_id}.csv"
     write_csv(path, header, rows)
     return path

@@ -254,7 +254,7 @@ def solidarity_index(corpus, journal_id, window=None, include_self=True,
     """
     members = corpus.publisher_journals.get(
         corpus.journals[journal_id].publisher_id, ())
-    if table is None:
+    if table is None and len(members) > 1:    # else excluded, counts unread
         table = aggregate_citation_counts(corpus, window)
     years = None if window is None else range(window[0], window[1] + 1)
     totals = {j: corpus.paper_count(j, years) for j in members}

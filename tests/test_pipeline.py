@@ -366,9 +366,10 @@ def test_config_hash_changes_iff_config_changes(tmp_path, pipeline_files):
     path_b = write_pipeline_config(tmp_path, pipeline_files, tmp_path / "o",
                                    extra={"seed": 34})
     assert config_hash(load_config(path_b)) != hash_a
-    # neither the worker count nor the output directory changes a result
+    # neither the worker count, the output directory nor the stages run
+    # changes a result
     path_c = write_pipeline_config(tmp_path, pipeline_files, tmp_path / "p",
-                                   extra={"threads": 4})
+                                   extra={"threads": 4, "stages": ["impact"]})
     assert config_hash(load_config(path_c)) == hash_a
 
 
@@ -457,6 +458,19 @@ def test_malformed_rate_query_fails_validation(tmp_path, pipeline_files,
     assert "selfcite.query_file: query 2" in err and message in err
     assert "query 1" not in err
     assert not outdir.exists()
+
+
+def test_rate_queries_are_numbered_by_their_place_in_the_file(
+        tmp_path, pipeline_files):
+    query_file = tmp_path / "queries.yaml"
+    query_file.write_text("- {source: P1}\n- {source: P9, targets: P2}\n",
+                          encoding="utf-8")
+    config = load_config(write_pipeline_config(
+        tmp_path, pipeline_files, tmp_path / "out",
+        extra={"selfcite": {"query_file": str(query_file)}}))
+    queries, errors = config.rate_queries
+    assert [n for n, _query in queries] == [2]
+    assert errors == ["selfcite.query_file: query 1: targets missing"]
 
 
 @pytest.mark.parametrize("query", ["{source: P9-J9, targets: [P2]}",
@@ -649,6 +663,10 @@ def test_cli_net(tmp_path, pipeline_files):
     config_path = write_pipeline_config(tmp_path, pipeline_files, outdir)
     assert cli_main(["net", "--config", str(config_path)]) == 0
     assert (outdir / "centrality_PR_2001_2citation.csv").exists()
+    # net runs a subset of the configured stages under the same hash
+    assert cli_main(["report", "--config", str(config_path),
+                     "--figure", "3"]) == 0
+    assert (outdir / "figures" / "figure_3.csv").exists()
 
 
 def test_cli_synth_small(tmp_path, pipeline_files):
