@@ -11,7 +11,7 @@ production runs must configure weights from the method's source.
 from citnet import (SimilarityWeights, author_demographics, disambiguate,
                     paper_similarity)
 from citnet.authors import normalize_name
-from citnet.corpus import Corpus, Journal, LoadReport, Paper
+from citnet.corpus import Corpus, Journal, Paper
 
 
 def make_corpus(paper_specs, journal_ids):
@@ -23,7 +23,7 @@ def make_corpus(paper_specs, journal_ids):
     journals = {j: Journal(journal_id=j, categories=("10",),
                            questionable_flag=(j == "QJ"))
                 for j in journal_ids}
-    return Corpus(papers, journals, {}, LoadReport())
+    return Corpus(papers, journals, {})
 
 
 print(normalize_name("Kim, Ji-Hoon"), "|", normalize_name("J. Kim"))

@@ -107,7 +107,7 @@ def _run_stages(args, stages=None):
     config = _load(args)
     if stages is not None:
         config.resolved["stages"] = stages
-    results, ctx = _run_loaded(config, _load_checked(config))
+    results, ctx = _run_loaded(config, *_load_checked(config))
     return _print_results(config, results), ctx
 
 

@@ -1,11 +1,12 @@
 """Bibliographic corpus: records, loading, the citation graph, and validation.
 
 The corpus is the read-only substrate every metric runs on. It is built
-from three interchange files (see ``load_corpus``) and, once loaded, is
-never mutated. Its records hold only the fields of those files. What
-the metrics read besides them is derived once, on first use: the one
-citation structure, the integer ``CitationGraph`` over the papers'
-reference lists in ``Corpus.ids`` node order, each journal's papers per
+from three interchange files (see ``load_corpus``) or in memory, and is
+never mutated. Its records hold only the fields of those files. The rest
+is derived once, on first use: the integer code of every reference (the
+one pass over the reference strings), and from those codes the
+``CitationGraph`` in ``Corpus.ids`` node order, the ``LoadReport`` and
+the reference checks of ``validate_corpus``; each journal's papers per
 year and each publisher's journals.
 
 Serial-number (ISSN) helpers live here as well because journal registry
@@ -17,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -94,26 +95,21 @@ class Publisher:
 
 @dataclass
 class LoadReport:
-    """What the loader had to tolerate, kept for inspection.
+    """What a corpus holds that the metrics leave out, for inspection.
 
-    Dangling references stay listed here and are not citation graph
-    edges, so no rate denominator ever counts an unresolvable edge.
+    References are listed by paper id and list position; a duplicate is
+    each occurrence after the first in its list. Dangling references are
+    not graph edges, so no rate denominator counts an unresolvable edge.
     """
 
-    dangling_references: list[tuple[str, str]] = field(default_factory=list)
-    self_references: list[str] = field(default_factory=list)
-    duplicate_references: list[tuple[str, str]] = field(default_factory=list)
-    unknown_journal_papers: list[str] = field(default_factory=list)
-    unknown_publisher_journals: list[str] = field(default_factory=list)
+    dangling_references: list[tuple[str, str]]
+    self_references: list[str]
+    duplicate_references: list[tuple[str, str]]
+    unknown_journal_papers: list[str]
+    unknown_publisher_journals: list[str]
 
     def summary(self):
-        return {
-            "dangling_references": len(self.dangling_references),
-            "self_references": len(self.self_references),
-            "duplicate_references": len(self.duplicate_references),
-            "unknown_journal_papers": len(self.unknown_journal_papers),
-            "unknown_publisher_journals": len(self.unknown_publisher_journals),
-        }
+        return {f.name: len(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass
@@ -226,11 +222,12 @@ class Corpus:
     papers : dict paper_id -> Paper
     journals : dict journal_id -> Journal
     publishers : dict publisher_id -> Publisher
-    load_report : LoadReport
     ids : paper ids, sorted; node v of ``graph`` is ``ids[v]``
     node : dict paper_id -> graph node
-    graph : CitationGraph, one edge per reference that ``is_edge``
-        accepts, in node order and then list order, repeats kept
+    reference_codes : (row, code, edge, names) of every reference
+    graph : CitationGraph, one edge per reference naming another paper,
+        in node order and then list order, repeats kept
+    load_report : LoadReport, derived for every corpus
     paper_counts : dict journal_id -> {year: papers}, years ascending,
         for every registered journal (an empty dict when it has none)
     publisher_journals : dict publisher_id -> sorted ids of the
@@ -240,20 +237,14 @@ class Corpus:
     is built on first use.
     """
 
-    def __init__(self, papers, journals, publishers, load_report,
+    def __init__(self, papers, journals, publishers,
                  year_range=DEFAULT_YEAR_RANGE):
         self.papers: dict[str, Paper] = papers
         self.journals: dict[str, Journal] = journals
         self.publishers: dict[str, Publisher] = publishers
-        self.load_report = load_report
         self.year_range = tuple(year_range)
 
     # -- lookups -----------------------------------------------------------
-
-    def is_edge(self, paper_id, ref) -> bool:
-        """Whether reference ``ref`` of ``paper_id`` is a graph edge: it
-        names another paper of the corpus (not dangling, not self)."""
-        return ref != paper_id and ref in self.papers
 
     @cached_property
     def ids(self) -> list[str]:
@@ -264,29 +255,65 @@ class Corpus:
         return {pid: v for v, pid in enumerate(self.ids)}
 
     @cached_property
+    def reference_codes(self):
+        """The one walk over the reference strings: per reference, papers
+        in ``ids`` order, its citing node, its code (the cited node, or a
+        negative code per distinct id the corpus lacks) and whether it is
+        a graph edge (names another paper); then ``names``, the id of
+        each code c at ``names[c]``, so unresolved ids come last."""
+        lists = [self.papers[pid].references for pid in self.ids]
+        code_of = dict(self.node)
+        n = len(code_of)
+        code = np.array([code_of.setdefault(ref, n - 1 - len(code_of))
+                         for refs in lists for ref in refs], dtype=np.int64)
+        row = np.repeat(np.arange(n, dtype=np.int64),
+                        [len(refs) for refs in lists])
+        return (row, code, (code >= 0) & (code != row),
+                self.ids + list(code_of)[n:][::-1])
+
+    @cached_property
     def graph(self) -> CitationGraph:
-        ids, node = self.ids, self.node
         journal_ids = sorted(self.journals)
         journal_code = {j: i for i, j in enumerate(journal_ids)}
         publisher_ids = sorted(self.publishers)
         publisher_code = {p: i for i, p in enumerate(publisher_ids)}
-        papers = [self.papers[pid] for pid in ids]
+        papers = [self.papers[pid] for pid in self.ids]
         journal_of = np.array([journal_code.get(p.journal_id, -1)
                                for p in papers], dtype=np.int64)
         # the trailing -1 is the publisher of journal code -1
         publisher_of = np.array([publisher_code.get(
             self.journals[j].publisher_id, -1) for j in journal_ids] + [-1])
-        cited = [[node[r] for r in p.references if self.is_edge(p.paper_id, r)]
-                 for p in papers]
+        row, code, edge, _ = self.reference_codes
         return CitationGraph(
             journal_ids=journal_ids,
             publishers=[list(self.publisher_journals[p])
                         for p in publisher_ids],
             journal_of=journal_of, publisher_of=publisher_of[journal_of],
             year_of=np.array([p.year for p in papers], dtype=np.int64),
-            src=np.repeat(np.arange(len(ids), dtype=np.int64),
-                          [len(refs) for refs in cited]),
-            dst=np.array([t for refs in cited for t in refs], dtype=np.int64))
+            src=row[edge], dst=code[edge])
+
+    @cached_property
+    def load_report(self) -> LoadReport:
+        ids, (row, code, _, names) = self.ids, self.reference_codes
+        key = row * len(names) + code   # argsort: np.unique imports numpy.ma
+        order = np.argsort(key, kind="stable")
+        repeat = np.zeros(len(key), dtype=bool)
+        repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+
+        def listed(mask):
+            return [(ids[v], names[c]) for v, c in
+                    zip(row[mask].tolist(), code[mask].tolist())]
+
+        return LoadReport(
+            dangling_references=listed(code < 0),
+            self_references=[ids[v] for v in row[code == row].tolist()],
+            duplicate_references=listed(repeat),
+            unknown_journal_papers=[ids[v] for v in np.flatnonzero(
+                self.graph.journal_of < 0).tolist()],
+            unknown_publisher_journals=[
+                jid for jid, journal in self.journals.items()
+                if journal.publisher_id is not None
+                and journal.publisher_id not in self.publishers])
 
     @cached_property
     def paper_counts(self) -> dict[str, dict[int, int]]:
@@ -348,8 +375,11 @@ def _parse_paper_line(path, lineno, raw):
         raise CorpusFormatError(path, lineno, "year", "must be an integer")
     for name in ("author_keys", "references"):
         val = obj[name]
-        if not isinstance(val, list) or not all(isinstance(x, str) for x in val):
-            raise CorpusFormatError(path, lineno, name, "must be a list of strings")
+        try:        # join raises TypeError on any element not a string
+            "".join(val if isinstance(val, list) else [None])
+        except TypeError:
+            raise CorpusFormatError(path, lineno, name,
+                                    "must be a list of strings") from None
     return Paper(
         paper_id=obj["paper_id"],
         journal_id=obj["journal_id"],
@@ -383,6 +413,9 @@ def _parse_bool(path, lineno, fieldname, raw):
 def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
     """Load a corpus from interchange files.
 
+    Only the records are read; ``Corpus.load_report`` is derived from
+    them on first use, as for a corpus built in memory.
+
     Parameters
     ----------
     paths : mapping with keys ``papers``, ``journals``, ``publishers``
@@ -399,7 +432,7 @@ def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
     CorpusFormatError
         On malformed records (naming file, line and field) and on
         duplicate ids. Dangling references are *not* errors; they are
-        collected in the load report.
+        listed in the load report.
     """
     papers_path = Path(paths["papers"])
     journals_path = Path(paths["journals"])
@@ -407,8 +440,6 @@ def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
     for p in (papers_path, journals_path, publishers_path):
         if not p.exists():
             raise FileNotFoundError(p)
-
-    report = LoadReport()
 
     publishers: dict[str, Publisher] = {}
     for lineno, row in _read_csv(publishers_path, ("publisher_id",)):
@@ -436,8 +467,6 @@ def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
         categories = tuple(s.strip() for s in (row["categories"] or "").split(LIST_SEP)
                            if s.strip())
         publisher_id = (row["publisher_id"] or "").strip() or None
-        if publisher_id is not None and publisher_id not in publishers:
-            report.unknown_publisher_journals.append(jid)
         journals[jid] = Journal(
             journal_id=jid,
             issns=issns,
@@ -459,22 +488,7 @@ def load_corpus(paths, year_range=DEFAULT_YEAR_RANGE) -> Corpus:
                                         f"duplicate id {paper.paper_id!r}")
             papers[paper.paper_id] = paper
 
-    # Reference hygiene is reported, never silently repaired.
-    for pid in sorted(papers):
-        paper = papers[pid]
-        seen: set[str] = set()
-        for ref in paper.references:
-            if ref == pid:
-                report.self_references.append(pid)
-            elif ref not in papers:
-                report.dangling_references.append((pid, ref))
-            if ref in seen:
-                report.duplicate_references.append((pid, ref))
-            seen.add(ref)
-        if paper.journal_id not in journals:
-            report.unknown_journal_papers.append(pid)
-
-    return Corpus(papers, journals, publishers, report, year_range=year_range)
+    return Corpus(papers, journals, publishers, year_range=year_range)
 
 
 # ---------------------------------------------------------------------------
@@ -497,48 +511,47 @@ class ValidationReport:
     def is_clean(self) -> bool:
         return not self.violations
 
-    def add(self, kind, entity, detail):
-        self.violations.append(Violation(kind, entity, detail))
-
     def by_kind(self, kind):
         return [v for v in self.violations if v.kind == kind]
 
 
 def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Check every record invariant; violations are report content, not errors."""
-    report = ValidationReport()
+    """Check every record invariant; violations are report content, not errors.
+
+    Papers come first, then journals, then publishers, each by id and
+    each with its kinds in the order listed here.
+    """
     lo, hi = corpus.year_range
-
-    for pid in corpus.ids:
-        paper = corpus.papers[pid]
-        if not (lo <= paper.year <= hi):
-            report.add("year_out_of_range", pid,
-                       f"year {paper.year} outside [{lo}, {hi}]")
-        if pid in paper.references:
-            report.add("self_reference", pid, "paper cites itself")
-        if len(set(paper.references)) != len(paper.references):
-            report.add("duplicate_reference", pid, "reference list has duplicates")
-        if paper.journal_id not in corpus.journals:
-            report.add("unknown_journal", pid,
-                       f"journal {paper.journal_id!r} not registered")
-
-    for jid in sorted(corpus.journals):
-        journal = corpus.journals[jid]
-        for issn in journal.issns:
-            if not validate_issn(issn):
-                report.add("issn_checksum", jid, f"invalid ISSN {issn!r}")
-        if not journal.categories:
-            report.add("empty_categories", jid, "no subject categories")
-        if (journal.publisher_id is not None
-                and journal.publisher_id not in corpus.publishers):
-            report.add("unknown_publisher", jid,
-                       f"publisher {journal.publisher_id!r} not registered")
-
-    for pub_id, members in corpus.publisher_journals.items():
-        if not members:
-            report.add("empty_publisher", pub_id, "no journals")
-
-    return report
+    ids, journals, load = corpus.ids, corpus.journals, corpus.load_report
+    year_of = corpus.graph.year_of
+    out = np.flatnonzero((year_of < lo) | (year_of > hi))
+    # (group, id, rank, kind, detail); groups: papers, journals, publishers
+    found = [(0, ids[v], 0, "year_out_of_range",
+              f"year {y} outside [{lo}, {hi}]")
+             for v, y in zip(out.tolist(), year_of[out].tolist())]
+    found += [(0, pid, 1, "self_reference", "paper cites itself")
+              for pid in dict.fromkeys(load.self_references)]
+    found += [(0, pid, 2, "duplicate_reference",
+               "reference list has duplicates")
+              for pid in dict.fromkeys(p for p, _ in
+                                       load.duplicate_references)]
+    found += [(0, pid, 3, "unknown_journal", f"journal "
+               f"{corpus.papers[pid].journal_id!r} not registered")
+              for pid in load.unknown_journal_papers]
+    found += [(1, jid, 0, "issn_checksum", f"invalid ISSN {issn!r}")
+              for jid, journal in journals.items()
+              for issn in journal.issns if not validate_issn(issn)]
+    found += [(1, jid, 1, "empty_categories", "no subject categories")
+              for jid, journal in journals.items() if not journal.categories]
+    found += [(1, jid, 2, "unknown_publisher", f"publisher "
+               f"{journals[jid].publisher_id!r} not registered")
+              for jid in load.unknown_publisher_journals]
+    found += [(2, pub, 0, "empty_publisher", "no journals")
+              for pub, members in corpus.publisher_journals.items()
+              if not members]
+    found.sort(key=lambda f: f[:3])     # stable: ISSNs keep their list order
+    return ValidationReport([Violation(kind, entity, detail)
+                             for _, entity, _, kind, detail in found])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ stages only through those files. Tables that depend on (config, corpus)
 alone, such as the normalization table, the impact rows and the control
 registry, are computed once per run on the run context. A manifest
 records the hash of the resolved settings that can change a result
-(all but ``threads``, ``output`` and ``stages``), the seconds of the citation graph
-build that precedes the stages, per-stage status and timings; when a
-stage fails its dependents are skipped and the manifest carries a
-partial-run marker, with the completed outputs left in place.
+(all but ``threads``, ``output`` and ``stages``), the seconds of the corpus
+load and of the citation graph build that precede the stages, per-stage
+status and timings; when a stage fails its dependents are skipped and
+the manifest carries a partial-run marker, with the completed outputs
+left in place.
 
 Stages run in waves: a wave is every enabled stage whose dependencies
 have all settled (impact; then matching; then the five comparative
@@ -253,8 +254,11 @@ def _value_errors(resolved):
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
+    try:
+        with path.open(encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return RunConfig(raw=raw, path=path)
@@ -695,19 +699,22 @@ def run_pipeline(config: RunConfig, outdir=None):
     ``excluded_mentions`` (mentions left out of ``clusters.csv`` as lone
     mentions of uncited single-authored papers).
     """
-    return _run_loaded(config, _load_checked(config), outdir)[0]
+    return _run_loaded(config, *_load_checked(config), outdir)[0]
 
 
-def _load_checked(config: RunConfig) -> Corpus:
-    """Validate the config, then load its corpus."""
+def _load_checked(config: RunConfig) -> tuple[Corpus, float]:
+    """Validate the config, then load its corpus: (corpus, load seconds)."""
     errors = config.validate()
     if errors:
         raise ConfigError("; ".join(errors))
-    return load_corpus(config.corpus_paths(),
-                       year_range=tuple(config["year_range"]))
+    t0 = time.perf_counter()
+    corpus = load_corpus(config.corpus_paths(),
+                         year_range=tuple(config["year_range"]))
+    return corpus, time.perf_counter() - t0
 
 
-def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
+def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
+                outdir=None):
     """run_pipeline on a loaded corpus; returns (results, run context)."""
     ctx = _RunContext(config, corpus, Path(outdir or config["output"]))
     seed, threads = int(config["seed"]), int(config["threads"])
@@ -746,6 +753,7 @@ def _run_loaded(config: RunConfig, corpus: Corpus, outdir=None):
         "threads": threads,
         "partial": any(r.status != "ok" for r in results),
         "load_report": corpus.load_report.summary(),
+        "load": {"seconds": round(load_seconds, 6)},
         "graph": {"seconds": round(graph_seconds, 6),
                   "nodes": graph.n_nodes, "edges": len(graph.src)},
         "stages": [{"name": r.name, "status": r.status,

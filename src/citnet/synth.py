@@ -40,7 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import CitationGraph, Corpus, Journal, LoadReport, Paper, Publisher
+from .corpus import (CitationGraph, Corpus, Journal, Paper, Publisher,
+                     csr_pointer)
 from .selfcite import CitationCounts, psi_from_counts
 
 __all__ = [
@@ -186,8 +187,7 @@ def _materialize(net: CitationGraph, year_range) -> Corpus:
         for jid in jids:
             journals[jid] = Journal(journal_id=jid, publisher_id=pub_id,
                                     categories=(SYNTH_CATEGORY,))
-    return Corpus(papers, journals, publishers, LoadReport(),
-                  year_range=year_range)
+    return Corpus(papers, journals, publishers, year_range=year_range)
 
 
 def generate_synthetic(config: SynthConfig) -> Corpus:
@@ -336,17 +336,17 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
                        config.baseline_rate, rng)
     rewirer.advance(step_count)
 
-    # edges are the references Corpus.is_edge accepts, in graph order
-    ids = corpus.ids
-    targets = iter(net.dst)
-    papers = {}
-    for pid in ids:
-        paper = corpus.papers[pid]
-        refs = tuple(ids[next(targets)] if corpus.is_edge(pid, r) else r
-                     for r in paper.references)
-        papers[pid] = replace(paper, references=refs)
+    # the graph's edges are the references marked `edge`, in order
+    row, code, edge, names = corpus.reference_codes
+    code = code.copy()
+    code[edge] = net.dst
+    cited = [names[c] for c in code.tolist()]
+    pointer = csr_pointer(row, len(corpus.ids)).tolist()
+    papers = {pid: replace(corpus.papers[pid],
+                           references=tuple(cited[pointer[v]:pointer[v + 1]]))
+              for v, pid in enumerate(corpus.ids)}
     return Corpus(papers, dict(corpus.journals), dict(corpus.publishers),
-                  corpus.load_report, year_range=corpus.year_range)
+                  year_range=corpus.year_range)
 
 
 def _default_rate_assignment(net: CitationGraph, rng):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from citnet.corpus import Corpus, Journal, LoadReport, Paper, Publisher
+from citnet.corpus import Corpus, Journal, Paper, Publisher
 
 
 def make_corpus(papers, journals, year_range=(1996, 2018)):
@@ -38,7 +38,7 @@ def make_corpus(papers, journals, year_range=(1996, 2018)):
         )
         if pub:
             publishers.setdefault(pub, Publisher(publisher_id=pub))
-    return Corpus(paper_records, journal_records, publishers, LoadReport(),
+    return Corpus(paper_records, journal_records, publishers,
                   year_range=year_range)
 
 
@@ -148,7 +148,7 @@ def small_pipeline_corpus(seed=5):
     flagged = {"P1-J1"}
     journals = {jid: replace(j, questionable_flag=jid in flagged)
                 for jid, j in corpus.journals.items()}
-    return Corpus(papers, journals, dict(corpus.publishers), LoadReport(),
+    return Corpus(papers, journals, dict(corpus.publishers),
                   year_range=corpus.year_range)
 
 

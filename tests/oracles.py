@@ -120,6 +120,69 @@ def publisher_journals_reference(corpus):
             for pub in corpus.publishers}
 
 
+# -- reference hygiene and validation -----------------------------------------
+
+
+def load_report_reference(corpus):
+    """The load report as the loader once built it: one walk over every
+    reference list, papers in sorted-id order, as a dict of its lists."""
+    papers = corpus.papers
+    report = {"dangling_references": [], "self_references": [],
+              "duplicate_references": [], "unknown_journal_papers": [],
+              "unknown_publisher_journals": [
+                  jid for jid, journal in corpus.journals.items()
+                  if journal.publisher_id is not None
+                  and journal.publisher_id not in corpus.publishers]}
+    for pid in sorted(papers):
+        paper = papers[pid]
+        seen = set()
+        for ref in paper.references:
+            if ref == pid:
+                report["self_references"].append(pid)
+            elif ref not in papers:
+                report["dangling_references"].append((pid, ref))
+            if ref in seen:
+                report["duplicate_references"].append((pid, ref))
+            seen.add(ref)
+        if paper.journal_id not in corpus.journals:
+            report["unknown_journal_papers"].append(pid)
+    return report
+
+
+def validation_reference(corpus):
+    """Every violation as (kind, entity, detail), in report order: a
+    per-paper loop over the records, then the journals and publishers."""
+    found = []
+    lo, hi = corpus.year_range
+    for pid in sorted(corpus.papers):
+        paper = corpus.papers[pid]
+        if not (lo <= paper.year <= hi):
+            found.append(("year_out_of_range", pid,
+                          f"year {paper.year} outside [{lo}, {hi}]"))
+        if pid in paper.references:
+            found.append(("self_reference", pid, "paper cites itself"))
+        if len(set(paper.references)) != len(paper.references):
+            found.append(("duplicate_reference", pid,
+                          "reference list has duplicates"))
+        if paper.journal_id not in corpus.journals:
+            found.append(("unknown_journal", pid,
+                          f"journal {paper.journal_id!r} not registered"))
+    for jid in sorted(corpus.journals):
+        journal = corpus.journals[jid]
+        found += [("issn_checksum", jid, f"invalid ISSN {issn!r}")
+                  for issn in journal.issns if not issn_valid_oracle(issn)]
+        if not journal.categories:
+            found.append(("empty_categories", jid, "no subject categories"))
+        if (journal.publisher_id is not None
+                and journal.publisher_id not in corpus.publishers):
+            found.append(("unknown_publisher", jid, f"publisher "
+                          f"{journal.publisher_id!r} not registered"))
+    members = publisher_journals_reference(corpus)
+    found += [("empty_publisher", pub, "no journals")
+              for pub in sorted(members) if not members[pub]]
+    return found
+
+
 # -- shortest-path machinery on small digraphs ------------------------------
 
 

@@ -76,3 +76,11 @@ def test_cli_rejects_typo_with_exit_2(tmp_path, pipeline_files, capsys):
                                         extra={"jnet": {"window": [2]}})
     assert cli_main(["validate", "--config", str(config_path)]) == 2
     assert "jnet.window" in capsys.readouterr().err
+
+
+def test_cli_reports_yaml_syntax_error_with_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: [1,\n", encoding="utf-8")
+    assert cli_main(["validate", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err

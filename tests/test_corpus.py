@@ -1,15 +1,17 @@
 import json
+from dataclasses import asdict, astuple
 
 import pytest
 
-from citnet.corpus import (Corpus, CorpusFormatError, Journal, LoadReport,
+from citnet.corpus import (Corpus, CorpusFormatError, Journal, Paper,
                            Publisher, load_corpus, validate_corpus)
 from citnet.synth import RewireConfig, rewire
 
 from conftest import (corpus_to_files, make_corpus, messy_corpus,
                       serialize_indices)
-from oracles import (paper_counts_reference, publisher_journals_reference,
-                     string_indices)
+from oracles import (citation_edges, load_report_reference,
+                     paper_counts_reference, publisher_journals_reference,
+                     string_indices, validation_reference)
 
 
 def write_fixture(tmp_path, papers=None, journals=None, publishers=None):
@@ -142,7 +144,7 @@ def test_graph_equals_citation_edges_with_missing_codes():
     base = messy_corpus(seed=4)
     # PB unregistered: its journals J2 and J3 keep a journal code only
     corpus = Corpus(base.papers, base.journals,
-                    {"PA": base.publishers["PA"]}, LoadReport(),
+                    {"PA": base.publishers["PA"]},
                     year_range=base.year_range)
     graph = corpus.graph
     assert corpus.graph is graph
@@ -218,7 +220,7 @@ def registry_messy_corpus(seed):
     base = messy_corpus(seed)
     journals = dict(base.journals, J9=Journal("J9", publisher_id="PA"))
     publishers = {"PA": base.publishers["PA"], "PZ": Publisher("PZ")}
-    return Corpus(base.papers, journals, publishers, LoadReport(),
+    return Corpus(base.papers, journals, publishers,
                   year_range=(2003, 2007))
 
 
@@ -250,3 +252,55 @@ def test_derived_facts_equal_record_scans(corpus):
         assert [v.entity for v in report.by_kind("empty_publisher")] == ["PZ"]
         assert [v.entity for v in report.by_kind("unknown_publisher")] == \
             ["J2", "J3"]
+
+
+def hygiene_corpus(seed):
+    """registry_messy_corpus plus a paper citing one dangling id twice
+    and another once, one repeating a self-citation and a resolved
+    reference (in an unregistered journal, before year_range), one
+    citing only dangling ids, one citing nothing, and a journal J8."""
+    base = registry_messy_corpus(seed)
+    papers = dict(base.papers)
+    for pid, jid, year, refs in [
+            ("q0", "J0", 2005, ["ghost", "p000", "ghost", "other"]),
+            ("q1", "X1", 1990, ["q1", "p001", "q1", "p001"]),
+            ("q2", "J2", 2004, ["ghost", "nowhere"]),
+            ("q3", "J9", 2006, [])]:
+        papers[pid] = Paper(pid, jid, year, references=tuple(refs))
+    # two bad ISSNs out of sorted order, no categories, no such publisher
+    journals = dict(base.journals, J8=Journal(
+        "J8", issns=("2434-5611", "0317-8471", "0317-8472"),
+        publisher_id="PQ"))
+    return Corpus(papers, journals, base.publishers,
+                  year_range=base.year_range)
+
+
+@pytest.mark.parametrize("corpus", [
+    *(pytest.param(lambda s=s: hygiene_corpus(s), id=f"messy{s}")
+      for s in range(4)),
+    pytest.param(rewired_corpus, id="rewired")])
+def test_reference_hygiene_equals_record_scans(corpus, tmp_path):
+    """The load report, the violations and the graph, all derived from
+    the reference codes, equal scans of the records, in order, for the
+    corpus in memory and loaded from its files."""
+    corpus = corpus()
+    loaded = load_corpus(corpus_to_files(corpus, tmp_path),
+                         year_range=corpus.year_range)
+    for c in (corpus, loaded):
+        assert asdict(c.load_report) == load_report_reference(c)
+        assert [astuple(v) for v in validate_corpus(c).violations] == \
+            validation_reference(c)
+        ids = c.ids
+        assert [(ids[s], ids[t]) for s, t in zip(
+            c.graph.src.tolist(), c.graph.dst.tolist())] == citation_edges(c)
+    report = corpus.load_report
+    if "q0" in corpus.papers:
+        assert [r for p, r in report.dangling_references if p == "q0"] == \
+            ["ghost", "ghost", "other"]
+        assert [r for p, r in report.duplicate_references
+                if p in ("q0", "q1")] == ["ghost", "q1", "p001"]
+        assert report.self_references.count("q1") == 2
+        assert [v.kind for v in validate_corpus(corpus).violations
+                if v.entity == "q1"] == ["year_out_of_range", "self_reference",
+                                         "duplicate_reference",
+                                         "unknown_journal"]

@@ -419,6 +419,26 @@ def test_import_loads_no_process_pool_nor_numpy_ma():
     assert loaded.strip() == "[]"
 
 
+def test_reference_strings_read_in_corpus_and_synth_only():
+    # one walk maps the reference strings to codes (Corpus.reference_codes);
+    # every other module reads the codes or the graph built from them
+    import ast
+
+    package = Path(citnet.__file__).resolve().parent
+    readers, edge_rule = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "references"
+                    and path.name not in ("corpus.py", "synth.py")):
+                readers.append(path.name)
+            name = (node.name if isinstance(node, ast.FunctionDef)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name == "is_edge":
+                edge_rule.append(path.name)
+    assert readers == [] and edge_rule == []
+
+
 def _functions(module):
     """Every top-level function of a module, by name, as an AST node."""
     import ast

@@ -62,7 +62,8 @@ def test_full_run_produces_every_module_csv(full_run):
     graph = manifest["graph"]
     assert (graph["nodes"], graph["edges"]) == (len(corpus.papers),
                                                 len(corpus.graph.src))
-    assert graph["seconds"] > 0
+    assert graph["seconds"] > 0 and manifest["load"]["seconds"] > 0
+    assert manifest["load_report"] == corpus.load_report.summary()
 
 
 @pytest.mark.parametrize("novelty", [
@@ -243,6 +244,7 @@ def manifest_without_timing(outdir):
     and the threads setting."""
     manifest = json.loads((Path(outdir) / "manifest.json").read_text())
     del manifest["threads"]
+    del manifest["load"]["seconds"]
     del manifest["graph"]["seconds"]
     for stage in manifest["stages"]:
         del stage["seconds"]
