@@ -78,6 +78,8 @@ class PairZScores:
 
     Row k is the pair ``divmod(keys[k], len(journal_ids))`` of journal
     codes; ``keys`` ascend, and ``z`` is NaN where ``sigma`` is 0.
+    ``collapse`` is the ``collapse_multiplicity`` the pairs were counted
+    with.
     """
 
     journal_ids: list[str]
@@ -86,6 +88,7 @@ class PairZScores:
     e: np.ndarray
     sigma: np.ndarray
     z: np.ndarray
+    collapse: bool = False
 
     def stats(self) -> dict[tuple[str, str], PairStatistics]:
         """The table as PairStatistics per pair of journal ids."""
@@ -260,7 +263,8 @@ def pair_zscores(corpus: Corpus, config: ShuffleConfig,
     z = np.full(len(keys), np.nan)
     ok = sigma > 0
     z[ok] = (o[ok] - e[ok]) / sigma[ok]
-    return PairZScores(graph.journal_ids, keys, o, e, sigma, z)
+    return PairZScores(graph.journal_ids, keys, o, e, sigma, z,
+                       config.collapse_multiplicity)
 
 
 def _percentiles(values, start, count, q):
@@ -282,19 +286,20 @@ def _percentiles(values, start, count, q):
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def paper_novelty(corpus: Corpus, zscores: PairZScores,
-                  collapse: bool = False) -> list[PaperNovelty]:
+def paper_novelty(corpus: Corpus, zscores: PairZScores) -> list[PaperNovelty]:
     """Median and 10th-percentile z over each paper's reference pairs.
 
     One entry per paper with at least two resolved references, in
-    paper-id order. Percentiles use linear interpolation. Pairs with
-    undefined z (or missing from ``zscores``) are excluded from the
-    percentiles and reported in the count; a paper with no defined pair
-    comes back undefined.
+    paper-id order; pairs are counted as ``zscores`` counted them.
+    Percentiles use linear interpolation. Pairs with undefined z (or
+    missing from ``zscores``) are excluded from the percentiles and
+    reported in the count; a paper with no defined pair comes back
+    undefined.
     """
     graph = corpus.graph
     n = graph.n_nodes
-    nodes, keys = _reference_pairs(graph, graph.src, graph.dst, collapse)
+    nodes, keys = _reference_pairs(graph, graph.src, graph.dst,
+                                   zscores.collapse)
     z = np.full(len(keys), np.nan)
     hit = np.isin(keys, zscores.keys)
     z[hit] = zscores.z[np.searchsorted(zscores.keys, keys[hit])]

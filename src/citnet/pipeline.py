@@ -1,27 +1,26 @@
 """Declarative multi-stage runs over one corpus.
 
-A run is described by a single config file (YAML or JSON). Stages
-execute in dependency order (corpus loading first, impact before
-matching, matching before everything comparative); each stage writes its
-own CSV outputs into the output directory and passes results to later
-stages only through those files. Tables that depend on (config, corpus)
-alone, such as the normalization table, the impact rows and the control
-registry, are computed once per run on the run context. A manifest
-records the hash of the resolved settings that can change a result
-(all but ``threads``, ``output`` and ``stages``), the seconds of the corpus
-load and of the citation graph build that precede the stages, per-stage
-status and timings; when a stage fails its dependents are skipped and
-the manifest carries a partial-run marker, with the completed outputs
-left in place.
+A run is described by a single config file (YAML or JSON). Each stage
+writes its own CSV outputs into the output directory and reads nothing
+back from it: stages share only the tables on the run context, each
+computed from (config, corpus) alone on first use (the normalization
+table, the impact rows, the control registry and the matches). A stage
+fails when it raises, also when a table it reads cannot be built, and
+carries that error; the other stages still run, and the manifest carries
+a partial-run marker, with the completed outputs left in place. The
+manifest records the hash of the resolved settings that can change a
+result (all but ``threads``, ``output`` and ``stages``), the seconds of
+the corpus load and of the citation graph build that precede the
+stages, and per-stage status and timings.
 
-Stages run in waves: a wave is every enabled stage whose dependencies
-have all settled (impact; then matching; then the five comparative
-stages). With ``threads`` above 1, a wave of two or more stages runs in
-that many forked worker processes at most, where the platform supports
-``fork``; every other wave runs in this process. All randomness derives
-from the configured seed and results are reported in stage order, so a
-rerun with the same config produces byte-identical CSVs, and manifest
-stage entries equal apart from their seconds, at any worker count.
+The impact and matching stages run first, in this process, as they
+build the tables the others read. With ``threads`` above 1, the other
+enabled stages run in that many forked worker processes at most, where
+the platform supports ``fork``, and inherit those tables. All randomness
+derives from the configured seed and results are reported in stage
+order, so a rerun with the same config produces byte-identical CSVs,
+and manifest stage entries equal apart from their seconds, at any worker
+count.
 """
 
 from __future__ import annotations
@@ -66,18 +65,7 @@ __all__ = [
 
 STAGES = ("impact", "matching", "selfcite", "jnet", "novelty",
           "disruption", "authors")
-
-# declared dependency chain; a failed stage halts everything after it
-# that names it (directly or transitively)
-STAGE_DEPS = {
-    "impact": (),
-    "matching": ("impact",),
-    "selfcite": ("matching",),
-    "jnet": ("matching",),
-    "novelty": ("matching",),
-    "disruption": ("matching",),
-    "authors": ("matching",),
-}
+SYNTH_MANIFEST = "synth_manifest.json"
 
 _DEFAULTS = {
     "year_range": [1996, 2018],
@@ -275,7 +263,7 @@ def config_hash(config: RunConfig) -> str:
 @dataclass
 class StageResult:
     name: str
-    status: str          # "ok" | "failed" | "skipped"
+    status: str          # "ok" | "failed"
     seconds: float = 0.0
     error: str = ""
     outputs: list[str] = field(default_factory=list)
@@ -286,7 +274,8 @@ class StageResult:
 @dataclass
 class _RunContext:
     """One run's config and corpus; each table computed from them is a
-    cached property, built on first use."""
+    cached property, built on first use. A table that raises is not
+    cached, so every stage that reads it fails with the same error."""
 
     config: RunConfig
     corpus: Corpus
@@ -325,16 +314,13 @@ class _RunContext:
 
     @cached_property
     def matches(self):
-        """matches.csv as the matching stage wrote it; [] without one."""
-        path = self.outdir / "matches.csv"
-        if not path.exists():
-            return []
-        with path.open(newline="", encoding="utf-8") as fh:
-            return [matching_mod.MatchRecord(
-                qj_id=row["qj_id"], category=row["category"],
-                uj_id=row["uj_id"] or None,
-                impact_gap=float(row["impact_gap"]) if row["impact_gap"] else None,
-                tercile=row["tercile"] or None) for row in csv.DictReader(fh)]
+        """The MatchRecords of every flagged journal, by (QJ, category)."""
+        _year, registry = self.registry
+        terciles = matching_mod._category_terciles(registry)
+        records = [rec for qj in sorted(registry) if registry[qj].questionable
+                   for rec in matching_mod.match_registry(registry, qj,
+                                                          terciles)]
+        return sorted(records, key=lambda r: (r.qj_id, r.category))
 
     @cached_property
     def groups(self):
@@ -395,15 +381,11 @@ def _matching_year(config):
 
 
 def _stage_matching(ctx: _RunContext):
-    _year, registry = ctx.registry
-    terciles = matching_mod._category_terciles(registry)
-    records = [rec for qj in sorted(registry) if registry[qj].questionable
-               for rec in matching_mod.match_registry(registry, qj, terciles)]
     rows = [(r.qj_id, r.category, r.uj_id, r.impact_gap, r.tercile)
-            for r in sorted(records, key=lambda r: (r.qj_id, r.category))]
+            for r in ctx.matches]
     write_csv(ctx.outdir / "matches.csv",
               ["qj_id", "category", "uj_id", "impact_gap", "tercile"], rows)
-    unmatched = sum(1 for r in records if r.uj_id is None)
+    unmatched = sum(1 for r in ctx.matches if r.uj_id is None)
     return ["matches.csv"], {"counts": {"unmatched_categories": unmatched}}
 
 
@@ -527,8 +509,7 @@ def _stage_novelty(ctx: _RunContext):
     zscores = novelty_mod.pair_zscores(ctx.corpus, config)
     rows = [(nov.paper_id, nov.median_z, nov.p10_z, nov.defined_pair_count,
              nov.undefined_pair_count)
-            for nov in novelty_mod.paper_novelty(
-                ctx.corpus, zscores, config.collapse_multiplicity)]
+            for nov in novelty_mod.paper_novelty(ctx.corpus, zscores)]
     write_csv(ctx.outdir / "novelty.csv",
               ["paper_id", "median_z", "p10_z", "defined_pair_count",
                "undefined_pair_count"], rows)
@@ -620,7 +601,7 @@ def _run_stage(ctx: _RunContext, name: str) -> StageResult:
         outputs, extra = _STAGE_FNS[name](ctx)
         return StageResult(name, "ok", seconds=time.perf_counter() - t0,
                            outputs=outputs, **extra)
-    except Exception as exc:  # stage isolation: report, halt dependents
+    except Exception as exc:  # stage isolation: report, run the others
         return StageResult(name, "failed", seconds=time.perf_counter() - t0,
                            error=f"{type(exc).__name__}: {exc}")
 
@@ -637,19 +618,20 @@ def _worker_stage(name):
     return _run_stage(_worker_ctx, name)
 
 
-def _run_wave(ctx: _RunContext, names, threads: int) -> list[StageResult]:
-    """Run stages that depend on none of each other; results in ``names``
-    order.
+def _run_pooled(ctx: _RunContext, names, threads: int) -> list[StageResult]:
+    """Run stages that read none of each other's results; results in
+    ``names`` order.
 
     Two or more stages with ``threads > 1`` run in a pool of
     ``min(threads, len(names))`` forked workers, which is shut down
     before this returns. Workers inherit the run context from this
-    process rather than unpickling it, and collections are frozen
-    meanwhile so that a worker's garbage collector does not copy every
-    inherited page. Without ``fork``, or in a process running other
-    threads (a lock one of them holds would stay held in the child), the
-    stages run here. A dead worker fails every stage still without a
-    result.
+    process rather than unpickling it, with every table built on it so
+    far; a table not built yet is built by each worker that reads it.
+    Collections are frozen meanwhile so that a worker's garbage
+    collector does not copy every inherited page. Without ``fork``, or
+    in a process running other threads (a lock one of them holds would
+    stay held in the child), the stages run here. A dead worker fails
+    every stage still without a result.
     """
     import multiprocessing      # here, so that importing citnet stays cheap
 
@@ -682,12 +664,14 @@ def _run_wave(ctx: _RunContext, names, threads: int) -> list[StageResult]:
 def run_pipeline(config: RunConfig, outdir=None):
     """Execute the enabled stages and write the manifest.
 
-    Returns the list of StageResult in execution order. Stage failures
-    do not raise; they mark the run partial and skip dependents. Items a
-    stage leaves out (such as a journal-network variant outside the
-    corpus range, or a rate query naming an id the corpus lacks, as
-    ``query <n>``) are listed with the reason under the stage's
-    ``skipped`` entry, and the stage stays ok. Counts of excluded or
+    Returns the list of StageResult in stage order. Stage failures do
+    not raise; they mark the run partial, and the other stages still
+    run. A stage fails when it raises, also when a run-context table it
+    reads (such as the control registry behind the matches) cannot be
+    built, with that table's error. Items a stage leaves out (such as a
+    journal-network variant outside the corpus range, or a rate query
+    naming an id the corpus lacks, as ``query <n>``) are listed with the
+    reason under the stage's ``skipped`` entry, and the stage stays ok. Counts of excluded or
     undefined items go under ``counts``: the matching stage records
     ``unmatched_categories`` (``matches.csv`` rows without a control),
     the selfcite stage ``undefined_psi`` and ``excluded_psi``
@@ -725,26 +709,12 @@ def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
     graph = corpus.graph
     graph_seconds = time.perf_counter() - t0
 
+    # impact and matching build the tables that the other stages read, so
+    # they run here first and forked workers inherit those tables
     enabled = [s for s in STAGES if s in config["stages"]]
-    done: dict[str, StageResult] = {}
-    while len(done) < len(enabled):
-        wave = []
-        for name in enabled:
-            deps = STAGE_DEPS[name]
-            if name in done or any(d in enabled and d not in done
-                                   for d in deps):
-                continue
-            blocked = [d for d in deps if d in done and done[d].status != "ok"]
-            if blocked:
-                done[name] = StageResult(
-                    name, "skipped", error=f"dependency failed: {blocked[0]}")
-            else:
-                wave.append(name)
-        for result in _run_wave(ctx, wave, threads):
-            done[result.name] = result
-            if result.name == "matching" and result.status == "ok":
-                ctx.groups      # read once here, so forked workers share it
-    results = [done[name] for name in enabled]
+    first = [s for s in enabled if s in ("impact", "matching")]
+    results = [_run_stage(ctx, name) for name in first]
+    results += _run_pooled(ctx, enabled[len(first):], threads)
 
     manifest = {
         "config_hash": config_hash(config),
@@ -762,16 +732,25 @@ def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
                     "counts": r.counts}
                    for r in results],
     }
-    with atomic_write(ctx.outdir / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(ctx.outdir / "manifest.json", manifest)
     return results, ctx
 
 
+def _write_json(path, data):
+    with atomic_write(path) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def run_synth(config: RunConfig, outdir=None):
-    """Scenario sweeps plus the rewiring experiment, written as CSVs."""
+    """Scenario sweeps plus the rewiring experiment, written as CSVs.
+
+    ``synth_manifest.json`` records the config hash and the version once
+    both CSVs are written; a pipeline run's manifest has another name.
+    """
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / SYNTH_MANIFEST).unlink(missing_ok=True)
     section = config["synth"]
     seed = int(config["seed"])
 
@@ -801,6 +780,8 @@ def run_synth(config: RunConfig, outdir=None):
     write_csv(outdir / "synth_psi_rewire.csv",
               ["checkpoint", "journal", "rate", "psi_ratio_mean",
                "psi_ratio_std"], curves.rows)
+    _write_json(outdir / SYNTH_MANIFEST,
+                {"config_hash": config_hash(config), "version": __version__})
     return curves
 
 
@@ -823,10 +804,9 @@ def _read_rows(path):
 
 
 def _figure_context(config, outdir):
-    """A run context over the config's corpus, once matches.csv exists."""
+    """A run context over the config's corpus."""
     corpus = load_corpus(config.corpus_paths(),
                          year_range=tuple(config["year_range"]))
-    _need(outdir, "matches.csv", "matching")
     return _RunContext(config, corpus, Path(outdir))
 
 
@@ -973,20 +953,23 @@ def emit_plot_data(config: RunConfig, outdir, figure_id: str) -> Path:
     """Write one figure panel's tidy table under <outdir>/figures/.
 
     Raises KeyError for unknown panel ids, ConfigError unless the
-    manifest in ``outdir`` records this config's hash (panels of synth
-    outputs go unchecked: ``run_synth`` writes no manifest), and
-    FileNotFoundError naming the absent stage when inputs are missing.
+    manifest in ``outdir`` records this config's hash (``manifest.json``
+    of the pipeline run, or ``synth_manifest.json`` of ``run_synth`` for
+    the synth panels), and FileNotFoundError naming the absent stage
+    when inputs are missing.
     """
     if figure_id not in _FIGURES:
         raise KeyError(f"unknown figure id: {figure_id!r}; "
                        f"known: {', '.join(FIGURE_IDS)}")
-    build, manifest = _FIGURES[figure_id], Path(outdir) / "manifest.json"
-    if getattr(build, "stage", None) != "synth":
-        if not manifest.exists():
-            raise ConfigError(f"no {manifest}; run the stages first")
-        recorded = json.loads(manifest.read_text(encoding="utf-8"))
-        if recorded["config_hash"] != config_hash(config):
-            raise ConfigError(f"{manifest} records another config's hash")
+    build = _FIGURES[figure_id]
+    synth = getattr(build, "stage", None) == "synth"
+    manifest = Path(outdir) / (SYNTH_MANIFEST if synth else "manifest.json")
+    if not manifest.exists():
+        raise ConfigError(f"no {manifest}; run "
+                          f"{'citnet synth' if synth else 'the stages'} first")
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))
+    if recorded["config_hash"] != config_hash(config):
+        raise ConfigError(f"{manifest} records another config's hash")
     header, rows = build(config, Path(outdir))
     path = Path(outdir) / "figures" / f"figure_{figure_id}.csv"
     write_csv(path, header, rows)

@@ -73,6 +73,13 @@ class CitationCounts:
             table.in_total[dst] = table.in_total.get(dst, 0) + c
         return table
 
+    @property
+    def years(self) -> Optional[range]:
+        """The years of ``window``; None for every year."""
+        if self.window is None:
+            return None
+        return range(self.window[0], self.window[1] + 1)
+
     def scaled(self, k: float) -> "CitationCounts":
         """Uniformly scaled copy; rates computed from it are unchanged."""
         return CitationCounts(
@@ -249,14 +256,14 @@ def solidarity_index(corpus, journal_id, window=None, include_self=True,
 
     Standalone journals (publisher unknown or with a single journal) are
     excluded rather than scored; zero denominators on either side give an
-    undefined score. ``window`` restricts both the citation counts and
-    the paper totals to those years.
+    undefined score. The paper totals cover the years of the count
+    table's window; ``window`` only picks the table when none is passed.
     """
     members = corpus.publisher_journals.get(
         corpus.journals[journal_id].publisher_id, ())
     if table is None and len(members) > 1:    # else excluded, counts unread
         table = aggregate_citation_counts(corpus, window)
-    years = None if window is None else range(window[0], window[1] + 1)
+    years = None if table is None else table.years
     totals = {j: corpus.paper_count(j, years) for j in members}
     return psi_from_counts(table, journal_id, members, totals,
                            include_self=include_self)
@@ -272,7 +279,7 @@ def solidarity_scores(corpus, window=None, include_self=True,
     """
     if table is None:
         table = aggregate_citation_counts(corpus, window)
-    years = None if window is None else range(window[0], window[1] + 1)
+    years = table.years
     terms = {}      # publisher id -> (members, paper total, expectation)
     scores = []
     for jid in sorted(corpus.journals):

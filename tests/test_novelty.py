@@ -320,7 +320,7 @@ def test_zscores_and_novelty_equal_references(collapse, ensemble_count):
 
     rows = [(n.paper_id, n.median_z, n.p10_z, n.defined_pair_count,
              n.undefined_pair_count)
-            for n in paper_novelty(corpus, scores, collapse)]
+            for n in paper_novelty(corpus, scores)]
     reference = [(pid, *oracles.paper_novelty(corpus, pid, expected,
                                               collapse))
                  for pid in sorted(corpus.papers)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import citnet
 import citnet.cli as cli_mod
 import citnet.pipeline as pipeline_mod
 from citnet._util import write_csv
@@ -16,7 +17,8 @@ from citnet.corpus import load_corpus
 from citnet.matching import binning_diagnostics
 from citnet.novelty import ShuffleConfig
 from citnet.pipeline import (ConfigError, _RunContext, config_hash,
-                             emit_plot_data, load_config, run_pipeline)
+                             emit_plot_data, load_config, run_pipeline,
+                             run_synth)
 
 import oracles
 from conftest import write_pipeline_config
@@ -339,23 +341,21 @@ def test_process_with_threads_is_not_forked(tmp_path, pipeline_files,
 
 
 @needs_fork
-def test_dead_worker_fails_its_wave(tmp_path, pipeline_files, monkeypatch):
+def test_dead_worker_fails_the_stages_without_a_result(tmp_path,
+                                                       pipeline_files,
+                                                       monkeypatch):
     monkeypatch.setitem(pipeline_mod._STAGE_FNS, "novelty",
                         lambda ctx: os._exit(3))
-    # a stage after novelty, so that the failure has a dependent
-    monkeypatch.setitem(pipeline_mod.STAGE_DEPS, "authors",
-                        ("matching", "novelty"))
     results, _outputs, manifest = run_at(tmp_path, pipeline_files, 2)
     assert multiprocessing.active_children() == []
     status = {r.name: (r.status, r.error) for r in results}
     assert status["impact"] == status["matching"] == ("ok", "")
     assert status["novelty"][0] == "failed"
     assert status["novelty"][1].startswith("BrokenProcessPool: ")
-    # a wave mate runs to the end or dies with the pool
-    for name in ("selfcite", "jnet", "disruption"):
+    # a pool mate runs to the end or dies with the pool
+    for name in ("selfcite", "jnet", "disruption", "authors"):
         assert status[name] == ("ok", "") or \
             status[name] == ("failed", status["novelty"][1])
-    assert status["authors"] == ("skipped", "dependency failed: novelty")
     assert manifest["partial"] is True
     assert [s["name"] for s in manifest["stages"]] == \
         list(pipeline_mod.STAGES)
@@ -375,22 +375,28 @@ def test_config_hash_changes_iff_config_changes(tmp_path, pipeline_files):
     assert config_hash(load_config(path_c)) == hash_a
 
 
-def test_stage_failure_halts_dependents(tmp_path, pipeline_files):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_table_fails_only_the_stages_that_read_it(
+        tmp_path, pipeline_files, threads):
     outdir = tmp_path / "out"
-    # matching year outside the impact table makes matching fail
+    # a matching year outside the impact table leaves no control registry
     config_path = write_pipeline_config(
         tmp_path, pipeline_files, outdir,
-        extra={"stages": ["impact", "matching", "selfcite", "jnet"],
-               "matching": {"year": 1890}})
+        extra={"matching": {"year": 1890}, "threads": threads})
     results = {r.name: r for r in run_pipeline(load_config(config_path))}
-    assert results["impact"].status == "ok"
-    assert results["matching"].status == "failed"
-    assert results["selfcite"].status == "skipped"
-    assert results["jnet"].status == "skipped"
+    error = ("ConfigError: matching year 1890 is not covered by the impact "
+             "stage years")
+    for name in ("impact", "novelty", "disruption"):
+        assert (results[name].status, results[name].error) == ("ok", "")
+    for name in ("matching", "selfcite", "jnet", "authors"):
+        assert (results[name].status, results[name].error) == \
+            ("failed", error)
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["partial"] is True
     # completed outputs are retained
-    assert (outdir / "impact.csv").exists()
+    for name in ("impact.csv", "novelty.csv", "disruption.csv"):
+        assert (outdir / name).exists()
+    assert not (outdir / "matches.csv").exists()
 
 
 def test_validation_requires_existing_paths(tmp_path, pipeline_files):
@@ -554,13 +560,17 @@ def test_emit_figure_2f_contract(full_run):
         assert float(row["psi_ratio"]) > 0
 
 
-def test_emit_figure_s18_passthrough(tmp_path, full_run):
-    config, outdir, _results = full_run
-    source = Path(outdir) / "synth_psi_rewire.csv"
-    if not source.exists():
-        source.write_text(
-            "checkpoint,journal,rate,psi_ratio_mean,psi_ratio_std\n"
-            "1.0,S1,0.5,1.5,0.1\n", encoding="utf-8")
+SMALL_SYNTH = {"publisher_count": 5, "journals_per_publisher": 2,
+               "component_size_range": [60, 80], "out_degree_mean": 6.0,
+               "out_degree_std": 2.0, "ensemble_count": 2,
+               "rewire_fraction": 1.0}
+
+
+def test_emit_figure_s18_passthrough(tmp_path, pipeline_files):
+    outdir = tmp_path / "out"
+    config = load_config(write_pipeline_config(
+        tmp_path, pipeline_files, outdir, extra={"synth": SMALL_SYNTH}))
+    run_synth(config)
     path = emit_plot_data(config, outdir, "S18")
     header, rows = figure_rows(path)
     assert header == ["checkpoint", "journal", "rate", "psi_ratio_mean",
@@ -642,11 +652,16 @@ def test_cli_report_refuses_outputs_of_another_config(tmp_path,
         extra={"stages": ["impact", "matching", "selfcite"], "seed": 34})
     assert cli_main(["report", "--config", str(other), "--figure", "2F"]) == 2
     assert "records another config's hash" in capsys.readouterr().err
-    # the synth panels come from citnet synth, which writes no manifest
-    (outdir / "manifest.json").unlink()
+    # the synth panels are checked against the manifest of citnet synth
     (outdir / "synth_psi_scenarios.csv").write_text(
         "scenario,sweep_value,psi\na,0.1,1.0\n", encoding="utf-8")
+    assert cli_main(["report", "--config", str(other), "--figure", "S15"]) == 2
+    assert "synth_manifest.json" in capsys.readouterr().err
+    (outdir / "synth_manifest.json").write_text(json.dumps(
+        {"config_hash": config_hash(load_config(other))}), encoding="utf-8")
     assert cli_main(["report", "--config", str(other), "--figure", "S15"]) == 0
+    assert cli_main(["report", "--config", str(config_path),
+                     "--figure", "S15"]) == 2
 
 
 def test_cli_match_with_diagnostics(tmp_path, pipeline_files, capsys):
@@ -673,15 +688,34 @@ def test_cli_net(tmp_path, pipeline_files):
 
 def test_cli_synth_small(tmp_path, pipeline_files):
     outdir = tmp_path / "out"
-    config_path = write_pipeline_config(
-        tmp_path, pipeline_files, outdir,
-        extra={"synth": {"publisher_count": 5, "journals_per_publisher": 2,
-                         "component_size_range": [60, 80],
-                         "out_degree_mean": 6.0, "out_degree_std": 2.0,
-                         "ensemble_count": 2, "rewire_fraction": 1.0}})
+    config_path = write_pipeline_config(tmp_path, pipeline_files, outdir,
+                                        extra={"synth": SMALL_SYNTH})
     assert cli_main(["synth", "--config", str(config_path)]) == 0
     assert (outdir / "synth_psi_scenarios.csv").exists()
     assert (outdir / "synth_psi_rewire.csv").exists()
+
+
+def test_synth_run_writes_its_own_manifest(tmp_path, pipeline_files):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"synth": SMALL_SYNTH, "stages": ["impact"]})
+    report = ["report", "--config", str(config_path), "--figure", "S15"]
+    assert cli_main(["synth", "--config", str(config_path)]) == 0
+    written = (outdir / "synth_manifest.json").read_bytes()
+    assert json.loads(written) == {
+        "config_hash": config_hash(load_config(config_path)),
+        "version": citnet.__version__}
+    assert cli_main(report) == 0
+    # a pipeline run in the same directory leaves it as it was
+    assert cli_main(["run", "--config", str(config_path)]) == 0
+    assert (outdir / "synth_manifest.json").read_bytes() == written
+    assert cli_main(report) == 0
+    (tmp_path / "other").mkdir()
+    other = write_pipeline_config(
+        tmp_path / "other", pipeline_files, outdir,
+        extra={"synth": SMALL_SYNTH, "seed": 34})
+    assert cli_main(["report", "--config", str(other), "--figure", "S18"]) == 2
 
 
 def test_cli_seed_and_out_overrides(tmp_path, pipeline_files):
@@ -866,9 +900,9 @@ def test_reference_year_without_a_table_shows_in_the_manifest(
     assert entries["impact"]["skipped"] == {"normalization": reason}
     if kind == "normalized":
         assert manifest["partial"] is True
-        assert entries["matching"]["status"] == "failed"
-        assert reason in entries["matching"]["error"]
-        assert entries["selfcite"]["status"] == "skipped"
+        for name in ("matching", "selfcite"):
+            assert entries[name]["status"] == "failed"
+            assert reason in entries[name]["error"]
         assert not (outdir / "matches.csv").exists()
     else:
         assert manifest["partial"] is False
@@ -969,9 +1003,10 @@ def test_a_run_builds_each_per_run_table_once(tmp_path, pipeline_files,
     outdir = tmp_path / "out"
     run_pipeline(load_config(write_pipeline_config(tmp_path, files, outdir)))
     monkeypatch.undo()
+    # matches.csv is written, never opened
     assert calls == {"_tally": 2, "build_normalization_table": 1,
                      "impact_table": 1, "_category_terciles": 1,
-                     "match_registry": len(flagged), "open matches.csv": 1}
+                     "match_registry": len(flagged)}
     if flagged == ("P1-J1",):
         outputs = read_outputs(outdir)
         assert set(ALL_CSVS) <= set(outputs)
@@ -990,3 +1025,78 @@ def test_a_stage_list_without_impact_still_matches(tmp_path, pipeline_files,
     for name in ("matches.csv", "solidarity.csv", "rates.csv"):
         assert (outdir / name).read_bytes() == \
             (full_run[1] / name).read_bytes()
+
+
+# -- stages share only the run-context tables ----------------------------------
+
+
+def test_a_stage_list_without_matching_derives_the_matches(
+        tmp_path, pipeline_files, full_run):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["jnet", "selfcite"]})
+    results = run_pipeline(load_config(config_path))
+    assert [(r.name, r.status) for r in results] == [("selfcite", "ok"),
+                                                    ("jnet", "ok")]
+    assert not (outdir / "matches.csv").exists()
+    for name in ("centrality_comparison.csv", "rates.csv"):
+        assert (outdir / name).read_bytes() == \
+            (full_run[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_stale_matches_file_changes_nothing(tmp_path, pipeline_files,
+                                              full_run, threads):
+    # a matches.csv left by another run names other controls
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    header, rows = figure_rows(full_run[1] / "matches.csv")
+    journals = sorted({r["qj_id"] for r in rows} | {r["uj_id"] for r in rows})
+    journals += ["P3-J1", "P3-J2"]
+    for row in rows:
+        row["uj_id"] = next(j for j in journals
+                            if j not in (row["qj_id"], row["uj_id"]))
+    write_csv(outdir / "matches.csv", header,
+              [[r[h] for h in header] for r in rows])
+    stale = (outdir / "matches.csv").read_bytes()
+    assert stale != (full_run[1] / "matches.csv").read_bytes()
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"stages": ["selfcite", "jnet", "authors"], "threads": threads})
+    results = run_pipeline(load_config(config_path))
+    assert all(r.status == "ok" for r in results)
+    assert (outdir / "matches.csv").read_bytes() == stale
+    for name in ("rates.csv", "centrality_comparison.csv",
+                 "author_stats.csv"):
+        assert (outdir / name).read_bytes() == \
+            (full_run[1] / name).read_bytes()
+
+
+def test_a_full_run_reads_nothing_from_its_output_directory(
+        tmp_path, pipeline_files, monkeypatch):
+    import builtins
+    import io
+
+    outdir = (tmp_path / "out").resolve()
+    config = load_config(write_pipeline_config(tmp_path, pipeline_files,
+                                               outdir))
+    assert config["threads"] == 1
+    real_open, reads, opened = io.open, [], []
+
+    def spying_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            path = Path(file).resolve()
+            opened.append(path)
+            if path.is_relative_to(outdir) and not set(mode) & set("wax+"):
+                reads.append(path.name)
+        return real_open(file, mode, *args, **kwargs)
+    monkeypatch.setattr(io, "open", spying_open)
+    monkeypatch.setattr(builtins, "open", spying_open)
+    results = run_pipeline(config)
+    monkeypatch.undo()
+    assert all(r.status == "ok" for r in results)
+    # the spy sees the corpus read and every output written
+    assert Path(pipeline_files["papers"]).resolve() in opened
+    assert any(path.is_relative_to(outdir) for path in opened)
+    assert reads == []

@@ -283,3 +283,21 @@ def test_solidarity_scores_equal_solidarity_index(seed, include_self, window):
     got = solidarity_scores(corpus, window, include_self=include_self)
     assert repr(got) == repr(expected)
     assert {s.status for s in got} == {"ok", "excluded"}
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+def test_a_count_table_carries_its_window(include_self):
+    """A table built for W scores psi against W's paper totals, whether W
+    is passed beside it or not."""
+    corpus = messy_corpus(0)
+    window = (2003, 2007)
+    table = aggregate_citation_counts(corpus, window)
+    by_window = solidarity_scores(corpus, window, include_self=include_self)
+    assert repr(solidarity_scores(corpus, include_self=include_self,
+                                  table=table)) == repr(by_window)
+    assert repr([solidarity_index(corpus, jid, include_self=include_self,
+                                  table=table)
+                 for jid in sorted(corpus.journals)]) == repr(by_window)
+    # the window shows: all-year paper totals give other scores
+    assert repr(solidarity_scores(corpus, include_self=include_self)) != \
+        repr(by_window)
