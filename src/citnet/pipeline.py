@@ -745,8 +745,10 @@ def _write_json(path, data):
 def run_synth(config: RunConfig, outdir=None):
     """Scenario sweeps plus the rewiring experiment, written as CSVs.
 
-    ``synth_manifest.json`` records the config hash and the version once
-    both CSVs are written; a pipeline run's manifest has another name.
+    ``synth_manifest.json`` records the config hash, the version and
+    the seconds of the scenario sweeps and of the rewiring experiment
+    once both CSVs are written; a pipeline run's manifest has another
+    name.
     """
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -754,12 +756,14 @@ def run_synth(config: RunConfig, outdir=None):
     section = config["synth"]
     seed = int(config["seed"])
 
+    t0 = time.perf_counter()
     scen_rows = []
     for scenario in ("a", "b", "c"):
         for value, psi in synth_mod.psi_scenarios(scenario, section["grid"]):
             scen_rows.append((scenario, value, psi))
     write_csv(outdir / "synth_psi_scenarios.csv",
               ["scenario", "sweep_value", "psi"], scen_rows)
+    t1 = time.perf_counter()
 
     synth_cfg = synth_mod.SynthConfig(
         publisher_count=int(section["publisher_count"]),
@@ -780,8 +784,11 @@ def run_synth(config: RunConfig, outdir=None):
     write_csv(outdir / "synth_psi_rewire.csv",
               ["checkpoint", "journal", "rate", "psi_ratio_mean",
                "psi_ratio_std"], curves.rows)
+    seconds = {"scenarios": round(t1 - t0, 6),
+               "experiment": round(time.perf_counter() - t1, 6)}
     _write_json(outdir / SYNTH_MANIFEST,
-                {"config_hash": config_hash(config), "version": __version__})
+                {"config_hash": config_hash(config), "version": __version__,
+                 "seconds": seconds})
     return curves
 
 

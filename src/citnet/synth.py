@@ -22,8 +22,9 @@ the target rule twice, so later checkpoints only jitter.
 Rewiring draws its random numbers in blocks: per sweep a permutation of
 the links and one uniform per link for the stay decisions, and the pool
 and target draws from fixed-size blocks of uniforms. Each publisher's
-pool lists its papers and the links that currently cite one of them, so
-a uniform index into it weights every paper by 1 + its in-degree.
+pool is one flat list of its papers followed by the current target of
+every link that cites one of them, so a uniform index into it weights
+every paper by 1 + its in-degree.
 
 Generated and rewired nets are the corpus's own integer
 ``CitationGraph``: ``rewire`` starts from ``Corpus.graph`` and writes
@@ -144,14 +145,18 @@ def _generate_network(config: SynthConfig, rng) -> CitationGraph:
     for k, v in enumerate(order.tolist()):
         want = max(0, int(round(degrees[k])))
         want = min(want, k)            # can only cite already-arrived papers
+        # At most 20 * want draws, in blocks of the references still
+        # missing: a draw adds at most one paper, so a paper can only be
+        # done, or reach the cap, on a block's last draw, and the blocks
+        # take the same stream as one scalar draw per attempt. The pool
+        # holds earlier papers only, so v never draws itself.
         chosen: set[int] = set()
-        attempts = 0
-        while len(chosen) < want and attempts < 20 * want:
-            attempts += 1
-            t = pool[int(integers(len(pool)))]
-            if t == v or t in chosen:
-                continue
-            chosen.add(t)
+        left = 20 * want
+        while len(chosen) < want and left:
+            need = min(want - len(chosen), left)
+            left -= need
+            chosen.update(map(pool.__getitem__,
+                              integers(len(pool), size=need).tolist()))
         cited = sorted(chosen)
         src.extend([v] * len(cited))
         dst.extend(cited)
@@ -206,14 +211,15 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
 class _Rewirer:
     """Retargets links in seeded sweeps, one full pass per link count.
 
-    Publisher p's pool is its node list followed by the ids of the edges
-    whose current target lies in p (``slot[e]`` is e's index there). A
-    uniform index below the node count picks that node, one at or above
-    it picks the edge's target, so each node is drawn with weight
-    1 + its current in-degree. Every sweep draws a permutation of the
-    edges and one uniform per step for the stay decision; pool and
-    target draws take ``int(u * size)`` from blocks of ``_UNIFORM_BLOCK``
-    uniforms, so ``advance(a); advance(b)`` equals ``advance(a + b)``.
+    Publisher p's pool is one list: its nodes, then the current target of
+    each edge in ``edges[p]``, the edges whose target lies in p, in that
+    order (``slot[e]`` is e's index in its edge list, so its target sits
+    at ``pools[p][node_count[p] + slot[e]]``). A uniform index into the
+    pool thus draws each node with weight 1 + its current in-degree. Every
+    sweep draws a permutation of the edges and one uniform per step for
+    the stay decision; pool and target draws take ``int(u * size)`` from
+    blocks of ``_UNIFORM_BLOCK`` uniforms, so ``advance(a); advance(b)``
+    equals ``advance(a + b)``.
     """
 
     def __init__(self, net: CitationGraph, rates: dict[str, float],
@@ -226,18 +232,29 @@ class _Rewirer:
         self.edge_rate = np.array([rates.get(j, baseline)
                                    for j in net.journal_ids],
                                   dtype=float)[net.journal_of[net.src]]
-        self.pub = net.publisher_of.tolist()
+        pub = net.publisher_of
+        self.pub = pub.tolist()
         p_count = len(net.publishers)
-        self.nodes: list[list[int]] = [[] for _ in range(p_count)]
-        for v, p in enumerate(self.pub):
-            self.nodes[p].append(v)
-        self.edges: list[list[int]] = [[] for _ in range(p_count)]
-        self.slot = [0] * len(net.dst)
-        for e, t in enumerate(net.dst):
-            pool = self.edges[self.pub[t]]
-            self.slot[e] = len(pool)
-            pool.append(e)
-        self.size = [len(a) + len(b) for a, b in zip(self.nodes, self.edges)]
+        target_pub = pub[net.dst]
+        by_target = np.argsort(target_pub, kind="stable")
+        edge_ptr = csr_pointer(target_pub, p_count)
+        node_ptr = csr_pointer(pub, p_count)
+        nodes = np.argsort(pub, kind="stable").tolist()
+        self.node_count = np.diff(node_ptr).tolist()
+        slot = np.empty(len(by_target), dtype=np.int64)
+        self.edges: list[list[int]] = []
+        self.pools: list[list[int]] = []
+        for p in range(p_count):
+            edges = by_target[edge_ptr[p]:edge_ptr[p + 1]]
+            slot[edges] = np.arange(len(edges))
+            edges = edges.tolist()
+            self.edges.append(edges)
+            # net.dst's own int objects: the pools copy no targets
+            self.pools.append(nodes[node_ptr[p]:node_ptr[p + 1]]
+                              + list(map(net.dst.__getitem__, edges)))
+        self.slot = slot.tolist()
+        self.others = [[q for q in range(p_count) if q != p]
+                       for p in range(p_count)]
         n = net.n_nodes
         self.edge_set = {s * n + t for s, t in zip(net.src, net.dst)}
         # an endless stream of uniforms, drawn one block at a time
@@ -268,46 +285,56 @@ class _Rewirer:
 
     def _run(self, order: list[int], stay: list[bool]):
         src, dst, pub = self.net.src, self.net.dst, self.pub
-        nodes, edges, slot, size = self.nodes, self.edges, self.slot, self.size
+        pools, edges, slot = self.pools, self.edges, self.slot
+        node_count, others_of = self.node_count, self.others
         edge_set, uniform, n = self.edge_set, self.uniform, self.net.n_nodes
-        p_count, total = len(size), n + len(dst)
+        total = n + len(dst)
         for e, stays in zip(order, stay):
             s, t_old = src[e], dst[e]
             p = own = pub[s]
             if not stays:
-                others = total - size[own]
+                others = total - len(pools[own])
                 if not others:
                     continue            # no other publisher to land in
                 r = int(uniform() * others)
-                for p in range(p_count):
-                    if p != own:
-                        if r < size[p]:
-                            break
-                        r -= size[p]
-            pool_nodes, pool_edges = nodes[p], edges[p]
-            n_p, bound = len(pool_nodes), size[p]
-            for _ in range(100):
-                i = int(uniform() * bound)
-                t = pool_nodes[i] if i < n_p else dst[pool_edges[i - n_p]]
-                if t == t_old:
-                    break               # redrew the same target: no-op
-                if t == s or s * n + t in edge_set:
-                    continue
-                edge_set.discard(s * n + t_old)
-                edge_set.add(s * n + t)
-                dst[e] = t
-                q = pub[t_old]
-                if q != p:              # e's entry moves from pool q to p
-                    old = edges[q]
-                    last = old.pop()
-                    if last != e:
-                        old[slot[e]] = last
-                        slot[last] = slot[e]
-                    slot[e] = len(pool_edges)
-                    pool_edges.append(e)
-                    size[q] -= 1
-                    size[p] += 1
-                break
+                for p in others_of[own]:
+                    if r < len(pools[p]):
+                        break
+                    r -= len(pools[p])
+            pool = pools[p]
+            t = pool[int(uniform() * len(pool))]
+            if t != t_old and (t == s or s * n + t in edge_set):
+                t = self._redraw(pool, s, t_old)
+            if t == t_old:
+                continue                # redrew the same target: no-op
+            edge_set.discard(s * n + t_old)
+            edge_set.add(s * n + t)
+            dst[e] = t
+            q = pub[t_old]
+            if q == p:
+                pool[node_count[p] + slot[e]] = t
+                continue
+            # e's entry moves from q to p: the last edge of q takes its slot
+            old_edges, old_pool = edges[q], pools[q]
+            last, last_t = old_edges.pop(), old_pool.pop()
+            if last != e:
+                old_edges[slot[e]] = last
+                old_pool[node_count[q] + slot[e]] = last_t
+                slot[last] = slot[e]
+            slot[e] = len(edges[p])
+            edges[p].append(e)
+            pool.append(t)
+
+    def _redraw(self, pool: list[int], s: int, t_old: int) -> int:
+        """Target after a first draw that was rejected (a self edge or a
+        duplicate): the first of up to 99 more draws that is the old
+        target or allowed, else the old target."""
+        uniform, edge_set, n = self.uniform, self.edge_set, self.net.n_nodes
+        for _ in range(99):
+            t = pool[int(uniform() * len(pool))]
+            if t == t_old or (t != s and s * n + t not in edge_set):
+                return t
+        return t_old
 
 
 def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
@@ -436,6 +463,9 @@ def psi_rewiring_experiment(synth_config: SynthConfig,
                          if psi is not None and base_psi[jid] else None)
                 if ratio is not None:
                     per_slot.setdefault((cp, f"S{k + 1}"), []).append(ratio)
+        # freed before the next ensemble's net is generated, so that
+        # memory holds one net and its pools at a time, not two
+        del net, rewirer
 
     rows = []
     for cp in checkpoints:

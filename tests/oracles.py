@@ -1077,6 +1077,162 @@ def rewire_reference(net, rates, baseline, rng):
     return _ScalarRewirer(net, rates, baseline, rng)
 
 
+# the uniforms per ``rng.random`` call behind synth's pool and target draws
+_UNIFORM_BLOCK = 4096
+
+
+class _EdgePoolRewirer:
+    """The rewiring loop of ``synth`` on pools that hold edge ids: publisher
+    p's pool is its node list followed by the edges whose current target
+    lies in p, and an index at or above the node count picks
+    ``dst[edge]``. Draws the same uniforms in the same order as
+    ``synth``: a permutation and a stay block per sweep, pool and target
+    draws as ``int(u * size)`` from blocks of ``_UNIFORM_BLOCK``."""
+
+    def __init__(self, net, rates, baseline, rng):
+        self.net = net
+        self.rng = rng
+        self.edge_rate = np.array([rates.get(j, baseline)
+                                   for j in net.journal_ids],
+                                  dtype=float)[net.journal_of[net.src]]
+        self.pub = net.publisher_of.tolist()
+        p_count = len(net.publishers)
+        self.nodes = [[] for _ in range(p_count)]
+        for v, p in enumerate(self.pub):
+            self.nodes[p].append(v)
+        self.edges = [[] for _ in range(p_count)]
+        self.slot = [0] * len(net.dst)
+        for e, t in enumerate(net.dst):
+            pool = self.edges[self.pub[t]]
+            self.slot[e] = len(pool)
+            pool.append(e)
+        self.size = [len(a) + len(b) for a, b in zip(self.nodes, self.edges)]
+        n = net.n_nodes
+        self.edge_set = {s * n + t for s, t in zip(net.src, net.dst)}
+        self._uniforms = []
+        self._order = []
+        self._stay = []
+        self._cursor = 0
+        self.steps_done = 0
+
+    def _uniform(self):
+        if not self._uniforms:
+            self._uniforms = self.rng.random(_UNIFORM_BLOCK).tolist()[::-1]
+        return self._uniforms.pop()
+
+    def advance(self, steps):
+        for _ in range(steps):
+            if self._cursor == len(self._order):
+                order = self.rng.permutation(len(self.net.src))
+                self._stay = (self.rng.random(len(order))
+                              < self.edge_rate[order]).tolist()
+                self._order = order.tolist()
+                self._cursor = 0
+            self._step(self._order[self._cursor], self._stay[self._cursor])
+            self._cursor += 1
+            self.steps_done += 1
+
+    def _step(self, e, stays):
+        src, dst, pub = self.net.src, self.net.dst, self.pub
+        nodes, edges, slot, size = self.nodes, self.edges, self.slot, self.size
+        n = self.net.n_nodes
+        s, t_old = src[e], dst[e]
+        p = own = pub[s]
+        if not stays:
+            others = n + len(dst) - size[own]
+            if not others:
+                return
+            r = int(self._uniform() * others)
+            for p in range(len(size)):
+                if p != own:
+                    if r < size[p]:
+                        break
+                    r -= size[p]
+        pool_nodes, pool_edges = nodes[p], edges[p]
+        n_p, bound = len(pool_nodes), size[p]
+        for _ in range(100):
+            i = int(self._uniform() * bound)
+            t = pool_nodes[i] if i < n_p else dst[pool_edges[i - n_p]]
+            if t == t_old:
+                return
+            if t == s or s * n + t in self.edge_set:
+                continue
+            self.edge_set.discard(s * n + t_old)
+            self.edge_set.add(s * n + t)
+            dst[e] = t
+            q = pub[t_old]
+            if q != p:
+                old = edges[q]
+                last = old.pop()
+                if last != e:
+                    old[slot[e]] = last
+                    slot[last] = slot[e]
+                slot[e] = len(pool_edges)
+                pool_edges.append(e)
+                size[q] -= 1
+                size[p] += 1
+            return
+
+
+def pool_rewirer_reference(net, rates, baseline, rng):
+    """The rewiring process of ``synth`` on the same random stream, with
+    pools of edge ids and one step at a time. ``net.src`` and ``net.dst``
+    are lists; ``advance(steps)`` retargets ``net.dst`` in place."""
+    return _EdgePoolRewirer(net, rates, baseline, rng)
+
+
+# -- synthetic generator ----------------------------------------------------
+
+GeneratedNet = namedtuple("GeneratedNet",
+                          "publisher_of journal_of year_of src dst capped")
+
+
+def generate_network_reference(config, rng):
+    """The preferential-attachment generator of ``synth`` with one scalar
+    ``rng.integers`` call per attempted citation, at most 20 attempts per
+    wanted reference. Returns the node arrays, the edge lists and the
+    number of papers that the attempt cap left short of their wanted
+    reference count."""
+    p_count = config.publisher_count
+    jpp = config.journals_per_publisher
+    sizes = rng.integers(config.component_size_range[0],
+                         config.component_size_range[1] + 1, size=p_count)
+    n = int(sizes.sum())
+    publisher_of = np.repeat(np.arange(p_count), sizes)
+    journal_of = publisher_of * jpp + rng.integers(0, jpp, size=n)
+
+    order = rng.permutation(n)
+    y0, y1 = config.year_range
+    span = y1 - y0 + 1
+    cohort = -(-n // span)
+    year_of = np.empty(n, dtype=np.int64)
+    year_of[order] = y0 + np.minimum(np.arange(n) // cohort, span - 1)
+
+    base_weight = max(1, round((config.in_degree_exponent - 2.0)
+                               * config.out_degree_mean))
+    pool, src, dst = [], [], []
+    degrees = rng.normal(config.out_degree_mean, config.out_degree_std,
+                         size=n)
+    capped = 0
+    for k, v in enumerate(order.tolist()):
+        want = min(max(0, int(round(float(degrees[k])))), k)
+        chosen = set()
+        attempts = 0
+        while len(chosen) < want and attempts < 20 * want:
+            attempts += 1
+            t = pool[int(rng.integers(len(pool)))]
+            if t == v or t in chosen:
+                continue
+            chosen.add(t)
+        capped += len(chosen) < want
+        cited = sorted(chosen)
+        src.extend([v] * len(cited))
+        dst.extend(cited)
+        pool.extend(cited)
+        pool.extend([v] * base_weight)
+    return GeneratedNet(publisher_of, journal_of, year_of, src, dst, capped)
+
+
 # -- heavy-tail exponent ----------------------------------------------------
 
 

@@ -703,9 +703,15 @@ def test_synth_run_writes_its_own_manifest(tmp_path, pipeline_files):
     report = ["report", "--config", str(config_path), "--figure", "S15"]
     assert cli_main(["synth", "--config", str(config_path)]) == 0
     written = (outdir / "synth_manifest.json").read_bytes()
-    assert json.loads(written) == {
+    recorded = json.loads(written)
+    seconds = recorded["seconds"]
+    assert recorded == {
         "config_hash": config_hash(load_config(config_path)),
-        "version": citnet.__version__}
+        "version": citnet.__version__,
+        "seconds": {"scenarios": seconds["scenarios"],
+                    "experiment": seconds["experiment"]}}
+    assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
+    assert seconds["experiment"] > 0
     assert cli_main(report) == 0
     # a pipeline run in the same directory leaves it as it was
     assert cli_main(["run", "--config", str(config_path)]) == 0

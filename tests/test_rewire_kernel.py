@@ -1,9 +1,13 @@
-"""The synthetic generator's pinned output and the rewiring kernel's law.
+"""The synthetic generator's and the rewiring kernel's pinned streams,
+their same-stream references and the law of a rewiring step.
 
-The rewirer draws its random numbers in blocks, so its stream differs
-from the scalar reference in ``oracles``. What both must share is the
-law of a step, which the tests below compute exactly from the net and
-compare with the outcomes of many seeded first steps.
+The generator draws each paper's references in blocks, and the rewirer
+draws from flat pools of targets; each must give the same net as its
+one-draw-at-a-time reference in ``oracles``, which reads the same random
+stream. The scalar reference ``rewire_reference`` makes one ``rng`` call
+per decision, so its stream differs from the rewirer's. What both must
+share is the law of a step, which the tests below compute exactly from
+the net and compare with the outcomes of many seeded first steps.
 """
 
 import hashlib
@@ -14,9 +18,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from citnet.synth import SynthConfig, _generate_network, _Rewirer
+from citnet.synth import (RewireConfig, SynthConfig,
+                          _default_rate_assignment, _generate_network,
+                          _Rewirer)
 
-from oracles import rewire_reference
+from oracles import (generate_network_reference, pool_rewirer_reference,
+                     rewire_reference)
 
 REWIRERS = [pytest.param(_Rewirer, id="blocks"),
             pytest.param(rewire_reference, id="reference")]
@@ -51,6 +58,87 @@ def test_generated_network_is_pinned(seed, edges, expected):
                             np.random.default_rng(seed))
     assert len(net.src) == edges
     assert digest(net) == expected
+
+
+def default_rewirer(net, rng, make=_Rewirer):
+    """The rewirer of the default experiment: the default special rates
+    dealt with ``rng``, which then drives the rewiring."""
+    rates = _default_rate_assignment(net, rng)
+    return make(net, rates, RewireConfig().baseline_rate, rng)
+
+
+def test_rewired_stream_is_pinned():
+    net = _generate_network(SynthConfig(seed=1), np.random.default_rng(1))
+    default_rewirer(net, np.random.default_rng(1)).advance(
+        round(3.0 * len(net.src)))
+    assert hashlib.sha256(np.asarray(net.dst, dtype="<i8").tobytes()
+                          ).hexdigest() == (
+        "d9ede0391b53a0d2540e1072be3704b2936bbc2849c1cac08318c16db2ff712b")
+
+
+# the benchmark corpus's shape, and one where the 20-attempt cap binds:
+# few papers, each wanting to cite nearly all earlier ones
+BENCH_SHAPE = SynthConfig(publisher_count=8, journals_per_publisher=4,
+                          component_size_range=(475, 525), out_degree_mean=6.0,
+                          out_degree_std=2.0, seed=1, year_range=(2012, 2016))
+CAPPED = SynthConfig(publisher_count=1, component_size_range=(40, 80),
+                     out_degree_mean=50.0, out_degree_std=3.0,
+                     in_degree_exponent=2.01)
+
+
+@pytest.mark.parametrize("config", [
+    *(pytest.param(SynthConfig(seed=s), id=f"default-{s}") for s in (1, 2, 3)),
+    pytest.param(BENCH_SHAPE, id="bench-shape"),
+    *(pytest.param(replace(CAPPED, seed=s), id=f"capped-{s}")
+      for s in (1, 2, 3)),
+])
+def test_generator_equals_per_attempt_reference(config):
+    net = _generate_network(config, np.random.default_rng(config.seed))
+    ref = generate_network_reference(config,
+                                     np.random.default_rng(config.seed))
+    assert net.src == ref.src
+    assert net.dst == ref.dst
+    assert np.array_equal(net.journal_of, ref.journal_of)
+    assert np.array_equal(net.year_of, ref.year_of)
+    if config.publisher_count == 1:
+        assert ref.capped > 0, "the attempt cap never bound"
+
+
+def one_publisher_net():
+    net = tiny_net()
+    return replace(net, publishers=[[j for js in net.publishers for j in js]],
+                   publisher_of=np.zeros(net.n_nodes, dtype=np.int64))
+
+
+@pytest.mark.parametrize("make_net, rates, baseline", [
+    pytest.param(tiny_net, RATES, BASELINE, id="tiny"),
+    pytest.param(tiny_net, {}, 0.0, id="rate-0"),
+    pytest.param(tiny_net, {}, 1.0, id="rate-1"),
+    pytest.param(one_publisher_net, {}, BASELINE, id="one-publisher"),
+])
+def test_rewirer_equals_edge_pool_reference(make_net, rates, baseline):
+    nets = [make_net() for _ in range(3)]
+    split = _Rewirer(nets[0], rates, baseline, np.random.default_rng(11))
+    ref = pool_rewirer_reference(nets[1], rates, baseline,
+                                 np.random.default_rng(11))
+    for steps in (0, 7, 1, 300, 250, 400):
+        split.advance(steps)
+        ref.advance(steps)
+        assert nets[0].dst == nets[1].dst
+    whole = _Rewirer(nets[2], rates, baseline, np.random.default_rng(11))
+    whole.advance(ref.steps_done)
+    assert nets[2].dst == nets[1].dst
+    assert split.edge_set == whole.edge_set == ref.edge_set
+    assert nets[1].dst != make_net().dst
+
+
+def test_rewirer_equals_edge_pool_reference_on_default_net():
+    nets = [_generate_network(SynthConfig(seed=1), np.random.default_rng(1))
+            for _ in range(2)]
+    for net, make in zip(nets, (_Rewirer, pool_rewirer_reference)):
+        default_rewirer(net, np.random.default_rng(2), make).advance(
+            3 * len(net.src))
+    assert nets[0].dst == nets[1].dst
 
 
 def first_step_law(net, rates, baseline):
@@ -181,8 +269,11 @@ def test_pools_track_the_current_targets():
             assert sorted(edges) == [e for e in range(m)
                                      if pub[net.dst[e]] == p]
             assert all(rewirer.slot[e] == i for i, e in enumerate(edges))
-            assert rewirer.nodes[p] == [v for v in range(n) if pub[v] == p]
-            assert rewirer.size[p] == len(rewirer.nodes[p]) + len(edges)
+            nodes = [v for v in range(n) if pub[v] == p]
+            pool, node_count = rewirer.pools[p], rewirer.node_count[p]
+            assert node_count == len(nodes) and pool[:node_count] == nodes
+            assert len(pool) == node_count + len(edges)
+            assert pool[node_count:] == [net.dst[e] for e in edges]
         assert rewirer.edge_set == {s * n + t
                                     for s, t in zip(net.src, net.dst)}
         assert len(rewirer.edge_set) == m
