@@ -1,9 +1,12 @@
-"""Small shared helpers: atomic, deterministic CSV output."""
+"""Small shared helpers: atomic, deterministic CSV output and the one
+forked-worker map that pipeline stages and synth ensembles run on."""
 
 from __future__ import annotations
 
 import csv
+import gc
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -45,3 +48,72 @@ def write_csv(path, header, rows):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(zip(*columns))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_forked = None      # (fn, items), set only in a forked worker
+
+
+def _init_forked(fn, items):
+    global _forked
+    _forked = fn, items
+
+
+def _call_forked(index):
+    fn, items = _forked
+    return fn(items[index])
+
+
+def fork_map(fn, items, workers, lost=None):
+    """``[fn(item) for item in items]``, in forked workers where it can.
+
+    Two or more items with ``workers > 1`` run in a pool of
+    ``min(workers, len(items))`` forked processes, which is shut down
+    before this returns. Workers inherit ``fn`` and ``items`` from this
+    process rather than unpickling them, so ``fn`` may close over any
+    state; only results are pickled. Collections are frozen meanwhile so
+    that a worker's garbage collector does not copy every inherited
+    page. Without ``fork``, or in a process running other threads (a
+    lock one of them holds would stay held in the child), the items run
+    here. Results come in ``items`` order at any worker count.
+
+    An exception ``fn`` raises is raised here. When a worker dies, each
+    item still without a result gets ``lost(item, error)``, or, without
+    ``lost``, the error is raised.
+    """
+    import multiprocessing      # here, so that importing citnet stays cheap
+
+    items = list(items)
+    workers = min(workers, len(items))
+    if (workers < 2 or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results = []
+    gc.freeze()
+    try:
+        with ProcessPoolExecutor(workers,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_forked,
+                                 initargs=(fn, items)) as pool:
+            futures = [pool.submit(_call_forked, i) for i in range(len(items))]
+            for item, future in zip(items, futures):
+                try:
+                    results.append(future.result())
+                except BrokenProcessPool as exc:
+                    if lost is None:
+                        raise
+                    results.append(lost(item, exc))
+    finally:
+        gc.unfreeze()
+    return results

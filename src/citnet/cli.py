@@ -27,7 +27,9 @@ def _add_common(parser):
                         help="override the configured seed")
     parser.add_argument("--threads", type=int, default=None,
                         help="override the configured number of worker "
-                             "processes for the stages after matching")
+                             "processes (default: the usable CPUs) for the "
+                             "stages after matching and the synth "
+                             "ensembles")
     parser.add_argument("--out", default=None,
                         help="override the configured output directory")
 

@@ -16,32 +16,32 @@ stages, and per-stage status and timings.
 The impact and matching stages run first, in this process, as they
 build the tables the others read. With ``threads`` above 1, the other
 enabled stages run in that many forked worker processes at most, where
-the platform supports ``fork``, and inherit those tables. All randomness
-derives from the configured seed and results are reported in stage
-order, so a rerun with the same config produces byte-identical CSVs,
-and manifest stage entries equal apart from their seconds, at any worker
-count.
+the platform supports ``fork``, and inherit those tables; ``run_synth``
+spreads its rewiring ensembles over as many workers the same way
+(``_util.fork_map``). ``threads`` defaults to the CPUs this process may
+run on. All randomness derives from the configured seed and results are
+reported in stage (or ensemble) order, so a rerun with the same config
+produces byte-identical CSVs, and manifest stage entries equal apart
+from their seconds, at any worker count.
 """
 
 from __future__ import annotations
 
 import csv
 import difflib
-import gc
 import hashlib
 import json
 import math
-import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Optional
 
 import yaml
 
 from . import __version__
-from ._util import atomic_write, write_csv
+from ._util import atomic_write, fork_map, usable_cpus, write_csv
 from .corpus import Corpus, load_corpus
 from . import authors as authors_mod
 from . import disruption as disruption_mod
@@ -70,7 +70,7 @@ SYNTH_MANIFEST = "synth_manifest.json"
 _DEFAULTS = {
     "year_range": [1996, 2018],
     "seed": 0,
-    "threads": 1,
+    "threads": None,        # the usable CPU count
     "output": "out",
     "stages": list(STAGES),
     "impact": {"years": [], "reference_year": 2017, "market_share": False},
@@ -131,6 +131,8 @@ class RunConfig:
         _check_keys("corpus", merged.get("corpus") or {}, _CORPUS_KEYS)
         _check_keys("authors.weights", merged["authors"]["weights"] or {},
                     _WEIGHT_KEYS)
+        if merged["threads"] is None:
+            merged["threads"] = usable_cpus()
         self.resolved = merged
 
     def __getitem__(self, key):
@@ -221,6 +223,18 @@ def _number(value):
             and math.isfinite(value))
 
 
+def _count_check(name, value):
+    """(name, value, ok, what) of a setting that must be an integer >= 1
+    (not a bool)."""
+    return (name, value, _number(value) and isinstance(value, int)
+            and value >= 1, "an integer >= 1")
+
+
+def _errors(checks):
+    return [f"{name} must be {what}, not {value!r}"
+            for name, value, ok, what in checks if not ok]
+
+
 def _value_errors(resolved):
     """The numeric settings that the stages would fail to use."""
     authors, novelty = resolved["authors"], resolved["novelty"]
@@ -230,14 +244,13 @@ def _value_errors(resolved):
                 _number(authors[key]) and authors[key] > 0,
                 "a positive number")
                for key in ("pair_threshold", "group_threshold")]
-    count, swaps = novelty["ensemble_count"], novelty["swaps_per_edge"]
-    checks += [("novelty.ensemble_count", count,
-                _number(count) and isinstance(count, int) and count >= 1,
-                "an integer >= 1"),
+    swaps = novelty["swaps_per_edge"]
+    checks += [_count_check("novelty.ensemble_count",
+                            novelty["ensemble_count"]),
                ("novelty.swaps_per_edge", swaps, _number(swaps) and swaps > 0,
-                "a positive number")]
-    return [f"{name} must be {what}, not {value!r}"
-            for name, value, ok, what in checks if not ok]
+                "a positive number"),
+               _count_check("threads", resolved["threads"])]
+    return _errors(checks)
 
 
 def load_config(path) -> RunConfig:
@@ -606,59 +619,9 @@ def _run_stage(ctx: _RunContext, name: str) -> StageResult:
                            error=f"{type(exc).__name__}: {exc}")
 
 
-_worker_ctx: Optional[_RunContext] = None    # set only in a forked worker
-
-
-def _init_worker(ctx):
-    global _worker_ctx
-    _worker_ctx = ctx
-
-
-def _worker_stage(name):
-    return _run_stage(_worker_ctx, name)
-
-
-def _run_pooled(ctx: _RunContext, names, threads: int) -> list[StageResult]:
-    """Run stages that read none of each other's results; results in
-    ``names`` order.
-
-    Two or more stages with ``threads > 1`` run in a pool of
-    ``min(threads, len(names))`` forked workers, which is shut down
-    before this returns. Workers inherit the run context from this
-    process rather than unpickling it, with every table built on it so
-    far; a table not built yet is built by each worker that reads it.
-    Collections are frozen meanwhile so that a worker's garbage
-    collector does not copy every inherited page. Without ``fork``, or
-    in a process running other threads (a lock one of them holds would
-    stay held in the child), the stages run here. A dead worker fails
-    every stage still without a result.
-    """
-    import multiprocessing      # here, so that importing citnet stays cheap
-
-    workers = min(threads, len(names))
-    if (workers < 2 or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return [_run_stage(ctx, name) for name in names]
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    results = []
-    gc.freeze()
-    try:
-        with ProcessPoolExecutor(workers,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
-            futures = [pool.submit(_worker_stage, name) for name in names]
-            for name, future in zip(names, futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool as exc:
-                    results.append(StageResult(
-                        name, "failed", error=f"{type(exc).__name__}: {exc}"))
-    finally:
-        gc.unfreeze()
-    return results
+def _lost_stage(name, exc) -> StageResult:
+    """The result of a stage whose worker died."""
+    return StageResult(name, "failed", error=f"{type(exc).__name__}: {exc}")
 
 
 def run_pipeline(config: RunConfig, outdir=None):
@@ -701,7 +664,7 @@ def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
                 outdir=None):
     """run_pipeline on a loaded corpus; returns (results, run context)."""
     ctx = _RunContext(config, corpus, Path(outdir or config["output"]))
-    seed, threads = int(config["seed"]), int(config["threads"])
+    seed, threads = int(config["seed"]), config["threads"]
     ctx.outdir.mkdir(parents=True, exist_ok=True)
 
     # every stage reads the graph; built once here, forked workers share it
@@ -710,11 +673,14 @@ def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
     graph_seconds = time.perf_counter() - t0
 
     # impact and matching build the tables that the other stages read, so
-    # they run here first and forked workers inherit those tables
+    # they run here first and forked workers inherit those tables (a
+    # table not built yet is built by each worker that reads it); a dead
+    # worker fails every stage still without a result
     enabled = [s for s in STAGES if s in config["stages"]]
     first = [s for s in enabled if s in ("impact", "matching")]
     results = [_run_stage(ctx, name) for name in first]
-    results += _run_pooled(ctx, enabled[len(first):], threads)
+    results += fork_map(partial(_run_stage, ctx), enabled[len(first):],
+                        threads, lost=_lost_stage)
 
     manifest = {
         "config_hash": config_hash(config),
@@ -745,16 +711,25 @@ def _write_json(path, data):
 def run_synth(config: RunConfig, outdir=None):
     """Scenario sweeps plus the rewiring experiment, written as CSVs.
 
-    ``synth_manifest.json`` records the config hash, the version and
-    the seconds of the scenario sweeps and of the rewiring experiment
-    once both CSVs are written; a pipeline run's manifest has another
-    name.
+    The rewiring ensembles run in ``threads`` forked workers at most,
+    with the same CSVs at any worker count. Raises ConfigError, before
+    writing anything, unless ``threads`` and ``synth.ensemble_count``
+    are integers >= 1, and the error of a worker that dies.
+    ``synth_manifest.json`` records the config hash, the version, the
+    worker count and the seconds of the scenario sweeps and of the
+    rewiring experiment once both CSVs are written; a pipeline run's
+    manifest has another name.
     """
+    section = config["synth"]
+    errors = _errors([_count_check("threads", config["threads"]),
+                      _count_check("synth.ensemble_count",
+                                   section["ensemble_count"])])
+    if errors:
+        raise ConfigError("; ".join(errors))
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / SYNTH_MANIFEST).unlink(missing_ok=True)
-    section = config["synth"]
-    seed = int(config["seed"])
+    seed, threads = int(config["seed"]), config["threads"]
 
     t0 = time.perf_counter()
     scen_rows = []
@@ -777,10 +752,11 @@ def run_synth(config: RunConfig, outdir=None):
     rewire_cfg = synth_mod.RewireConfig(
         baseline_rate=float(section["baseline_rate"]),
         rewire_fraction=float(section["rewire_fraction"]),
-        ensemble_count=int(section["ensemble_count"]),
+        ensemble_count=section["ensemble_count"],
         seed=seed + 1,
     )
-    curves = synth_mod.psi_rewiring_experiment(synth_cfg, rewire_cfg)
+    curves = synth_mod.psi_rewiring_experiment(synth_cfg, rewire_cfg,
+                                               threads)
     write_csv(outdir / "synth_psi_rewire.csv",
               ["checkpoint", "journal", "rate", "psi_ratio_mean",
                "psi_ratio_std"], curves.rows)
@@ -788,7 +764,7 @@ def run_synth(config: RunConfig, outdir=None):
                "experiment": round(time.perf_counter() - t1, 6)}
     _write_json(outdir / SYNTH_MANIFEST,
                 {"config_hash": config_hash(config), "version": __version__,
-                 "seconds": seconds})
+                 "threads": threads, "seconds": seconds})
     return curves
 
 

@@ -17,7 +17,10 @@ consumes links in seeded random sweeps, each sweep retargeting every
 link exactly once. Sweep scanning (rather than sampling links with
 replacement) is what makes the index settle once rewiring passes about
 twice the link count: after two sweeps every link has been redrawn from
-the target rule twice, so later checkpoints only jitter.
+the target rule twice, so later checkpoints only jitter. As no ensemble
+reads another's draws, ``psi_rewiring_experiment`` can run them in
+forked workers, each generating its own net, and merges their ratios in
+ensemble order, so its curves are the same at any worker count.
 
 Rewiring draws its random numbers in blocks: per sweep a permutation of
 the links and one uniform per link for the stay decisions, and the pool
@@ -36,11 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._util import fork_map
 from .corpus import (CitationGraph, Corpus, Journal, Paper, Publisher,
                      csr_pointer)
 from .selfcite import CitationCounts, psi_from_counts
@@ -417,55 +422,68 @@ class RewireCurves:
         return sum(data) / len(data)
 
 
+def _ensemble_ratios(synth_config: SynthConfig, rewire_config: RewireConfig,
+                     checkpoints: tuple[float, ...], ens: int):
+    """One ensemble of the rewiring experiment: (slots, ratios).
+
+    Generates the net and the rates from the ensemble's own seeds and
+    rewires through the checkpoints; ``ratios`` lists
+    ((checkpoint, slot), psi ratio) for each defined ratio, in
+    checkpoint then slot order.
+    """
+    gen_rng = np.random.default_rng([synth_config.seed, ens])
+    net = _generate_network(synth_config, gen_rng)
+    rw_rng = np.random.default_rng([rewire_config.seed, ens])
+    if rewire_config.special_rates:
+        rates = dict(rewire_config.special_rates)
+    else:
+        rates = _default_rate_assignment(net, rw_rng)
+
+    ordered = sorted(rates.items(), key=lambda kv: (-kv[1], kv[0]))
+    slots = [(f"S{k + 1}", rate) for k, (_j, rate) in enumerate(ordered)]
+    specials = [jid for jid, _r in ordered]
+
+    # built first: it rejects special rates naming no journal of the net
+    rewirer = _Rewirer(net, rates, rewire_config.baseline_rate, rw_rng)
+    totals = _journal_totals(net)
+    table = CitationCounts.from_counts(net.journal_pair_counts())
+    base_psi = {jid: _psi_of(net, table, jid, totals) for jid in specials}
+
+    ratios = []
+    m = len(net.src)
+    for cp in checkpoints:
+        rewirer.advance(int(round(cp * m)) - rewirer.steps_done)
+        table = CitationCounts.from_counts(net.journal_pair_counts())
+        for k, jid in enumerate(specials):
+            psi = _psi_of(net, table, jid, totals)
+            if psi is not None and base_psi[jid]:
+                ratios.append(((cp, f"S{k + 1}"), psi / base_psi[jid]))
+    return slots, ratios
+
+
 def psi_rewiring_experiment(synth_config: SynthConfig,
-                            rewire_config: RewireConfig) -> RewireCurves:
+                            rewire_config: RewireConfig,
+                            workers: int = 1) -> RewireCurves:
     """Track psi(rewired)/psi(original) for the special journals.
 
     Every ensemble generates a fresh corpus, assigns the special rates
     (one journal per publisher unless ``special_rates`` is given), and
     rewires through the checkpoint grid, all from seeds derived from the
     configured ones. Ratios are averaged across ensembles per rate slot.
+    The ensembles run in ``workers`` forked processes at most, each
+    generating its own nets; their ratios are merged in ensemble order,
+    so the curves are the same at any worker count.
     """
     checkpoints = tuple(c for c in rewire_config.checkpoints
                         if c <= rewire_config.rewire_fraction + 1e-9)
+    runs = fork_map(partial(_ensemble_ratios, synth_config, rewire_config,
+                            checkpoints),
+                    range(rewire_config.ensemble_count), workers)
     per_slot: dict[tuple[float, str], list[float]] = {}
     slots: list[tuple[str, float]] = []
-
-    for ens in range(rewire_config.ensemble_count):
-        gen_rng = np.random.default_rng([synth_config.seed, ens])
-        net = _generate_network(synth_config, gen_rng)
-        rw_rng = np.random.default_rng([rewire_config.seed, ens])
-        if rewire_config.special_rates:
-            rates = dict(rewire_config.special_rates)
-        else:
-            rates = _default_rate_assignment(net, rw_rng)
-
-        ordered = sorted(rates.items(), key=lambda kv: (-kv[1], kv[0]))
-        slots = [(f"S{k + 1}", rate) for k, (_j, rate) in enumerate(ordered)]
-        specials = [jid for jid, _r in ordered]
-
-        # built first: it rejects special rates naming no journal of the net
-        rewirer = _Rewirer(net, rates, rewire_config.baseline_rate, rw_rng)
-        totals = _journal_totals(net)
-        base_psi = {}
-        table = CitationCounts.from_counts(net.journal_pair_counts())
-        for jid in specials:
-            base_psi[jid] = _psi_of(net, table, jid, totals)
-
-        m = len(net.src)
-        for cp in checkpoints:
-            target = int(round(cp * m))
-            rewirer.advance(target - rewirer.steps_done)
-            table = CitationCounts.from_counts(net.journal_pair_counts())
-            for k, jid in enumerate(specials):
-                psi = _psi_of(net, table, jid, totals)
-                ratio = (psi / base_psi[jid]
-                         if psi is not None and base_psi[jid] else None)
-                if ratio is not None:
-                    per_slot.setdefault((cp, f"S{k + 1}"), []).append(ratio)
-        # freed before the next ensemble's net is generated, so that
-        # memory holds one net and its pools at a time, not two
-        del net, rewirer
+    for slots, ratios in runs:
+        for key, ratio in ratios:
+            per_slot.setdefault(key, []).append(ratio)
 
     rows = []
     for cp in checkpoints:

@@ -2,15 +2,19 @@ import csv
 import json
 import multiprocessing
 import os
+import re
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+import yaml
 
 import citnet
 import citnet.cli as cli_mod
 import citnet.pipeline as pipeline_mod
+import citnet.synth as synth_mod
 from citnet._util import write_csv
 from citnet.cli import main as cli_main
 from citnet.corpus import load_corpus
@@ -21,7 +25,7 @@ from citnet.pipeline import (ConfigError, _RunContext, config_hash,
                              run_synth)
 
 import oracles
-from conftest import write_pipeline_config
+from conftest import PIPELINE_CONFIG, write_pipeline_config
 
 ALL_CSVS = ("impact.csv", "market_share.csv", "matches.csv",
             "solidarity.csv", "rates.csv", "novelty.csv", "disruption.csv",
@@ -708,6 +712,7 @@ def test_synth_run_writes_its_own_manifest(tmp_path, pipeline_files):
     assert recorded == {
         "config_hash": config_hash(load_config(config_path)),
         "version": citnet.__version__,
+        "threads": 1,
         "seconds": {"scenarios": seconds["scenarios"],
                     "experiment": seconds["experiment"]}}
     assert all(isinstance(t, float) and t >= 0 for t in seconds.values())
@@ -735,6 +740,148 @@ def test_cli_seed_and_out_overrides(tmp_path, pipeline_files):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["seed"] == 99
     assert manifest["threads"] == 2
+
+
+@pytest.mark.parametrize("threads", ["two", 0, -3, 1.5, True])
+def test_unusable_thread_counts_fail_validation(tmp_path, pipeline_files,
+                                                threads):
+    config_path = write_pipeline_config(tmp_path, pipeline_files,
+                                        tmp_path / "o",
+                                        extra={"threads": threads})
+    assert load_config(config_path).validate() == \
+        [f"threads must be an integer >= 1, not {threads!r}"]
+    assert cli_main(["validate", "--config", str(config_path)]) == 2
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    assert cli_main(["synth", "--config", str(config_path)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "synth"])
+def test_cli_threads_override_is_validated(tmp_path, pipeline_files, command):
+    config_path = write_pipeline_config(tmp_path, pipeline_files,
+                                        tmp_path / "o",
+                                        extra={"synth": SMALL_SYNTH})
+    for threads in ("0", "-3"):
+        assert cli_main([command, "--config", str(config_path),
+                         "--threads", threads]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("count", [0, -2, 1.5, True, "3"])
+def test_unusable_synth_ensemble_count_writes_nothing(tmp_path,
+                                                      pipeline_files, count):
+    outdir = tmp_path / "o"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"synth": dict(SMALL_SYNTH, ensemble_count=count)})
+    message = f"synth.ensemble_count must be an integer >= 1, not {count!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_synth(load_config(config_path))
+    assert cli_main(["synth", "--config", str(config_path)]) == 2
+    assert not outdir.exists()
+
+
+# -- synth ensembles in forked workers -----------------------------------------
+
+
+def synth_run_at(tmp_path, pipeline_files, threads, ensembles):
+    """One run_synth at ``threads``: (CSVs, manifest less seconds and
+    threads)."""
+    outdir = tmp_path / f"synth_t{threads}_e{ensembles}"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"threads": threads,
+               "synth": dict(SMALL_SYNTH, ensemble_count=ensembles)})
+    run_synth(load_config(config_path))
+    manifest = json.loads((outdir / "synth_manifest.json").read_text())
+    assert manifest.pop("threads") == threads
+    del manifest["seconds"]
+    return read_outputs(outdir), manifest
+
+
+@pytest.mark.parametrize("ensembles", [1, 2, 3])
+def test_synth_worker_count_does_not_change_outputs(tmp_path, pipeline_files,
+                                                    ensembles):
+    runs = []
+    for threads in (1, 2, 3):
+        runs.append(synth_run_at(tmp_path, pipeline_files, threads,
+                                 ensembles))
+        assert multiprocessing.active_children() == []
+    assert runs[0][0]["synth_psi_rewire.csv"].count(b"\n") > 1
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+
+
+@needs_fork
+def test_synth_run_makes_one_fork_pool(tmp_path, pipeline_files, monkeypatch):
+    serial = synth_run_at(tmp_path, pipeline_files, 1, 3)
+    methods = spy_on_forks(monkeypatch)
+    assert synth_run_at(tmp_path, pipeline_files, 2, 3) == serial
+    assert multiprocessing.active_children() == []
+    assert methods == ["fork"]
+
+
+def test_synth_in_a_process_with_threads_is_not_forked(tmp_path,
+                                                       pipeline_files,
+                                                       monkeypatch):
+    serial = synth_run_at(tmp_path, pipeline_files, 1, 2)
+    methods = spy_on_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        pooled = synth_run_at(tmp_path, pipeline_files, 2, 2)
+    finally:
+        release.set()
+        other.join(timeout=30)
+    assert not other.is_alive()
+    assert methods == []
+    assert pooled == serial
+
+
+@needs_fork
+def test_dead_synth_worker_raises_and_writes_no_manifest(tmp_path,
+                                                         pipeline_files,
+                                                         monkeypatch):
+    parent = os.getpid()
+    real = synth_mod._ensemble_ratios
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(synth_mod, "_ensemble_ratios", dying)
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"threads": 2, "synth": SMALL_SYNTH})
+    with pytest.raises(BrokenProcessPool):
+        run_synth(load_config(config_path))
+    assert multiprocessing.active_children() == []
+    assert not (outdir / "synth_manifest.json").exists()
+    assert not (outdir / "synth_psi_rewire.csv").exists()
+
+
+def test_unset_threads_is_the_usable_cpu_count(tmp_path, pipeline_files):
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    config = dict(PIPELINE_CONFIG, synth=SMALL_SYNTH,
+                  stages=["impact", "matching", "disruption"])
+    del config["threads"]
+    config["corpus"] = {k: str(v) for k, v in pipeline_files.items()}
+    config["output"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert load_config(config_path)["threads"] == cpus
+    run_pipeline(load_config(config_path))
+    run_synth(load_config(config_path))
+    assert multiprocessing.active_children() == []
+    for name in ("manifest.json", "synth_manifest.json"):
+        manifest = json.loads((tmp_path / "out" / name).read_text())
+        assert manifest["threads"] == cpus
 
 
 # -- one path per computation --------------------------------------------------

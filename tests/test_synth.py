@@ -1,4 +1,6 @@
+import multiprocessing
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,6 +131,11 @@ def test_rewiring_experiment_rejects_unknown_special_journal():
                           seed=1, checkpoints=(0.5,))
     with pytest.raises(ValueError, match=r"unknown journals: \['P9-J1'\]"):
         psi_rewiring_experiment(SMALL, config)
+    # raised in a forked worker, the error reaches the caller the same way
+    pooled = replace(config, ensemble_count=2)
+    with pytest.raises(ValueError, match=r"unknown journals: \['P9-J1'\]"):
+        psi_rewiring_experiment(SMALL, pooled, 2)
+    assert multiprocessing.active_children() == []
 
 
 def test_rewire_without_other_publishers_keeps_leaving_links():
@@ -241,6 +248,20 @@ def test_rewiring_experiment_small():
 
     again = psi_rewiring_experiment(synth_cfg, rewire_cfg)
     assert again.rows == curves.rows
+
+
+def test_rewiring_experiment_equal_at_any_worker_count():
+    rates = {"P1-J1": 0.9, "P2-J3": 0.4, "P3-J2": 0.4}
+    for ensembles in (1, 2, 3):
+        config = RewireConfig(special_rates=rates, ensemble_count=ensembles,
+                              seed=5, checkpoints=(0.5, 1.0))
+        serial = psi_rewiring_experiment(SMALL, config)
+        assert len(serial.rows) == 2 * len(rates)
+        for workers in (2, 3):
+            pooled = psi_rewiring_experiment(SMALL, config, workers)
+            assert multiprocessing.active_children() == []
+            assert pooled == serial
+            assert list(pooled.ratios) == list(serial.ratios)
 
 
 def test_solidarity_defined_on_generated_corpus():
