@@ -11,10 +11,14 @@ Path metrics (betweenness, harmonic closeness, path-core) share one
 batched BFS kernel over integer CSR arrays of the unweighted loop-free
 skeleton: each row of a batch is one search, frontiers expand level by
 level, and path counts are summed with ``np.bincount`` over the cells
-``row * n + node``. The rank score uses weights and keeps loops.
-Closeness is harmonic over incoming shortest paths so that disconnected
-graphs stay well-defined. Scores sum over batch rows in source (or edge)
-order, so they do not depend on the batch size or on string hashing.
+``row * n + node``. Betweenness and closeness come from the same
+searches: one sweep over the sources feeds both. Closeness is harmonic
+over incoming shortest paths so that disconnected graphs stay
+well-defined. Scores sum over batch rows in source (or edge) order, so
+they do not depend on the batch size or on string hashing. The rank
+score uses weights and keeps loops. It runs on position arrays of the
+edges, which receive their adds in the order of a loop over nodes and
+then over each node's edges in insertion order.
 
 The core score follows the geodesic core-periphery method: for every
 edge (s, t), the shortest s -> t paths of the graph *without* that edge
@@ -73,6 +77,13 @@ class JournalCitationNetwork:
     def empty(self) -> bool:
         return not self.nodes
 
+    def _positions(self, pairs):
+        """(citing, cited) int64 node-position arrays of name pairs."""
+        index = {u: i for i, u in enumerate(self.nodes)}
+        pos = np.array([(index[u], index[v]) for u, v in pairs],
+                       dtype=np.int64).reshape(-1, 2)
+        return pos[:, 0], pos[:, 1]
+
     def skeleton(self):
         """The unweighted loop-free skeleton over positions in ``nodes``.
 
@@ -85,11 +96,8 @@ class JournalCitationNetwork:
         edge, whose first expansion skips the edge's other end instead of
         copying the graph.
         """
-        index = {u: i for i, u in enumerate(self.nodes)}
-        simple = [(index[u], index[v]) for u, v in sorted(self.edges)
-                  if u != v]
-        src = np.array([u for u, _v in simple], dtype=np.int64)
-        dst = np.array([v for _u, v in simple], dtype=np.int64)
+        src, dst = self._positions(sorted(e for e in self.edges
+                                         if e[0] != e[1]))
         n = len(self.nodes)
         succ = csr_pointer(src, n), dst[np.argsort(src, kind="stable")]
         pred = csr_pointer(dst, n), src[np.argsort(dst, kind="stable")]
@@ -158,12 +166,12 @@ def build_journal_network(corpus: Corpus, year: int, window_years: int = 2,
                                   link_type=link_type, nodes=nodes, edges=edges)
 
 
-def _vector(network, metric, scores) -> CentralityVector:
+def _scored(network, metric, values) -> CentralityVector:
+    """The vector of a metric's scores, given by node position."""
     return CentralityVector(metric=metric, year=network.year,
                             window_years=network.window_years,
                             link_type=network.link_type,
-                            scores={n: float(scores.get(n, 0.0))
-                                    for n in network.nodes})
+                            scores=dict(zip(network.nodes, values.tolist())))
 
 
 # Cells the largest array of one batch of searches may hold: the
@@ -239,44 +247,41 @@ def _add_rows(total, cells):
         total += row
 
 
-def _scored(network, metric, values):
-    return _vector(network, metric, dict(zip(network.nodes, values.tolist())))
-
-
-def betweenness(network: JournalCitationNetwork) -> CentralityVector:
-    """Unnormalized directed betweenness by Brandes' accumulation."""
+def _path_scores(network):
+    """The BC and CC vectors from one sweep: each batch's dist rows give
+    the 1/dist terms, and its levels Brandes' delta."""
     if network.empty:
         raise ValueError("empty network")
     n = len(network.nodes)
     src, _dst, succ, _pred = network.skeleton()
-    scores = np.zeros(n)
+    bc, cc = np.zeros(n), np.zeros(n)
     for batch in _batches(n, n, len(src)):
         sources = np.arange(n)[batch]
-        _dist, sigma, levels = _bfs(succ, sources)
+        dist, sigma, levels = _bfs(succ, sources)
+        _add_rows(cc, np.divide(1.0, dist, out=np.zeros(dist.size),
+                                where=dist > 0))
         delta = np.zeros_like(sigma)
         for child, parent in reversed(levels):
             coeff = (1.0 + delta[child]) / sigma[child]
             delta += np.bincount(parent, weights=sigma[parent] * coeff,
                                  minlength=delta.size)
         delta[np.arange(sources.size) * n + sources] = 0.0  # not interior
-        _add_rows(scores, delta)
-    return _scored(network, "BC", scores)
+        _add_rows(bc, delta)
+    return _scored(network, "BC", bc), _scored(network, "CC", cc)
+
+
+def betweenness(network: JournalCitationNetwork) -> CentralityVector:
+    """Unnormalized directed betweenness by Brandes' accumulation."""
+    return _path_scores(network)[0]
 
 
 def closeness(network: JournalCitationNetwork) -> CentralityVector:
-    """Harmonic closeness over incoming shortest paths, unit lengths."""
-    if network.empty:
-        raise ValueError("empty network")
-    n = len(network.nodes)
-    src, _dst, succ, _pred = network.skeleton()
-    # summing over sources in node order fixes the float summation order,
-    # so scores do not depend on the batch size or on string hashing
-    scores = np.zeros(n)
-    for batch in _batches(n, n, len(src)):
-        dist = _bfs(succ, np.arange(n)[batch])[0]
-        _add_rows(scores, np.divide(1.0, dist, out=np.zeros(dist.size),
-                                    where=dist > 0))
-    return _scored(network, "CC", scores)
+    """Harmonic closeness over incoming shortest paths, unit lengths.
+
+    The sweep is shared with betweenness, whose accumulation this pays
+    for too; centrality_variants takes both from one sweep.
+    """
+    return _path_scores(network)[1]
 
 
 def pagerank(network: JournalCitationNetwork, damping: float = 0.85,
@@ -289,30 +294,25 @@ def pagerank(network: JournalCitationNetwork, damping: float = 0.85,
     """
     if network.empty:
         raise ValueError("empty network")
-    nodes = network.nodes
-    n = len(nodes)
-    out_weight = {u: 0.0 for u in nodes}
-    succ: dict[str, list[tuple[str, float]]] = {u: [] for u in nodes}
-    for (u, v), w in network.edges.items():
-        out_weight[u] += w
-        succ[u].append((v, float(w)))
-
-    rank = {u: 1.0 / n for u in nodes}
-    base = (1.0 - damping) / n
+    n = len(network.nodes)
+    src, dst = network._positions(network.edges)
+    order = np.argsort(src, kind="stable")   # keeps insertion order per node
+    src, dst = src[order], dst[order]
+    weight = np.array(list(network.edges.values()), dtype=float)[order]
+    out_weight = np.zeros(n)
+    np.add.at(out_weight, src, weight)
+    live = out_weight[src] != 0.0          # a weightless node passes none on
+    src, dst, weight = src[live], dst[live], weight[live]
+    rank = np.full(n, 1.0 / n)
     residual = math.inf
     for _ in range(max_iter):
-        dangling = sum(rank[u] for u in nodes if out_weight[u] == 0.0)
-        nxt = {u: base + damping * dangling / n for u in nodes}
-        for u in nodes:
-            if out_weight[u] == 0.0:
-                continue
-            share = damping * rank[u] / out_weight[u]
-            for v, w in succ[u]:
-                nxt[v] += share * w
-        residual = sum(abs(nxt[u] - rank[u]) for u in nodes)
+        dangling = sum(rank[out_weight == 0.0].tolist())
+        nxt = np.full(n, (1.0 - damping) / n + damping * dangling / n)
+        np.add.at(nxt, dst, damping * rank[src] / out_weight[src] * weight)
+        residual = sum(np.abs(nxt - rank).tolist())
         rank = nxt
         if residual < tol:
-            return _vector(network, "PR", rank)
+            return _scored(network, "PR", rank)
     raise PageRankConvergenceError(max_iter, residual)
 
 
@@ -448,8 +448,7 @@ def centrality_variants(corpus: Corpus, year, windows, link_types):
             if reason:
                 skipped[name] = reason
                 continue
-            computed.append((network, [betweenness(network),
-                                       closeness(network),
+            computed.append((network, [*_path_scores(network),
                                        pagerank(network),
                                        pathcore(network)]))
     return computed, skipped

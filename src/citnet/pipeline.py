@@ -714,22 +714,49 @@ def run_synth(config: RunConfig, outdir=None):
     The rewiring ensembles run in ``threads`` forked workers at most,
     with the same CSVs at any worker count. Raises ConfigError, before
     writing anything, unless ``threads`` and ``synth.ensemble_count``
-    are integers >= 1, and the error of a worker that dies.
+    are integers >= 1, the section gives a valid SynthConfig and
+    RewireConfig, and ``synth.publisher_count`` matches the default
+    special rates; and the error of a worker that dies.
     ``synth_manifest.json`` records the config hash, the version, the
     worker count and the seconds of the scenario sweeps and of the
     rewiring experiment once both CSVs are written; a pipeline run's
     manifest has another name.
     """
-    section = config["synth"]
-    errors = _errors([_count_check("threads", config["threads"]),
+    section, threads = config["synth"], config["threads"]
+    seed = int(config["seed"])
+    errors = _errors([_count_check("threads", threads),
                       _count_check("synth.ensemble_count",
                                    section["ensemble_count"])])
+    try:
+        synth_cfg = synth_mod.SynthConfig(
+            publisher_count=int(section["publisher_count"]),
+            journals_per_publisher=int(section["journals_per_publisher"]),
+            component_size_range=tuple(section["component_size_range"]),
+            out_degree_mean=float(section["out_degree_mean"]),
+            out_degree_std=float(section["out_degree_std"]),
+            in_degree_exponent=float(section["in_degree_exponent"]),
+            seed=seed,
+        )
+        rewire_cfg = synth_mod.RewireConfig(
+            baseline_rate=float(section["baseline_rate"]),
+            rewire_fraction=float(section["rewire_fraction"]),
+            ensemble_count=section["ensemble_count"],
+            seed=seed + 1,
+        )
+    except (TypeError, ValueError) as exc:
+        errors.append(f"synth: {exc}")
+    else:
+        # the experiment deals the default special rates, one per publisher
+        rates = len(synth_mod.DEFAULT_SPECIAL_RATES)
+        if synth_cfg.publisher_count != rates:
+            errors.append(f"synth.publisher_count must be {rates} for the "
+                          f"default special rates, not "
+                          f"{synth_cfg.publisher_count!r}")
     if errors:
         raise ConfigError("; ".join(errors))
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / SYNTH_MANIFEST).unlink(missing_ok=True)
-    seed, threads = int(config["seed"]), config["threads"]
 
     t0 = time.perf_counter()
     scen_rows = []
@@ -739,22 +766,6 @@ def run_synth(config: RunConfig, outdir=None):
     write_csv(outdir / "synth_psi_scenarios.csv",
               ["scenario", "sweep_value", "psi"], scen_rows)
     t1 = time.perf_counter()
-
-    synth_cfg = synth_mod.SynthConfig(
-        publisher_count=int(section["publisher_count"]),
-        journals_per_publisher=int(section["journals_per_publisher"]),
-        component_size_range=tuple(section["component_size_range"]),
-        out_degree_mean=float(section["out_degree_mean"]),
-        out_degree_std=float(section["out_degree_std"]),
-        in_degree_exponent=float(section["in_degree_exponent"]),
-        seed=seed,
-    )
-    rewire_cfg = synth_mod.RewireConfig(
-        baseline_rate=float(section["baseline_rate"]),
-        rewire_fraction=float(section["rewire_fraction"]),
-        ensemble_count=section["ensemble_count"],
-        seed=seed + 1,
-    )
     curves = synth_mod.psi_rewiring_experiment(synth_cfg, rewire_cfg,
                                                threads)
     write_csv(outdir / "synth_psi_rewire.csv",

@@ -288,6 +288,39 @@ def pagerank_oracle(nodes, weighted_edges, damping=0.85, iterations=10000,
     return {u: float(x[index[u]]) for u in nodes}
 
 
+def pagerank_reference(nodes, weighted_edges, damping=0.85, tol=1e-10,
+                       max_iter=1000):
+    """Power iteration over dicts, the loop the position-array kernel
+    replaced, with the same order of float adds.
+
+    Returns (scores, iterations, residual); scores is None when
+    ``max_iter`` iterations leave the residual at or above ``tol``.
+    """
+    n = len(nodes)
+    out_weight = {u: 0.0 for u in nodes}
+    succ = {u: [] for u in nodes}
+    for (u, v), w in weighted_edges.items():
+        out_weight[u] += w
+        succ[u].append((v, float(w)))
+    rank = {u: 1.0 / n for u in nodes}
+    base = (1.0 - damping) / n
+    residual = float("inf")
+    for iteration in range(1, max_iter + 1):
+        dangling = sum(rank[u] for u in nodes if out_weight[u] == 0.0)
+        nxt = {u: base + damping * dangling / n for u in nodes}
+        for u in nodes:
+            if out_weight[u] == 0.0:
+                continue
+            share = damping * rank[u] / out_weight[u]
+            for v, w in succ[u]:
+                nxt[v] += share * w
+        residual = sum(abs(nxt[u] - rank[u]) for u in nodes)
+        rank = nxt
+        if residual < tol:
+            return rank, iteration, residual
+    return None, max_iter, residual
+
+
 def pathcore_oracle(nodes, edges):
     """Edge-bypass participation via explicit shortest-path enumeration."""
     simple = sorted({(u, v) for u, v in edges if u != v})

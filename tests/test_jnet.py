@@ -18,7 +18,8 @@ from citnet import jnet
 from oracles import (betweenness_oracle, betweenness_reference,
                      closeness_reference, harmonic_closeness_oracle,
                      journal_network_oracle, journal_of, pagerank_oracle,
-                     pathcore_oracle, pathcore_reference, random_digraph)
+                     pagerank_reference, pathcore_oracle, pathcore_reference,
+                     random_digraph)
 
 
 def net(nodes, edges, year=2005, window=2, link_type="citation"):
@@ -140,6 +141,39 @@ def test_pagerank_nonconvergence_reports_residual():
     with pytest.raises(PageRankConvergenceError) as err:
         pagerank(net("AB", edges), tol=0.0, max_iter=5)
     assert err.value.residual >= 0.0
+
+
+def test_pagerank_equals_dict_reference():
+    # node positions and edge insertion order shuffled against name order;
+    # up to a dozen sinks are dangling (numpy's pairwise sums would add
+    # eight or more of them in another order), random_digraph adds some
+    # self-loops, and weights in sevenths make each out-weight depend on
+    # the order of its adds
+    rng = np.random.default_rng(3)
+    loops = 0
+    for _ in range(60):
+        names, edges = random_digraph(rng, max_nodes=12)
+        sinks = [f"sink{i}" for i in range(int(rng.integers(1, 13)))]
+        names += sinks
+        nodes = [names[i] for i in rng.permutation(len(names))]
+        for sink in sinks:
+            edges[(names[0], sink)] = 2
+        items = [(edge, w / 7) for edge, w in edges.items()]
+        edges = dict(items[i] for i in rng.permutation(len(items)))
+        loops += any(u == v for u, v in edges)
+        network = JournalCitationNetwork(year=2000, window_years=2,
+                                         link_type="citation",
+                                         nodes=tuple(nodes), edges=edges)
+        scores, _iterations, _residual = pagerank_reference(nodes, edges)
+        assert repr(pagerank(network).scores) == repr(scores)
+        for max_iter in range(1, 6):
+            with pytest.raises(PageRankConvergenceError) as err:
+                pagerank(network, tol=0.0, max_iter=max_iter)
+            _none, iterations, residual = pagerank_reference(
+                nodes, edges, tol=0.0, max_iter=max_iter)
+            assert (err.value.iterations, repr(err.value.residual)) == (
+                iterations, repr(residual))
+    assert loops
 
 
 def test_pathcore_clique_with_pendants():
@@ -276,13 +310,20 @@ def test_path_metrics_equal_per_source_references(shape, n, m, monkeypatch):
     network = JournalCitationNetwork(year=2000, window_years=2,
                                      link_type="citation",
                                      nodes=tuple(nodes), edges=edges)
-    assert repr(pathcore(network).scores) == repr(
-        pathcore_reference(nodes, edges))
-    assert repr(closeness(network).scores) == repr(
-        closeness_reference(nodes, edges))
-    bc = betweenness(network).scores
-    for node, expected in betweenness_reference(nodes, edges).items():
-        assert abs(bc[node] - expected) <= 1e-12 * abs(expected)
+    # the public functions, and the one sweep of centrality_variants on
+    # a corpus that gives the same network with its nodes in name order
+    (built, vectors), = centrality_variants(corpus_of(nodes, edges), 2000,
+                                            [2], ["citation"])[0]
+    assert built.edges == edges
+    bc_v, cc_v, _pr, core_v = (vector.scores for vector in vectors)
+    for order, bc, cc, core in (
+            (nodes, betweenness(network).scores, closeness(network).scores,
+             pathcore(network).scores),
+            (built.nodes, bc_v, cc_v, core_v)):
+        assert repr(core) == repr(pathcore_reference(order, edges))
+        assert repr(cc) == repr(closeness_reference(order, edges))
+        for node, expected in betweenness_reference(order, edges).items():
+            assert abs(bc[node] - expected) <= 1e-12 * abs(expected)
     if n == 250:
         # both the per-source and the per-edge searches span several batches
         simple = sum(1 for u, v in edges if u != v)
@@ -292,6 +333,39 @@ def test_path_metrics_equal_per_source_references(shape, n, m, monkeypatch):
     monkeypatch.setattr(jnet, "_BATCH_CELLS", 4 * n)
     assert repr(pathcore(network).scores) == repr(
         pathcore_reference(nodes, edges))
+
+
+def corpus_of(nodes, edges, year=2000):
+    """A corpus whose citation network of ``year`` is (nodes, edges):
+    one paper per journal in ``year``, and per edge (u, v) of weight w,
+    w papers of u in ``year + 1`` citing v's paper."""
+    papers = [(f"{j}.0", j, year, []) for j in nodes]
+    for k, ((u, v), w) in enumerate(edges.items()):
+        papers += [(f"{u}.{k}.{i}", u, year + 1, [f"{v}.0"])
+                   for i in range(w)]
+    return make_corpus(papers, {j: {} for j in nodes},
+                       year_range=(year - 2, year + 2))
+
+
+def test_one_variant_sweeps_the_sources_once(monkeypatch):
+    nodes, edges = layered_digraph(4, 40, 120)
+    calls = []
+    bfs = jnet._bfs
+
+    def spy(csr, sources, targets=None):
+        if targets is None:
+            calls.append(sources.size)
+        return bfs(csr, sources, targets)
+
+    monkeypatch.setattr(jnet, "_bfs", spy)
+    monkeypatch.setattr(jnet, "_BATCH_CELLS", 8 * len(edges))
+    computed, _skipped = centrality_variants(corpus_of(nodes, edges), 2000,
+                                             [2], ["citation"])
+    assert len(computed) == 1
+    n, simple = len(nodes), sum(1 for u, v in edges if u != v)
+    assert calls == [len(range(n)[batch])
+                     for batch in jnet._batches(n, n, simple)]
+    assert len(calls) > 1
 
 
 def match(qj, uj):

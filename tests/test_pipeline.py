@@ -781,6 +781,25 @@ def test_unusable_synth_ensemble_count_writes_nothing(tmp_path,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"component_size_range": [50, 10]},
+     "synth: empty component size range"),
+    ({"publisher_count": 4},
+     "synth.publisher_count must be 5 for the default special rates, "
+     "not 4")])
+def test_unusable_synth_section_writes_nothing(tmp_path, pipeline_files,
+                                               bad, message):
+    outdir = tmp_path / "o"
+    outdir.mkdir()
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"synth": dict(SMALL_SYNTH, **bad)})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_synth(load_config(config_path))
+    assert cli_main(["synth", "--config", str(config_path)]) == 2
+    assert list(outdir.iterdir()) == []
+
+
 # -- synth ensembles in forked workers -----------------------------------------
 
 
