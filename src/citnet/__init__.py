@@ -37,7 +37,7 @@ from .novelty import (PairStatistics, PairZScores, PaperNovelty,
 from .disruption import (DisruptionCounts, disruption_counts, disruptiveness,
                          disruptiveness_by_team_size, disruptiveness_by_year)
 from .authors import (AuthorClusters, AuthorStats, SimilarityWeights,
-                      author_demographics, disambiguate, paper_similarity)
+                      author_demographics, disambiguate)
 from .synth import (RewireConfig, SynthConfig, generate_synthetic,
                     psi_rewiring_experiment, psi_scenarios, rewire)
 

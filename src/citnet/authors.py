@@ -43,7 +43,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
     "AuthorClusters",
     "AuthorStats",
     "normalize_name",
-    "paper_similarity",
     "disambiguate",
     "author_demographics",
 ]
@@ -131,42 +130,6 @@ def normalize_name(name: str) -> str:
     surname = re.sub(r"\s+", " ", surname).strip()
     initials = " ".join(tok[0] for tok in given.split() if tok)
     return f"{surname}, {initials}" if initials else surname
-
-
-def paper_similarity(corpus: Corpus, p1: str, p2: str,
-                     weights: SimilarityWeights,
-                     exclude_author: Optional[str] = None) -> float:
-    """Weighted feature sum for two distinct papers of one name block.
-
-    ``exclude_author`` removes the blocked name itself from the shared
-    co-author count (it is shared by construction); the comparison is by
-    normalized form, so raw name variants of the block are all excluded.
-    ``disambiguate`` computes the same features for all pairs of a block
-    at once; this is the one-pair form.
-    """
-    if p1 == p2:
-        raise ValueError("similarity is defined for distinct papers")
-    a, b = corpus.papers[p1], corpus.papers[p2]
-    src, dst = corpus.graph.src, corpus.graph.dst
-    v1, v2 = corpus.node[p1], corpus.node[p2]
-    refs1, refs2 = set(dst[src == v1].tolist()), set(dst[src == v2].tolist())
-
-    self_cite = 1.0 if (v2 in refs1 or v1 in refs2) else 0.0
-    authors1 = {normalize_name(k) for k in a.author_keys}
-    authors2 = {normalize_name(k) for k in b.author_keys}
-    if exclude_author is not None:
-        blocked = normalize_name(exclude_author)
-        authors1.discard(blocked)
-        authors2.discard(blocked)
-    shared_authors = len(authors1 & authors2)
-    shared_citations = len(set(src[dst == v1].tolist())
-                           & set(src[dst == v2].tolist()))
-    shared_references = len(refs1 & refs2)
-
-    return (weights.w_self_citation * self_cite
-            + weights.w_shared_author * shared_authors
-            + weights.w_shared_citation * shared_citations
-            + weights.w_shared_reference * shared_references)
 
 
 @dataclass

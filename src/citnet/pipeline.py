@@ -83,7 +83,7 @@ _DEFAULTS = {
     "disruption": {"window": None, "by_journal": False},
     "authors": {"weights": None, "pair_threshold": 1.0,
                 "group_threshold": 0.19},
-    "synth": {"grid": None, "publisher_count": 5, "journals_per_publisher": 5,
+    "synth": {"grid": None, "journals_per_publisher": 5,
               "component_size_range": [450, 550], "out_degree_mean": 20.0,
               "out_degree_std": 5.0, "in_degree_exponent": 3.0,
               "baseline_rate": 0.2, "rewire_fraction": 3.0,
@@ -236,7 +236,7 @@ def _errors(checks):
 
 
 def _value_errors(resolved):
-    """The numeric settings that the stages would fail to use."""
+    """The settings that the stages or ``run_synth`` would fail to use."""
     authors, novelty = resolved["authors"], resolved["novelty"]
     checks = [(f"authors.weights.{key}", value, _number(value), "a number")
               for key, value in (authors["weights"] or {}).items()]
@@ -249,8 +249,38 @@ def _value_errors(resolved):
                             novelty["ensemble_count"]),
                ("novelty.swaps_per_edge", swaps, _number(swaps) and swaps > 0,
                 "a positive number"),
+               _count_check("synth.ensemble_count",
+                            resolved["synth"]["ensemble_count"]),
                _count_check("threads", resolved["threads"])]
-    return _errors(checks)
+    return _errors(checks) + _synth_configs(resolved["synth"])[2]
+
+
+def _synth_configs(section, seed=0):
+    """(SynthConfig, RewireConfig, errors) of the synth section; a config
+    that cannot be built is None, with its ``synth: <reason>`` error.
+    ``seed`` seeds the network and ``seed + 1`` the rewiring."""
+    errors = []
+    try:
+        synth_cfg = synth_mod.SynthConfig(
+            journals_per_publisher=int(section["journals_per_publisher"]),
+            component_size_range=tuple(section["component_size_range"]),
+            out_degree_mean=float(section["out_degree_mean"]),
+            out_degree_std=float(section["out_degree_std"]),
+            in_degree_exponent=float(section["in_degree_exponent"]),
+            seed=seed)
+    except (TypeError, ValueError) as exc:
+        synth_cfg = None
+        errors.append(f"synth: {exc}")
+    try:
+        rewire_cfg = synth_mod.RewireConfig(
+            baseline_rate=float(section["baseline_rate"]),
+            rewire_fraction=float(section["rewire_fraction"]),
+            ensemble_count=section["ensemble_count"],
+            seed=seed + 1)
+    except (TypeError, ValueError) as exc:
+        rewire_cfg = None
+        errors.append(f"synth: {exc}")
+    return synth_cfg, rewire_cfg, errors
 
 
 def load_config(path) -> RunConfig:
@@ -713,47 +743,18 @@ def run_synth(config: RunConfig, outdir=None):
 
     The rewiring ensembles run in ``threads`` forked workers at most,
     with the same CSVs at any worker count. Raises ConfigError, before
-    writing anything, unless ``threads`` and ``synth.ensemble_count``
-    are integers >= 1, the section gives a valid SynthConfig and
-    RewireConfig, and ``synth.publisher_count`` matches the default
-    special rates; and the error of a worker that dies.
-    ``synth_manifest.json`` records the config hash, the version, the
-    worker count and the seconds of the scenario sweeps and of the
+    writing anything, on the setting errors that ``RunConfig.validate``
+    reports too (``_value_errors``), and the error of a worker that
+    dies. ``synth_manifest.json`` records the config hash, the version,
+    the worker count and the seconds of the scenario sweeps and of the
     rewiring experiment once both CSVs are written; a pipeline run's
     manifest has another name.
     """
     section, threads = config["synth"], config["threads"]
-    seed = int(config["seed"])
-    errors = _errors([_count_check("threads", threads),
-                      _count_check("synth.ensemble_count",
-                                   section["ensemble_count"])])
-    try:
-        synth_cfg = synth_mod.SynthConfig(
-            publisher_count=int(section["publisher_count"]),
-            journals_per_publisher=int(section["journals_per_publisher"]),
-            component_size_range=tuple(section["component_size_range"]),
-            out_degree_mean=float(section["out_degree_mean"]),
-            out_degree_std=float(section["out_degree_std"]),
-            in_degree_exponent=float(section["in_degree_exponent"]),
-            seed=seed,
-        )
-        rewire_cfg = synth_mod.RewireConfig(
-            baseline_rate=float(section["baseline_rate"]),
-            rewire_fraction=float(section["rewire_fraction"]),
-            ensemble_count=section["ensemble_count"],
-            seed=seed + 1,
-        )
-    except (TypeError, ValueError) as exc:
-        errors.append(f"synth: {exc}")
-    else:
-        # the experiment deals the default special rates, one per publisher
-        rates = len(synth_mod.DEFAULT_SPECIAL_RATES)
-        if synth_cfg.publisher_count != rates:
-            errors.append(f"synth.publisher_count must be {rates} for the "
-                          f"default special rates, not "
-                          f"{synth_cfg.publisher_count!r}")
+    errors = _value_errors(config.resolved)
     if errors:
         raise ConfigError("; ".join(errors))
+    synth_cfg, rewire_cfg, _ = _synth_configs(section, int(config["seed"]))
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / SYNTH_MANIFEST).unlink(missing_ok=True)

@@ -835,6 +835,42 @@ def paper_novelty(corpus, paper_id, zmap, collapse=False):
             len(zs), undefined)
 
 
+# -- one-pair author similarity ----------------------------------------------
+
+
+def paper_similarity(corpus, p1, p2, weights, exclude_author=None):
+    """Weighted feature sum for two distinct papers of one name block,
+    from the string reference lists of the two papers and their citers.
+
+    The features are whether either cites the other, shared co-authors,
+    shared citing papers and shared references, each paper counted once.
+    ``exclude_author`` removes the blocked name itself from the shared
+    co-author count (it is shared by construction); the comparison is by
+    normalized form, so raw name variants of the block are all excluded.
+    """
+    # the name normalization is the library's own, tested on its own
+    from citnet.authors import normalize_name
+
+    if p1 == p2:
+        raise ValueError("similarity is defined for distinct papers")
+    forward, citers = string_indices(corpus)
+    refs1, refs2 = set(forward[p1]), set(forward[p2])
+    self_cite = 1.0 if (p2 in refs1 or p1 in refs2) else 0.0
+    names = [{normalize_name(k) for k in corpus.papers[p].author_keys}
+             for p in (p1, p2)]
+    if exclude_author is not None:
+        for block in names:
+            block.discard(normalize_name(exclude_author))
+    shared_authors = len(names[0] & names[1])
+    shared_citations = len({c for c, _y in citers[p1]}
+                           & {c for c, _y in citers[p2]})
+    shared_references = len(refs1 & refs2)
+    return (weights.w_self_citation * self_cite
+            + weights.w_shared_author * shared_authors
+            + weights.w_shared_citation * shared_citations
+            + weights.w_shared_reference * shared_references)
+
+
 # -- agglomerative identity resolution ---------------------------------------
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from citnet.authors import SimilarityWeights, disambiguate, paper_similarity
+from citnet.authors import SimilarityWeights, disambiguate
 from citnet.corpus import extract_issns, validate_issn
 from citnet.disruption import (disruptiveness, disruptiveness_by_team_size,
                                disruptiveness_by_year)
@@ -35,8 +35,8 @@ from conftest import make_corpus, write_pipeline_config
 from oracles import (agglomerate_oracle, betweenness_oracle,
                      disruption_oracle, harmonic_closeness_oracle,
                      issn_valid_oracle, pagerank_oracle, paper_counts_reference,
-                     pathcore_oracle, publisher_journals_reference,
-                     random_digraph)
+                     paper_similarity, pathcore_oracle,
+                     publisher_journals_reference, random_digraph)
 
 ACCEPT_SEED = 11
 

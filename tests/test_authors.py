@@ -1,9 +1,10 @@
 import pytest
 
 from citnet.authors import (SimilarityWeights, author_demographics,
-                            disambiguate, normalize_name, paper_similarity)
+                            disambiguate, normalize_name)
 
 from conftest import make_corpus
+from oracles import paper_similarity
 
 W = SimilarityWeights()
 
@@ -92,8 +93,6 @@ def test_disambiguate_keeps_separate_below_group_threshold():
 
 
 def test_step2_fixed_point_no_pair_above_threshold():
-    from citnet.authors import paper_similarity as sim_fn
-
     papers = [(f"p{i}", "J1", 2000 + i, [], ["kim, j"]) for i in range(5)]
     # chain of shared references to create varied similarities
     refs = {1: ["r1"], 2: ["r1"], 3: ["r2"], 4: ["r2"]}
@@ -107,7 +106,8 @@ def test_step2_fixed_point_no_pair_above_threshold():
                   if any(k == "kim, j" for k, _p in m)]
     for i, ga in enumerate(kim_groups):
         for gb in kim_groups[i + 1:]:
-            sims = [sim_fn(corpus, a, b, W, exclude_author="kim, j")
+            sims = [paper_similarity(corpus, a, b, W,
+                                     exclude_author="kim, j")
                     for a in ga for b in gb]
             assert sum(sims) / len(sims) <= W.group_threshold
 

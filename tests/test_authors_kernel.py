@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from citnet.authors import (AuthorClusters, SimilarityWeights,
-                            author_demographics, disambiguate,
-                            paper_similarity)
+                            author_demographics, disambiguate)
 
 from conftest import make_corpus
+from oracles import paper_similarity
 
 W = SimilarityWeights()
 

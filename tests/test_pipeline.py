@@ -564,7 +564,7 @@ def test_emit_figure_2f_contract(full_run):
         assert float(row["psi_ratio"]) > 0
 
 
-SMALL_SYNTH = {"publisher_count": 5, "journals_per_publisher": 2,
+SMALL_SYNTH = {"journals_per_publisher": 2,
                "component_size_range": [60, 80], "out_degree_mean": 6.0,
                "out_degree_std": 2.0, "ensemble_count": 2,
                "rewire_fraction": 1.0}
@@ -775,6 +775,7 @@ def test_unusable_synth_ensemble_count_writes_nothing(tmp_path,
         tmp_path, pipeline_files, outdir,
         extra={"synth": dict(SMALL_SYNTH, ensemble_count=count)})
     message = f"synth.ensemble_count must be an integer >= 1, not {count!r}"
+    assert load_config(config_path).validate() == [message]
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_synth(load_config(config_path))
     assert cli_main(["synth", "--config", str(config_path)]) == 2
@@ -784,9 +785,8 @@ def test_unusable_synth_ensemble_count_writes_nothing(tmp_path,
 @pytest.mark.parametrize("bad, message", [
     ({"component_size_range": [50, 10]},
      "synth: empty component size range"),
-    ({"publisher_count": 4},
-     "synth.publisher_count must be 5 for the default special rates, "
-     "not 4")])
+    ({"component_size_range": [50, 10], "baseline_rate": 2.0},
+     "synth: empty component size range; synth: rates must lie in [0, 1]")])
 def test_unusable_synth_section_writes_nothing(tmp_path, pipeline_files,
                                                bad, message):
     outdir = tmp_path / "o"
@@ -794,10 +794,41 @@ def test_unusable_synth_section_writes_nothing(tmp_path, pipeline_files,
     config_path = write_pipeline_config(
         tmp_path, pipeline_files, outdir,
         extra={"synth": dict(SMALL_SYNTH, **bad)})
+    assert "; ".join(load_config(config_path).validate()) == message
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         run_synth(load_config(config_path))
     assert cli_main(["synth", "--config", str(config_path)]) == 2
     assert list(outdir.iterdir()) == []
+
+
+def test_validate_checks_the_synth_section(tmp_path, pipeline_files, capsys):
+    """The corpus is clean; the synth section alone fails every command
+    that checks the config, before anything is written."""
+    outdir = tmp_path / "o"
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"synth": {"component_size_range": [50, 10]}})
+    assert load_config(config_path).validate() == [
+        "synth: empty component size range"]
+    capsys.readouterr()
+    assert cli_main(["validate", "--config", str(config_path)]) == 2
+    assert "config: synth: empty component size range" in \
+        capsys.readouterr().err
+    for command in ("run", "synth"):
+        assert cli_main([command, "--config", str(config_path)]) == 2
+    assert not outdir.exists()
+
+
+def test_synth_publisher_count_is_an_unknown_key(tmp_path, pipeline_files):
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, tmp_path / "o",
+        extra={"synth": {"publisher_count": 5}})
+    with pytest.raises(ConfigError,
+                       match=r"^unknown config key synth\.publisher_count;"):
+        load_config(config_path)
+    assert cli_main(["validate", "--config", str(config_path)]) == 2
+    assert cli_main(["synth", "--config", str(config_path)]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 # -- synth ensembles in forked workers -----------------------------------------
