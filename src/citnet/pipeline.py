@@ -106,7 +106,8 @@ def _check_keys(section, mapping, known):
     for key in mapping:
         if key in known:
             continue
-        close = difflib.get_close_matches(str(key), sorted(known), n=1)
+        close = difflib.get_close_matches(str(key), sorted(known), n=1,
+                                          cutoff=0.65)
         hint = (f"did you mean {close[0]}?" if close
                 else f"known keys: {', '.join(sorted(known))}")
         name = f"{section}.{key}" if section else str(key)
@@ -223,11 +224,11 @@ def _number(value):
             and math.isfinite(value))
 
 
-def _count_check(name, value):
-    """(name, value, ok, what) of a setting that must be an integer >= 1
-    (not a bool)."""
+def _count_check(name, value, least=1):
+    """(name, value, ok, what) of a setting that must be an integer >=
+    ``least`` (not a bool)."""
     return (name, value, _number(value) and isinstance(value, int)
-            and value >= 1, "an integer >= 1")
+            and value >= least, f"an integer >= {least}")
 
 
 def _errors(checks):
@@ -251,7 +252,8 @@ def _value_errors(resolved):
                 "a positive number"),
                _count_check("synth.ensemble_count",
                             resolved["synth"]["ensemble_count"]),
-               _count_check("threads", resolved["threads"])]
+               _count_check("threads", resolved["threads"]),
+               _count_check("seed", resolved["seed"], 0)]
     return _errors(checks) + _synth_configs(resolved["synth"])[2]
 
 
@@ -472,25 +474,22 @@ def _stage_selfcite(ctx: _RunContext):
                 group = targets[label]
                 if not group:
                     continue
-                cr = selfcite_mod.citation_rate(ctx.corpus, jid, group,
-                                                table=tab)
-                rr = selfcite_mod.reference_rate(ctx.corpus, jid, group,
-                                                 table=tab)
-                rate_rows.append((jid, label, "citation", lo, hi, cr))
-                rate_rows.append((jid, label, "reference", lo, hi, rr))
+                for kind in ("citation", "reference"):
+                    rate_rows.append((jid, label, kind, lo, hi,
+                                      selfcite_mod._share(
+                                          tab, (jid,), group,
+                                          kind == "citation")))
 
     skipped = {}
     for n, query in ctx.config.rate_queries[0]:
         try:
-            selfcite_mod.resolve_group(ctx.corpus, query.source)
+            source = selfcite_mod.resolve_group(ctx.corpus, query.source)
             group = selfcite_mod.resolve_group(ctx.corpus, query.targets)
         except KeyError as exc:
             skipped[f"query {n}"] = exc.args[0]
             continue
-        fn = (selfcite_mod.citation_rate if query.kind == "citation"
-              else selfcite_mod.reference_rate)
-        rate = fn(ctx.corpus, query.source, group,
-                  table=table_for(query.window))
+        rate = selfcite_mod._share(table_for(query.window), source, group,
+                                   query.kind == "citation")
         lo, hi = query.window if query.window else ctx.corpus.year_range
         rate_rows.append((query.source, "+".join(query.targets),
                           query.kind, lo, hi, rate))
@@ -546,7 +545,7 @@ def _stage_novelty(ctx: _RunContext):
     config = novelty_mod.ShuffleConfig(
         ensemble_count=int(section["ensemble_count"]),
         swaps_per_edge=float(section["swaps_per_edge"]),
-        seed=int(ctx.config["seed"]),
+        seed=ctx.config["seed"],
         collapse_multiplicity=bool(section["collapse_multiplicity"]),
     )
     zscores = novelty_mod.pair_zscores(ctx.corpus, config)
@@ -694,7 +693,7 @@ def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
                 outdir=None):
     """run_pipeline on a loaded corpus; returns (results, run context)."""
     ctx = _RunContext(config, corpus, Path(outdir or config["output"]))
-    seed, threads = int(config["seed"]), config["threads"]
+    seed, threads = config["seed"], config["threads"]
     ctx.outdir.mkdir(parents=True, exist_ok=True)
 
     # every stage reads the graph; built once here, forked workers share it
@@ -754,7 +753,7 @@ def run_synth(config: RunConfig, outdir=None):
     errors = _value_errors(config.resolved)
     if errors:
         raise ConfigError("; ".join(errors))
-    synth_cfg, rewire_cfg, _ = _synth_configs(section, int(config["seed"]))
+    synth_cfg, rewire_cfg, _ = _synth_configs(section, config["seed"])
     outdir = Path(outdir or config["output"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / SYNTH_MANIFEST).unlink(missing_ok=True)

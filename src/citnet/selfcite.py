@@ -21,6 +21,13 @@ share of all references its journals make, and Q_c the internal share of
 all citations its journals receive. High values flag journals that
 direct citations at their own publisher well beyond what the publisher's
 overall exchange patterns predict.
+
+psi is four ``_share`` terms: i's references into P and citations from
+P, then P's own two. ``_share``, the share of the references a journal
+set makes (or the citations it receives) that land in (come from) a
+group, is the one reader of the table behind every rate and
+expectation; ``_scores`` is the one psi kernel, for the public
+functions, the selfcite stage and the synthetic ensembles.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ __all__ = [
     "solidarity_scores",
     "solidarity_ratio",
     "psi_from_counts",
-    "expectations_from_counts",
 ]
 
 
@@ -132,6 +138,21 @@ def resolve_group(corpus: Corpus, group) -> set[str]:
     return journals
 
 
+def _share(table: CitationCounts, sources, group,
+           received: bool = False) -> Optional[float]:
+    """Share of the references made by the journals ``sources`` that land
+    in the journals ``group``; with ``received``, share of the citations
+    they receive that come from ``group``. None when they make (receive)
+    none."""
+    if received:
+        whole = sum(table.in_total.get(j, 0) for j in sources)
+        part = sum(table.counts.get((g, j), 0) for j in sources for g in group)
+    else:
+        whole = sum(table.out_total.get(j, 0) for j in sources)
+        part = sum(table.counts.get((j, g), 0) for j in sources for g in group)
+    return part / whole if whole else None
+
+
 def citation_rate(corpus, source, target_group, window=None,
                   table: Optional[CitationCounts] = None) -> Optional[float]:
     """Fraction of the citations received by ``source`` coming from the group.
@@ -140,13 +161,8 @@ def citation_rate(corpus, source, target_group, window=None,
     """
     if table is None:
         table = aggregate_citation_counts(corpus, window)
-    src = resolve_group(corpus, source)
-    grp = resolve_group(corpus, target_group)
-    received = sum(table.in_total.get(j, 0) for j in src)
-    if received == 0:
-        return None
-    from_group = sum(table.counts.get((g, j), 0) for j in src for g in grp)
-    return from_group / received
+    return _share(table, resolve_group(corpus, source),
+                  resolve_group(corpus, target_group), received=True)
 
 
 def reference_rate(corpus, source, target_group, window=None,
@@ -154,13 +170,8 @@ def reference_rate(corpus, source, target_group, window=None,
     """Fraction of the references made by ``source`` landing in the group."""
     if table is None:
         table = aggregate_citation_counts(corpus, window)
-    src = resolve_group(corpus, source)
-    grp = resolve_group(corpus, target_group)
-    made = sum(table.out_total.get(j, 0) for j in src)
-    if made == 0:
-        return None
-    into_group = sum(table.counts.get((j, g), 0) for j in src for g in grp)
-    return into_group / made
+    return _share(table, resolve_group(corpus, source),
+                  resolve_group(corpus, target_group))
 
 
 @dataclass(frozen=True)
@@ -168,18 +179,6 @@ class PublisherExpectation:
     publisher_id: str
     q_r: Optional[float]   # internal share of references made
     q_c: Optional[float]   # internal share of citations received
-
-
-def expectations_from_counts(table: CitationCounts,
-                             publisher_id: str,
-                             members: Sequence[str]) -> PublisherExpectation:
-    members = set(members)
-    internal = sum(table.counts.get((k, j), 0) for k in members for j in members)
-    made = sum(table.out_total.get(k, 0) for k in members)
-    received = sum(table.in_total.get(k, 0) for k in members)
-    q_r = internal / made if made > 0 else None
-    q_c = internal / received if received > 0 else None
-    return PublisherExpectation(publisher_id=publisher_id, q_r=q_r, q_c=q_c)
 
 
 def publisher_self_expectations(corpus, publisher_id, window=None,
@@ -194,7 +193,8 @@ def publisher_self_expectations(corpus, publisher_id, window=None,
     if table is None:
         table = aggregate_citation_counts(corpus, window)
     members = corpus.publisher_journals[publisher_id]
-    return expectations_from_counts(table, publisher_id, members)
+    return PublisherExpectation(publisher_id, _share(table, members, members),
+                                _share(table, members, members, received=True))
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,37 @@ class SolidarityScore:
     status: str = "ok"     # "ok" | "excluded" | "undefined"
 
 
+def _excluded(journal_id) -> SolidarityScore:
+    """The row of a journal whose publisher is unknown or has one journal."""
+    return SolidarityScore(journal_id, None, 0, None, None, status="excluded")
+
+
+def _scores(table, journals, members, paper_total,
+            include_self) -> list[SolidarityScore]:
+    """psi of each of ``journals`` against the publisher whose journals
+    are ``members`` and whose papers number ``paper_total``.
+
+    The publisher's Q_r and Q_c are computed once. Without
+    ``include_self`` a journal's own terms leave its two rate sums.
+    """
+    q_r = _share(table, members, members)
+    q_c = _share(table, members, members, received=True)
+    scores = []
+    for jid in journals:
+        summed = [j for j in members if include_self or j != jid]
+        ref = _share(table, (jid,), summed)
+        cite = _share(table, (jid,), summed, received=True)
+        if (q_r is None or q_c is None or ref is None or cite is None
+                or q_r == 0 or q_c == 0 or cite == 0 or paper_total == 0):
+            scores.append(SolidarityScore(jid, None, paper_total, ref, cite,
+                                          q_r, q_c, status="undefined"))
+            continue
+        psi = (1.0 / paper_total) * (ref / q_r) / (cite / q_c)
+        scores.append(SolidarityScore(jid, psi, paper_total, ref, cite,
+                                      q_r, q_c, status="ok"))
+    return scores
+
+
 def psi_from_counts(table: CitationCounts, journal_id: str,
                     members: Sequence[str], paper_totals,
                     include_self: bool = True) -> SolidarityScore:
@@ -219,35 +250,11 @@ def psi_from_counts(table: CitationCounts, journal_id: str,
     itself inside the publisher sums (the publisher contains its own
     journal); disabling it drops the i=j terms from both rate sums.
     """
-    members = list(members)
     if len(members) < 2:
-        return SolidarityScore(journal_id, None, 0, None, None,
-                               status="excluded")
+        return _excluded(journal_id)
     paper_total = sum(paper_totals[j] for j in members)
-    exp = expectations_from_counts(table, "", members)
-    return _score(table, journal_id, members, paper_total, exp, include_self)
-
-
-def _score(table, journal_id, members, paper_total, exp, include_self):
-    """psi of one journal from its publisher's members, paper total and
-    expectation."""
-    summed = [j for j in members if include_self or j != journal_id]
-    made = table.out_total.get(journal_id, 0)
-    received = table.in_total.get(journal_id, 0)
-    ref_sum = (sum(table.counts.get((journal_id, j), 0) for j in summed) / made
-               if made > 0 else None)
-    cite_sum = (sum(table.counts.get((j, journal_id), 0) for j in summed) / received
-                if received > 0 else None)
-
-    undefined = (exp.q_r is None or exp.q_c is None or ref_sum is None
-                 or cite_sum is None or exp.q_r == 0 or exp.q_c == 0
-                 or cite_sum == 0 or paper_total == 0)
-    if undefined:
-        return SolidarityScore(journal_id, None, paper_total, ref_sum,
-                               cite_sum, exp.q_r, exp.q_c, status="undefined")
-    psi = (1.0 / paper_total) * (ref_sum / exp.q_r) / (cite_sum / exp.q_c)
-    return SolidarityScore(journal_id, psi, paper_total, ref_sum, cite_sum,
-                           exp.q_r, exp.q_c, status="ok")
+    return _scores(table, [journal_id], members, paper_total,
+                   include_self)[0]
 
 
 def solidarity_index(corpus, journal_id, window=None, include_self=True,
@@ -261,12 +268,13 @@ def solidarity_index(corpus, journal_id, window=None, include_self=True,
     """
     members = corpus.publisher_journals.get(
         corpus.journals[journal_id].publisher_id, ())
-    if table is None and len(members) > 1:    # else excluded, counts unread
+    if len(members) < 2:                      # excluded, counts unread
+        return _excluded(journal_id)
+    if table is None:
         table = aggregate_citation_counts(corpus, window)
-    years = None if table is None else table.years
-    totals = {j: corpus.paper_count(j, years) for j in members}
-    return psi_from_counts(table, journal_id, members, totals,
-                           include_self=include_self)
+    paper_total = sum(corpus.paper_count(j, table.years) for j in members)
+    return _scores(table, [journal_id], members, paper_total,
+                   include_self)[0]
 
 
 def solidarity_scores(corpus, window=None, include_self=True,
@@ -279,22 +287,15 @@ def solidarity_scores(corpus, window=None, include_self=True,
     """
     if table is None:
         table = aggregate_citation_counts(corpus, window)
-    years = table.years
-    terms = {}      # publisher id -> (members, paper total, expectation)
-    scores = []
-    for jid in sorted(corpus.journals):
-        pub_id = corpus.journals[jid].publisher_id
-        members = corpus.publisher_journals.get(pub_id, ())
+    scored = {}
+    for members in corpus.publisher_journals.values():
         if len(members) < 2:
-            scores.append(SolidarityScore(jid, None, 0, None, None,
-                                          status="excluded"))
             continue
-        if pub_id not in terms:
-            total = sum(corpus.paper_count(j, years) for j in members)
-            terms[pub_id] = (members, total,
-                             expectations_from_counts(table, pub_id, members))
-        scores.append(_score(table, jid, *terms[pub_id], include_self))
-    return scores
+        paper_total = sum(corpus.paper_count(j, table.years) for j in members)
+        scored.update((s.journal_id, s) for s in _scores(
+            table, members, members, paper_total, include_self))
+    return [scored.get(jid) or _excluded(jid)
+            for jid in sorted(corpus.journals)]
 
 
 def solidarity_ratio(score_q: SolidarityScore,

@@ -48,7 +48,7 @@ import numpy as np
 from ._util import fork_map
 from .corpus import (CitationGraph, Corpus, Journal, Paper, Publisher,
                      csr_pointer)
-from .selfcite import CitationCounts, psi_from_counts
+from .selfcite import CitationCounts, _scores, psi_from_counts
 
 __all__ = [
     "SynthConfig",
@@ -109,11 +109,6 @@ class RewireConfig:
         for rate in list(self.special_rates.values()) + [self.baseline_rate]:
             if not (0.0 <= rate <= 1.0):
                 raise ValueError("rates must lie in [0, 1]")
-
-
-def _journal_totals(net: CitationGraph) -> dict[str, int]:
-    return {j: sum(by_year.values())
-            for j, by_year in net.paper_counts().items()}
 
 
 def _generate_network(config: SynthConfig, rng) -> CitationGraph:
@@ -396,11 +391,17 @@ def _default_rate_assignment(net: CitationGraph, rng):
     return assignment
 
 
-def _psi_of(net: CitationGraph, table, journal_id, totals):
-    pub = next(js for js in net.publishers if journal_id in js)
-    score = psi_from_counts(table, journal_id, sorted(pub),
-                            {j: totals[j] for j in pub})
-    return score.psi
+def _journal_psi(net: CitationGraph) -> dict[str, Optional[float]]:
+    """psi of every journal of the net against its publisher, on the net's
+    current links; None where undefined or for a one-journal publisher."""
+    table = CitationCounts.from_counts(net.journal_pair_counts())
+    paper_totals = np.bincount(net.publisher_of, minlength=len(net.publishers))
+    psi = {}
+    for members, paper_total in zip(net.publishers, paper_totals.tolist()):
+        scores = _scores(table, members, members, paper_total, True)
+        psi.update((s.journal_id, s.psi if len(members) > 1 else None)
+                   for s in scores)
+    return psi
 
 
 @dataclass
@@ -445,19 +446,16 @@ def _ensemble_ratios(synth_config: SynthConfig, rewire_config: RewireConfig,
 
     # built first: it rejects special rates naming no journal of the net
     rewirer = _Rewirer(net, rates, rewire_config.baseline_rate, rw_rng)
-    totals = _journal_totals(net)
-    table = CitationCounts.from_counts(net.journal_pair_counts())
-    base_psi = {jid: _psi_of(net, table, jid, totals) for jid in specials}
+    base_psi = _journal_psi(net)
 
     ratios = []
     m = len(net.src)
     for cp in checkpoints:
         rewirer.advance(int(round(cp * m)) - rewirer.steps_done)
-        table = CitationCounts.from_counts(net.journal_pair_counts())
+        psi = _journal_psi(net)
         for k, jid in enumerate(specials):
-            psi = _psi_of(net, table, jid, totals)
-            if psi is not None and base_psi[jid]:
-                ratios.append(((cp, f"S{k + 1}"), psi / base_psi[jid]))
+            if psi[jid] is not None and base_psi[jid]:
+                ratios.append(((cp, f"S{k + 1}"), psi[jid] / base_psi[jid]))
     return slots, ratios
 
 
@@ -508,14 +506,11 @@ def publisher_psi_baseline(synth_config: SynthConfig, ensemble_count: int
     for ens in range(ensemble_count):
         rng = np.random.default_rng([synth_config.seed, ens])
         net = _generate_network(synth_config, rng)
-        table = CitationCounts.from_counts(net.journal_pair_counts())
-        totals = _journal_totals(net)
+        psi = _journal_psi(net)
         for p, jids in enumerate(net.publishers):
-            pub_id = f"P{p + 1}"
             for jid in sorted(jids):
-                psi = _psi_of(net, table, jid, totals)
-                if psi is not None:
-                    pools.setdefault(pub_id, []).append(psi)
+                if psi[jid] is not None:
+                    pools.setdefault(f"P{p + 1}", []).append(psi[jid])
     return pools
 
 

@@ -596,6 +596,68 @@ def market_share_oracle(corpus, publisher_id, year):
     return own / total
 
 
+# -- solidarity index -------------------------------------------------------
+#
+# The former library formula, kept as the reference for the one psi
+# kernel: each sum written out per journal over the count table's dicts.
+
+
+def psi_reference(table, journal_id, members, paper_total, include_self=True):
+    """SolidarityScore of one journal against the publisher ``members``:
+    Q_r and Q_c from the publisher's internal, made and received totals,
+    then the journal's reference and citation sums over ``members``."""
+    from citnet.selfcite import SolidarityScore
+
+    members = set(members)
+    internal = sum(table.counts.get((k, j), 0)
+                   for k in members for j in members)
+    made = sum(table.out_total.get(k, 0) for k in members)
+    received = sum(table.in_total.get(k, 0) for k in members)
+    q_r = internal / made if made > 0 else None
+    q_c = internal / received if received > 0 else None
+
+    summed = [j for j in members if include_self or j != journal_id]
+    made = table.out_total.get(journal_id, 0)
+    received = table.in_total.get(journal_id, 0)
+    ref_sum = (sum(table.counts.get((journal_id, j), 0) for j in summed) / made
+               if made > 0 else None)
+    cite_sum = (sum(table.counts.get((j, journal_id), 0) for j in summed)
+                / received if received > 0 else None)
+    if (q_r is None or q_c is None or ref_sum is None or cite_sum is None
+            or q_r == 0 or q_c == 0 or cite_sum == 0 or paper_total == 0):
+        return SolidarityScore(journal_id, None, paper_total, ref_sum,
+                               cite_sum, q_r, q_c, status="undefined")
+    psi = (1.0 / paper_total) * (ref_sum / q_r) / (cite_sum / q_c)
+    return SolidarityScore(journal_id, psi, paper_total, ref_sum, cite_sum,
+                           q_r, q_c, status="ok")
+
+
+def solidarity_reference(corpus, table, include_self=True):
+    """psi_reference of every journal in id order, its publisher's
+    journals and papers (in the table's window) found by scanning the
+    records; a journal whose publisher is unregistered or has one journal
+    gets the excluded row."""
+    from citnet.selfcite import SolidarityScore
+
+    years = table.window
+    scores = []
+    for jid in sorted(corpus.journals):
+        publisher = corpus.journals[jid].publisher_id
+        members = [j for j, rec in corpus.journals.items()
+                   if publisher in corpus.publishers
+                   and rec.publisher_id == publisher]
+        if len(members) < 2:
+            scores.append(SolidarityScore(jid, None, 0, None, None,
+                                          status="excluded"))
+            continue
+        paper_total = sum(
+            1 for p in corpus.papers.values() if p.journal_id in members
+            and (years is None or years[0] <= p.year <= years[1]))
+        scores.append(psi_reference(table, jid, members, paper_total,
+                                    include_self))
+    return scores
+
+
 # -- disruptiveness ---------------------------------------------------------
 
 

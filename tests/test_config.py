@@ -62,12 +62,16 @@ def test_known_configs_load(make_raw):
      "did you mean papers?"),
     ({"authors": {"weights": {"self_cite": 1.0}}}, "authors.weights.self_cite",
      "did you mean self_citation?"),
+    # closest is ensemble_count, too far to be the key meant
+    ({"synth": {"publisher_count": 5}}, "synth.publisher_count",
+     "known keys: "),
 ])
 def test_unknown_key_names_section_and_closest_key(raw, name, hint):
     with pytest.raises(ConfigError) as err:
         RunConfig(raw=raw)
     assert f"unknown config key {name};" in str(err.value)
     assert hint in str(err.value)
+    assert ("did you mean" in str(err.value)) == hint.startswith("did you")
 
 
 def test_cli_rejects_typo_with_exit_2(tmp_path, pipeline_files, capsys):

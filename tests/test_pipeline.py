@@ -756,6 +756,17 @@ def test_unusable_thread_counts_fail_validation(tmp_path, pipeline_files,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("seed", ["abc", -1, True, 1.5, "3"])
+def test_unusable_seeds_fail_validation(tmp_path, pipeline_files, seed):
+    config_path = write_pipeline_config(tmp_path, pipeline_files,
+                                        tmp_path / "o", extra={"seed": seed})
+    assert load_config(config_path).validate() == \
+        [f"seed must be an integer >= 0, not {seed!r}"]
+    for command in ("validate", "run", "synth"):
+        assert cli_main([command, "--config", str(config_path)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "synth"])
 def test_cli_threads_override_is_validated(tmp_path, pipeline_files, command):
     config_path = write_pipeline_config(tmp_path, pipeline_files,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from citnet.selfcite import (aggregate_citation_counts, citation_rate,
@@ -5,9 +7,11 @@ from citnet.selfcite import (aggregate_citation_counts, citation_rate,
                              reference_rate, solidarity_index,
                              solidarity_ratio, solidarity_scores,
                              SolidarityScore)
+from citnet.synth import (SynthConfig, _SCENARIO_MEMBERS, _SCENARIO_TOTALS,
+                          _scenario_table, generate_synthetic)
 
 from conftest import make_corpus, messy_corpus
-from oracles import journal_of
+from oracles import journal_of, solidarity_reference
 
 
 def rate_fixture():
@@ -272,17 +276,56 @@ def test_count_table_matches_edge_loop():
         assert [list(d) for d in got] == [list(d) for d in want]
 
 
+def psi_case(case, window):
+    """(corpus, count table or None, statuses) of a solidarity case.
+
+    An int is a seeded messy corpus and "net" a generated net of
+    one-journal publishers, both scored on their own count tables. A
+    scenario and sweep value ("b200") is that synth scenario's table,
+    carrying ``window``, beside a corpus holding its journals and paper
+    totals (all in 2005) and the outside journal E of another publisher.
+    """
+    if case == "net":
+        net = generate_synthetic(SynthConfig(
+            publisher_count=3, journals_per_publisher=1,
+            component_size_range=(30, 40), out_degree_mean=4.0,
+            out_degree_std=1.0))
+        return net, None, {"excluded"}
+    if isinstance(case, int):
+        return messy_corpus(case), None, {"ok", "excluded"}
+    table = replace(_scenario_table(case[0], float(case[1:])), window=window)
+    papers = [(f"{jid}-{k}", jid, 2005, [])
+              for jid in _SCENARIO_MEMBERS
+              for k in range(_SCENARIO_TOTALS[jid])]
+    journals = {jid: {"publisher_id": "P"} for jid in _SCENARIO_MEMBERS}
+    journals["E"] = {"publisher_id": "Q"}
+    # in "a", J2-J4 make no references, so their psi is undefined
+    statuses = {"ok", "excluded", "undefined"} if case[0] == "a" else \
+        {"ok", "excluded"}
+    return make_corpus(papers, journals), table, statuses
+
+
 @pytest.mark.parametrize("window", [None, (2003, 2007)])
 @pytest.mark.parametrize("include_self", [True, False])
-@pytest.mark.parametrize("seed", range(4))
-def test_solidarity_scores_equal_solidarity_index(seed, include_self, window):
-    corpus = messy_corpus(seed)
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "net", "a0", "a100", "a200",
+                                  "b0", "b200", "c10", "c200"])
+def test_solidarity_scores_equal_solidarity_index(case, include_self, window):
+    """Both public paths give the reference formula's scores, exactly."""
+    corpus, table, statuses = psi_case(case, window)
     expected = [solidarity_index(corpus, jid, window,
-                                 include_self=include_self)
+                                 include_self=include_self, table=table)
                 for jid in sorted(corpus.journals)]
-    got = solidarity_scores(corpus, window, include_self=include_self)
-    assert repr(got) == repr(expected)
-    assert {s.status for s in got} == {"ok", "excluded"}
+    got = solidarity_scores(corpus, window, include_self=include_self,
+                            table=table)
+    reference = solidarity_reference(
+        corpus, table or aggregate_citation_counts(corpus, window),
+        include_self)
+    assert repr(got) == repr(expected) == repr(reference)
+    assert {s.status for s in got} == statuses
+    if table is not None:       # psi_scenarios' path scores the focal F
+        focal = psi_from_counts(table, "F", _SCENARIO_MEMBERS,
+                                _SCENARIO_TOTALS, include_self)
+        assert repr(focal) == repr(got[1])
 
 
 @pytest.mark.parametrize("include_self", [True, False])
