@@ -143,12 +143,12 @@ def build_normalization_table(corpus: Corpus, reference_year: int = 2017
     categories count toward each).
     """
     graph = corpus.graph
-    cited, _made = _tally(graph)
-    categories = [corpus.journals[jid].categories for jid in graph.journal_ids]
+    cited = graph.journal_of[graph.dst]
+    during = (graph.year_of[graph.src] == reference_year) & (cited >= 0)
     received: dict[str, int] = {}
-    for (j, y, _py), n in cited.items():
-        if y == reference_year:
-            for cat in categories[j]:
+    for j, n in enumerate(np.bincount(cited[during]).tolist()):
+        if n:
+            for cat in corpus.journals[graph.journal_ids[j]].categories:
                 received[cat] = received.get(cat, 0) + n
     if not received:
         raise ValueError(f"no citations received in {reference_year}")

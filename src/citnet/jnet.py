@@ -47,7 +47,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 from .corpus import Corpus, csr_expand, csr_pointer
-from .matching import MatchRecord
+from .matching import MatchRecord, matched_pairs
 
 __all__ = [
     "JournalCitationNetwork",
@@ -399,7 +399,7 @@ def centrality_comparison(matches: Iterable[MatchRecord],
     log10(control / flagged) are emitted for pairs where both scores are
     positive, as plotting material.
     """
-    pairs = sorted({(m.qj_id, m.uj_id) for m in matches if m.uj_id})
+    pairs = matched_pairs(matches)
     out = {}
     for vec in vectors:
         higher = 0

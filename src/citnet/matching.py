@@ -6,6 +6,9 @@ in impact. Matching runs off a *registry*: a per-journal snapshot of
 categories, flag, annual size, and impact for one year. The registry is
 built from a corpus and the impact rows of that year, or directly
 (synthetic registries are used heavily in tests).
+
+``match_all`` matches every flagged journal of a registry, and
+``matched_pairs`` gives the sorted (QJ, UJ) pairs of its records.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ __all__ = [
     "assign_terciles",
     "select_control",
     "match_registry",
+    "match_all",
+    "matched_pairs",
     "binning_diagnostics",
 ]
 
@@ -89,38 +94,24 @@ def build_registry(corpus: Corpus, records: Iterable[ImpactRecord],
     return registry
 
 
-def _tercile_split(ordered, scheme="terciles"):
-    """Partition an ordered (largest first) id list into named bins."""
-    n = len(ordered)
-    if scheme == "terciles":
-        cut1 = math.ceil(n / 3)
-        cut2 = math.ceil(2 * n / 3)
-    elif scheme == "quartiles":
-        # top quartile / middle two / bottom quartile
-        cut1 = math.ceil(n / 4)
-        cut2 = math.ceil(3 * n / 4)
-    else:
-        raise ValueError(f"unknown split scheme: {scheme!r}")
-    out = {}
-    for rank, jid in enumerate(ordered):
-        if rank < cut1:
-            out[jid] = "large"
-        elif rank < cut2:
-            out[jid] = "moderate"
-        else:
-            out[jid] = "small"
-    return out
+# Rank cuts ceil(n * a / b) of the n active journals, largest first: the
+# ranks below the first are "large", below the second "moderate".
+_RANK_CUTS = {"terciles": ((1, 3), (2, 3)), "quartiles": ((1, 4), (3, 4))}
 
 
 def assign_terciles(sizes: dict[str, int], scheme: str = "terciles"
                     ) -> TercileReport:
-    """Tercile assignment from journal -> annual size, largest first.
+    """Size bins from journal -> annual size, largest first.
 
     Only journals with size >= ACTIVE_MIN_PAPERS participate. Boundary
-    ties resolve by journal id. With fewer than 3 active journals no
-    partition is meaningful: everything lands in "small" and the report
-    is flagged degenerate.
+    ties resolve by journal id. ``scheme`` is "terciles", "quartiles"
+    (the middle two are moderate) or "log_sigma" (beyond one stdev of
+    the mean log size); any other raises ValueError. With fewer than 3
+    active journals no partition is meaningful: everything lands in
+    "small" and the report is flagged degenerate.
     """
+    if scheme not in _RANK_CUTS and scheme != "log_sigma":
+        raise ValueError(f"unknown split scheme: {scheme!r}")
     active = {j: s for j, s in sizes.items() if s >= ACTIVE_MIN_PAPERS}
     ordered = sorted(active, key=lambda j: (-active[j], j))
     if len(ordered) < 3:
@@ -128,19 +119,17 @@ def assign_terciles(sizes: dict[str, int], scheme: str = "terciles"
                              degenerate=bool(ordered))
     if scheme == "log_sigma":
         logs = [math.log(active[j]) for j in ordered]
-        mu = mean(logs)
-        sigma = stdev(logs) if len(logs) > 1 else 0.0
-        out = {}
-        for jid in ordered:
-            lg = math.log(active[jid])
-            if lg > mu + sigma:
-                out[jid] = "large"
-            elif lg < mu - sigma:
-                out[jid] = "small"
-            else:
-                out[jid] = "moderate"
-        return TercileReport(assignment=out)
-    return TercileReport(assignment=_tercile_split(ordered, scheme))
+        mu, sigma = mean(logs), stdev(logs)
+        return TercileReport(assignment={
+            jid: "large" if lg > mu + sigma else
+                 "small" if lg < mu - sigma else "moderate"
+            for jid, lg in zip(ordered, logs)})
+    n = len(ordered)
+    cut1, cut2 = (-(-n * a // b) for a, b in _RANK_CUTS[scheme])
+    return TercileReport(assignment={
+        jid: "large" if rank < cut1 else
+             "moderate" if rank < cut2 else "small"
+        for rank, jid in enumerate(ordered)})
 
 
 def _category_terciles(registry, scheme="terciles"):
@@ -204,30 +193,39 @@ def select_control(corpus: Corpus, qj_id: str, year: int,
     return match_registry(registry, qj_id)
 
 
+def match_all(registry: dict[str, RegistryEntry], scheme: str = "terciles"
+              ) -> list[MatchRecord]:
+    """``match_registry`` of every flagged journal of the registry, on
+    the size bins of ``scheme`` computed once; records by (QJ, category)."""
+    terciles = _category_terciles(registry, scheme)
+    return sorted((rec for qj_id in sorted(registry)
+                   if registry[qj_id].questionable
+                   for rec in match_registry(registry, qj_id, terciles)),
+                  key=lambda r: (r.qj_id, r.category))
+
+
+def matched_pairs(matches: Iterable[MatchRecord]) -> list[tuple[str, str]]:
+    """The distinct (QJ, UJ) id pairs of the records with a control, sorted."""
+    return sorted({(m.qj_id, m.uj_id) for m in matches if m.uj_id})
+
+
 def binning_diagnostics(registry: dict[str, RegistryEntry],
                         schemes=("terciles", "quartiles", "log_sigma")):
     """Mean impact and size gaps of the matches produced by each size scheme.
 
     Diagnostic only; the production scheme stays terciles.
     """
-    flagged = [j for j, e in sorted(registry.items()) if e.questionable]
     out = {}
     for scheme in schemes:
-        terciles = _category_terciles(registry, scheme=scheme)
-        impact_gaps = []
-        size_gaps = []
-        matched = 0
-        for qj_id in flagged:
-            for rec in match_registry(registry, qj_id, terciles=terciles):
-                if rec.uj_id is None:
-                    continue
-                matched += 1
-                impact_gaps.append(rec.impact_gap)
-                size_gaps.append(abs(registry[rec.uj_id].annual_size
-                                     - registry[qj_id].annual_size))
+        matched = [rec for rec in match_all(registry, scheme)
+                   if rec.uj_id is not None]
+        size_gaps = [abs(registry[rec.uj_id].annual_size
+                         - registry[rec.qj_id].annual_size)
+                     for rec in matched]
         out[scheme] = {
-            "matched": matched,
-            "mean_impact_gap": mean(impact_gaps) if impact_gaps else None,
-            "mean_size_gap": mean(size_gaps) if size_gaps else None,
+            "matched": len(matched),
+            "mean_impact_gap": (mean(rec.impact_gap for rec in matched)
+                                if matched else None),
+            "mean_size_gap": mean(size_gaps) if matched else None,
         }
     return out

@@ -254,6 +254,13 @@ def _value_errors(resolved):
                             resolved["synth"]["ensemble_count"]),
                _count_check("threads", resolved["threads"]),
                _count_check("seed", resolved["seed"], 0)]
+    kind = resolved["matching"]["impact_kind"]
+    links = resolved["jnet"]["link_types"]
+    checks += [("matching.impact_kind", kind, kind in ("normalized", "raw"),
+                "normalized or raw"),
+               ("jnet.link_types", links, isinstance(links, list) and all(
+                   t in ("citation", "reference") for t in links),
+                "a list drawn from citation and reference")]
     return _errors(checks) + _synth_configs(resolved["synth"])[2]
 
 
@@ -360,19 +367,14 @@ class _RunContext:
     @cached_property
     def matches(self):
         """The MatchRecords of every flagged journal, by (QJ, category)."""
-        _year, registry = self.registry
-        terciles = matching_mod._category_terciles(registry)
-        records = [rec for qj in sorted(registry) if registry[qj].questionable
-                   for rec in matching_mod.match_registry(registry, qj,
-                                                          terciles)]
-        return sorted(records, key=lambda r: (r.qj_id, r.category))
+        return matching_mod.match_all(self.registry[1])
 
     @cached_property
     def groups(self):
         """(QJ, UJ): the flagged journals and their matched controls."""
         qj = {j for j, journal in self.corpus.journals.items()
               if journal.questionable_flag}
-        return qj, {m.uj_id for m in self.matches if m.uj_id}
+        return qj, {uj for _qj, uj in matching_mod.matched_pairs(self.matches)}
 
 
 def _fraction_or_none(x):
@@ -832,8 +834,7 @@ def _figure_2f(config, outdir):
                   _read_rows(_need(outdir, "solidarity.csv", "selfcite"))}
     _year, registry = ctx.registry
     rows = []
-    for m in sorted({(m.qj_id, m.uj_id) for m in ctx.matches if m.uj_id}):
-        qj_id, uj_id = m
+    for qj_id, uj_id in matching_mod.matched_pairs(ctx.matches):
         sq, su = solidarity.get(qj_id), solidarity.get(uj_id)
         if not sq or not su or not sq["psi"] or not su["psi"]:
             continue
@@ -848,8 +849,7 @@ def _figure_2f(config, outdir):
 
 
 def _figure_3(config, outdir):
-    matches = _figure_context(config, outdir).matches
-    pairs = sorted({(m.qj_id, m.uj_id) for m in matches if m.uj_id})
+    pairs = matching_mod.matched_pairs(_figure_context(config, outdir).matches)
     rows = []
     for path in sorted(Path(outdir).glob("centrality_*_*.csv")):
         parts = path.stem.split("_")

@@ -8,12 +8,13 @@ import the functions it checks.
 """
 
 import csv
+import math
 import re
 import weakref
 from bisect import insort
 from collections import Counter, deque, namedtuple
 from fractions import Fraction
-from statistics import median
+from statistics import mean, median, stdev
 
 import numpy as np
 
@@ -573,6 +574,57 @@ def normalization_reference(corpus, reference_year, top_field=None):
         if jid is not None and top_field in corpus.journals[jid].categories:
             n_top[paper.year] = n_top.get(paper.year, 0) + 1
     return top_field, dict(sorted(n_top.items()))
+
+
+# -- size bins ----------------------------------------------------------------
+#
+# The former library binning, kept as the reference for the one table of
+# rank cuts: a float ceiling per scheme and the log_sigma bins written out.
+
+
+def _tercile_split_reference(ordered, scheme):
+    n = len(ordered)
+    if scheme == "terciles":
+        cut1 = math.ceil(n / 3)
+        cut2 = math.ceil(2 * n / 3)
+    elif scheme == "quartiles":
+        cut1 = math.ceil(n / 4)
+        cut2 = math.ceil(3 * n / 4)
+    else:
+        raise ValueError(f"unknown split scheme: {scheme!r}")
+    out = {}
+    for rank, jid in enumerate(ordered):
+        if rank < cut1:
+            out[jid] = "large"
+        elif rank < cut2:
+            out[jid] = "moderate"
+        else:
+            out[jid] = "small"
+    return out
+
+
+def tercile_reference(sizes, scheme="terciles"):
+    """(assignment, degenerate) of journal -> annual size; journals of
+    fewer than 30 papers (ACTIVE_MIN_PAPERS) take no part."""
+    active = {j: s for j, s in sizes.items() if s >= 30}
+    ordered = sorted(active, key=lambda j: (-active[j], j))
+    if len(ordered) < 3:
+        return {j: "small" for j in ordered}, bool(ordered)
+    if scheme == "log_sigma":
+        logs = [math.log(active[j]) for j in ordered]
+        mu = mean(logs)
+        sigma = stdev(logs) if len(logs) > 1 else 0.0
+        out = {}
+        for jid in ordered:
+            lg = math.log(active[jid])
+            if lg > mu + sigma:
+                out[jid] = "large"
+            elif lg < mu - sigma:
+                out[jid] = "small"
+            else:
+                out[jid] = "moderate"
+        return out, False
+    return _tercile_split_reference(ordered, scheme), False
 
 
 # -- publisher market share -------------------------------------------------

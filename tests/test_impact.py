@@ -92,6 +92,19 @@ def test_build_normalization_table_picks_top_cited_field():
     assert norm == pytest.approx(float(journal_impact(corpus, "J2", 2010)))
 
 
+def test_citations_to_uncategorized_journals_count_for_no_field():
+    # the one citation of 2010 lands in J2, which has no category; J1's
+    # field received none and is no candidate
+    papers = [("a", "J1", 2008, []), ("b", "J2", 2008, []),
+              ("y", "J1", 2010, ["b"])]
+    corpus = make_corpus(papers, {"J1": {"categories": ("20",)},
+                                  "J2": {"categories": ()}})
+    with pytest.raises(ValueError, match="no citations received in 2010"):
+        build_normalization_table(corpus, reference_year=2010)
+    with pytest.raises(ValueError, match="no citations received in 2010"):
+        normalization_reference(corpus, 2010)
+
+
 def test_immediacy():
     papers = [(f"p{i}", "J1", 2005, []) for i in range(4)]
     citers = [(f"c{i}", "J2", 2005, [f"p{i % 4}", f"p{(i + 1) % 4}"])

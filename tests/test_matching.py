@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from citnet.impact import impact_table
-from citnet.matching import (RegistryEntry, _category_terciles,
-                             assign_terciles, binning_diagnostics,
-                             build_registry, match_registry, select_control)
+from citnet.matching import (MatchRecord, RegistryEntry, TercileReport,
+                             _category_terciles, assign_terciles,
+                             binning_diagnostics, build_registry, match_all,
+                             match_registry, matched_pairs, select_control)
 
+import oracles
 from conftest import make_corpus
+
+SCHEMES = ("terciles", "quartiles", "log_sigma")
 
 
 def entry(jid, impact, size=100, categories=("10",), questionable=False):
@@ -70,6 +74,32 @@ def test_too_few_journals_flagged():
     assert set(report.assignment.values()) == {"small"}
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_assign_terciles_equals_reference(scheme):
+    # sizes from 28-32 (around ACTIVE_MIN_PAPERS, many ties), 25-59 or
+    # 1-4999, for 0-40 journals inserted in random id order
+    rng = np.random.default_rng(7)
+    degenerate_seen = set()
+    for _ in range(600):
+        n = int(rng.integers(0, 41))
+        low, high = ((28, 33), (25, 60), (1, 5000))[int(rng.integers(0, 3))]
+        sizes = {f"J{k}": int(size) for k, size in
+                 zip(rng.permutation(n), rng.integers(low, high, size=n))}
+        report = assign_terciles(sizes, scheme)
+        assignment, degenerate = oracles.tercile_reference(sizes, scheme)
+        assert list(report.assignment.items()) == list(assignment.items())
+        assert report.degenerate == degenerate
+        degenerate_seen.add(degenerate)
+    assert degenerate_seen == {False, True}
+
+
+@pytest.mark.parametrize("sizes", [{}, {"J1": 50, "J2": 60},
+                                   {"J1": 50, "J2": 60, "J3": 70}])
+def test_unknown_scheme_raises_at_every_size(sizes):
+    with pytest.raises(ValueError, match="unknown split scheme: 'bogus'"):
+        assign_terciles(sizes, "bogus")
+
+
 def test_size_terciles_from_corpus():
     papers = []
     for i, count in enumerate((35, 40, 45), start=1):
@@ -103,7 +133,7 @@ def test_exact_match_gap_zero():
     assert records[0].impact_gap == 0.0
 
 
-def test_one_record_per_category():
+def two_category_registry():
     registry = {**fillers(("10",), "F"), **fillers(("20",), "G")}
     registry.update({
         "Q": entry("Q", 1.0, categories=("10", "20"), questionable=True),
@@ -111,7 +141,11 @@ def test_one_record_per_category():
         "B": entry("B", 0.9, categories=("20",)),
         "C": entry("C", 3.0, categories=("10", "20")),
     })
-    records = match_registry(registry, "Q")
+    return registry
+
+
+def test_one_record_per_category():
+    records = match_registry(two_category_registry(), "Q")
     assert [r.category for r in records] == ["10", "20"]
     assert records[0].uj_id == "A"
     assert records[1].uj_id == "B"
@@ -127,10 +161,13 @@ def test_never_matches_flagged_or_self():
     assert records[0].uj_id == "A"
 
 
+def flagged_only_registry():
+    return {"Q": entry("Q", 1.0, questionable=True),
+            "Q2": entry("Q2", 1.1, questionable=True)}
+
+
 def test_empty_category_logged_as_empty_record():
-    registry = {"Q": entry("Q", 1.0, questionable=True),
-                "Q2": entry("Q2", 1.1, questionable=True)}
-    records = match_registry(registry, "Q")
+    records = match_registry(flagged_only_registry(), "Q")
     assert records[0].uj_id is None
     assert records[0].impact_gap is None
 
@@ -189,7 +226,7 @@ def test_registry_uses_normalized_impact_by_default():
     assert registry["J1"].impact is None
 
 
-def test_binning_diagnostics_reports_all_schemes():
+def sixty_journal_registry():
     rng = np.random.default_rng(11)
     registry = {}
     for i in range(60):
@@ -197,8 +234,50 @@ def test_binning_diagnostics_reports_all_schemes():
         registry[jid] = entry(jid, float(rng.uniform(0.1, 4.0)),
                               size=int(rng.integers(30, 400)),
                               questionable=(i % 10 == 0))
-    diag = binning_diagnostics(registry)
+    return registry
+
+
+def test_binning_diagnostics_reports_all_schemes():
+    diag = binning_diagnostics(sixty_journal_registry())
     assert set(diag) == {"terciles", "quartiles", "log_sigma"}
     for stats in diag.values():
         assert stats["matched"] > 0
         assert stats["mean_impact_gap"] >= 0.0
+
+
+def reversed_category_registry():
+    """Q's categories out of order: its records come by category."""
+    registry = two_category_registry()
+    registry["Q"] = entry("Q", 1.0, categories=("20", "10"),
+                          questionable=True)
+    return registry
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("make_registry", [
+    two_category_registry, reversed_category_registry,
+    flagged_only_registry, sixty_journal_registry])
+def test_match_all_equals_the_per_journal_loop(make_registry, scheme):
+    registry = make_registry()
+    by_category = {}
+    for jid, e in registry.items():
+        for cat in e.categories:
+            by_category.setdefault(cat, {})[jid] = e.annual_size
+    terciles = {cat: TercileReport(*oracles.tercile_reference(sizes, scheme))
+                for cat, sizes in by_category.items()}
+    expected = [rec for qj_id in sorted(registry)
+                if registry[qj_id].questionable
+                for rec in sorted(match_registry(registry, qj_id, terciles),
+                                  key=lambda r: r.category)]
+    assert match_all(registry, scheme) == expected
+    if scheme == "terciles":
+        assert match_all(registry) == expected
+
+
+def test_matched_pairs_are_distinct_sorted_and_controlled():
+    records = [MatchRecord("Q2", "10", "A", 0.1, "small"),
+               MatchRecord("Q1", "20", "B", 0.2, "large"),
+               MatchRecord("Q1", "10", "B", 0.3, "large"),
+               MatchRecord("Q1", "30", None, None, "large"),
+               MatchRecord("Q3", "10", None, None, None)]
+    assert matched_pairs(records) == [("Q1", "B"), ("Q2", "A")]

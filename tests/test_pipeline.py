@@ -767,6 +767,25 @@ def test_unusable_seeds_fail_validation(tmp_path, pipeline_files, seed):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"matching": {"impact_kind": "norm"}},
+     "matching.impact_kind must be normalized or raw, not 'norm'"),
+    ({"jnet": {"link_types": ["citation", "refs"]}},
+     "jnet.link_types must be a list drawn from citation and reference, "
+     "not ['citation', 'refs']"),
+    ({"jnet": {"link_types": "citation"}},
+     "jnet.link_types must be a list drawn from citation and reference, "
+     "not 'citation'")])
+def test_unusable_matching_and_link_settings_fail_validation(
+        tmp_path, pipeline_files, extra, message):
+    config_path = write_pipeline_config(tmp_path, pipeline_files,
+                                        tmp_path / "o", extra=extra)
+    assert load_config(config_path).validate() == [message]
+    for command in ("validate", "run", "match"):
+        assert cli_main([command, "--config", str(config_path)]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "synth"])
 def test_cli_threads_override_is_validated(tmp_path, pipeline_files, command):
     config_path = write_pipeline_config(tmp_path, pipeline_files,
@@ -1204,6 +1223,7 @@ def test_a_run_builds_each_per_run_table_once(tmp_path, pipeline_files,
                          (impact, "build_normalization_table"),
                          (impact, "impact_table"),
                          (matching, "_category_terciles"),
+                         (matching, "match_all"),
                          (matching, "match_registry")):
         count(module, name)
     path_open = Path.open
@@ -1218,9 +1238,9 @@ def test_a_run_builds_each_per_run_table_once(tmp_path, pipeline_files,
     run_pipeline(load_config(write_pipeline_config(tmp_path, files, outdir)))
     monkeypatch.undo()
     # matches.csv is written, never opened
-    assert calls == {"_tally": 2, "build_normalization_table": 1,
+    assert calls == {"_tally": 1, "build_normalization_table": 1,
                      "impact_table": 1, "_category_terciles": 1,
-                     "match_registry": len(flagged)}
+                     "match_all": 1, "match_registry": len(flagged)}
     if flagged == ("P1-J1",):
         outputs = read_outputs(outdir)
         assert set(ALL_CSVS) <= set(outputs)
