@@ -11,6 +11,7 @@ novelty     atypical reference-pair z-scores against a shuffled null
 disruption  disruptiveness index and grouped averages
 authors     author identity resolution and career statistics
 synth       synthetic corpora and the solidarity validation protocol
+config      the run settings: their defaults, checks and config files
 pipeline    declarative multi-stage runs and figure-ready exports
 """
 

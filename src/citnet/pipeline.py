@@ -1,17 +1,18 @@
 """Declarative multi-stage runs over one corpus.
 
-A run is described by a single config file (YAML or JSON). Each stage
-writes its own CSV outputs into the output directory and reads nothing
-back from it: stages share only the tables on the run context, each
-computed from (config, corpus) alone on first use (the normalization
-table, the impact rows, the control registry and the matches). A stage
-fails when it raises, also when a table it reads cannot be built, and
-carries that error; the other stages still run, and the manifest carries
-a partial-run marker, with the completed outputs left in place. The
-manifest records the hash of the resolved settings that can change a
-result (all but ``threads``, ``output`` and ``stages``), the seconds of
-the corpus load and of the citation graph build that precede the
-stages, and per-stage status and timings.
+A run is described by a single config file (YAML or JSON); the settings,
+their defaults and their checks are the one table of ``citnet.config``.
+Each stage writes its own CSV outputs into the output directory and
+reads nothing back from it: stages share only the tables on the run
+context, each computed from (config, corpus) alone on first use (the
+normalization table, the impact rows, the control registry and the
+matches). A stage fails when it raises, also when a table it reads
+cannot be built, and carries that error; the other stages still run, and
+the manifest carries a partial-run marker, with the completed outputs
+left in place. The manifest records the hash of the resolved settings
+that can change a result (all but ``threads``, ``output`` and
+``stages``), the seconds of the corpus load and of the citation graph
+build that precede the stages, and per-stage status and timings.
 
 The impact and matching stages run first, in this process, as they
 build the tables the others read. With ``threads`` above 1, the other
@@ -28,20 +29,17 @@ from their seconds, at any worker count.
 from __future__ import annotations
 
 import csv
-import difflib
-import hashlib
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Optional
-
-import yaml
 
 from . import __version__
-from ._util import atomic_write, fork_map, usable_cpus, write_csv
+from ._util import atomic_write, fork_map, write_csv
+from .config import (STAGES, ConfigError, RunConfig, _synth_configs,
+                     _value_errors, config_hash, load_config)
 from .corpus import Corpus, load_corpus
 from . import authors as authors_mod
 from . import disruption as disruption_mod
@@ -63,253 +61,7 @@ __all__ = [
     "FIGURE_IDS",
 ]
 
-STAGES = ("impact", "matching", "selfcite", "jnet", "novelty",
-          "disruption", "authors")
 SYNTH_MANIFEST = "synth_manifest.json"
-
-_DEFAULTS = {
-    "year_range": [1996, 2018],
-    "seed": 0,
-    "threads": None,        # the usable CPU count
-    "output": "out",
-    "stages": list(STAGES),
-    "impact": {"years": [], "reference_year": 2017, "market_share": False},
-    "matching": {"year": None, "impact_kind": "normalized"},
-    "selfcite": {"window": None, "include_self_journal": True,
-                 "rate_years": [], "query_file": None},
-    "jnet": {"year": None, "windows": [2], "link_types": ["citation"]},
-    "novelty": {"ensemble_count": 10, "swaps_per_edge": 10.0,
-                "collapse_multiplicity": False},
-    "disruption": {"window": None, "by_journal": False},
-    "authors": {"weights": None, "pair_threshold": 1.0,
-                "group_threshold": 0.19},
-    "synth": {"grid": None, "journals_per_publisher": 5,
-              "component_size_range": [450, 550], "out_degree_mean": 20.0,
-              "out_degree_std": 5.0, "in_degree_exponent": 3.0,
-              "baseline_rate": 0.2, "rewire_fraction": 3.0,
-              "ensemble_count": 20},
-}
-
-# keys of the mappings that have no defaults of their own
-_CORPUS_KEYS = ("papers", "journals", "publishers")
-_WEIGHT_KEYS = ("self_citation", "shared_author", "shared_citation",
-                "shared_reference")
-_QUERY_KEYS = ("source", "targets", "window", "kind")
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _check_keys(section, mapping, known):
-    """Reject a key outside ``known``, naming the closest known one."""
-    for key in mapping:
-        if key in known:
-            continue
-        close = difflib.get_close_matches(str(key), sorted(known), n=1,
-                                          cutoff=0.65)
-        hint = (f"did you mean {close[0]}?" if close
-                else f"known keys: {', '.join(sorted(known))}")
-        name = f"{section}.{key}" if section else str(key)
-        raise ConfigError(f"unknown config key {name}; {hint}")
-
-
-@dataclass
-class RunConfig:
-    raw: dict
-    path: Optional[Path] = None
-
-    def __post_init__(self):
-        _check_keys("", self.raw, [*_DEFAULTS, "corpus"])
-        merged = {k: (dict(v) if isinstance(v, dict) else v)
-                  for k, v in _DEFAULTS.items()}
-        for key, value in self.raw.items():
-            if isinstance(value, dict) and isinstance(merged.get(key), dict):
-                _check_keys(key, value, merged[key])
-                merged[key].update(value)
-            else:
-                merged[key] = value
-        _check_keys("corpus", merged.get("corpus") or {}, _CORPUS_KEYS)
-        _check_keys("authors.weights", merged["authors"]["weights"] or {},
-                    _WEIGHT_KEYS)
-        if merged["threads"] is None:
-            merged["threads"] = usable_cpus()
-        self.resolved = merged
-
-    def __getitem__(self, key):
-        return self.resolved[key]
-
-    def corpus_paths(self):
-        section = self.resolved.get("corpus") or {}
-        return {k: self._beside_config(v) for k, v in section.items()}
-
-    def _beside_config(self, path) -> Path:
-        return (self.path.parent if self.path else Path(".")) / path
-
-    def validate(self):
-        """Static checks; every referenced path must exist."""
-        errors = []
-        section = self.resolved.get("corpus") or {}
-        for key in ("papers", "journals", "publishers"):
-            if key not in section:
-                errors.append(f"corpus.{key} missing from config")
-        for key, path in self.corpus_paths().items():
-            if not Path(path).exists():
-                errors.append(f"corpus.{key}: no such file: {path}")
-        unknown = set(self.resolved["stages"]) - set(STAGES)
-        if unknown:
-            errors.append(f"unknown stages: {sorted(unknown)}")
-        weights = self.resolved["authors"]["weights"]
-        if "authors" in self.resolved["stages"] and not weights:
-            errors.append("authors stage needs explicit similarity weights "
-                          "(authors.weights); the built-in defaults are "
-                          "fixture placeholders")
-        errors += [f"authors.weights.{key} missing from config"
-                   for key in _WEIGHT_KEYS if weights and key not in weights]
-        errors += _value_errors(self.resolved)
-        return errors + self.rate_queries[1]
-
-    @cached_property
-    def rate_queries(self):
-        """(queries, errors) of selfcite.query_file, resolved like the
-        corpus paths: each well-formed entry as (n, RateQuery), n counting
-        the file's entries from 1, and an error naming ``query <n>`` for
-        each malformed one. Whether an id names a journal or publisher is
-        left to the stage."""
-        query_file = self.resolved["selfcite"]["query_file"]
-        if not query_file:
-            return [], []
-        path = self._beside_config(query_file)
-        if not path.exists():
-            return [], [f"selfcite.query_file: no such file: {path}"]
-        try:
-            with path.open(encoding="utf-8") as fh:
-                entries = yaml.safe_load(fh) or []
-        except yaml.YAMLError as exc:
-            return [], [f"selfcite.query_file: {exc}"]
-        if not isinstance(entries, list):
-            return [], [f"selfcite.query_file: {path} must hold a list of queries"]
-        queries, errors = [], []
-        for n, entry in enumerate(entries, start=1):
-            entry = entry if isinstance(entry, dict) else {}
-            targets, window = entry.get("targets", ""), entry.get("window")
-            targets = targets if isinstance(targets, list) else [targets]
-            kind = entry.get("kind", "citation")
-            problems = [f"unknown key {key!r}" for key in entry
-                        if key not in _QUERY_KEYS]
-            problems += [f"{key} missing" for key in ("source", "targets")
-                         if key not in entry]
-            if not targets or not all(isinstance(i, str) for i in
-                                      (entry.get("source", ""), *targets)):
-                problems.append("source and targets must be ids")
-            if kind not in ("citation", "reference"):
-                problems.append(f"kind must be citation or reference, "
-                                f"not {kind!r}")
-            if window is not None and not (
-                    isinstance(window, list) and len(window) == 2
-                    and all(type(y) is int for y in window)):
-                problems.append(f"window must be two integers, not {window!r}")
-            errors += [f"selfcite.query_file: query {n}: {what}"
-                       for what in problems]
-            if not problems:
-                queries.append((n, selfcite_mod.RateQuery(
-                    entry["source"], tuple(targets),
-                    tuple(window) if window else None, kind)))
-        return queries, errors
-
-
-def _number(value):
-    """Whether a config value is a finite int or float (not a bool)."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _count_check(name, value, least=1):
-    """(name, value, ok, what) of a setting that must be an integer >=
-    ``least`` (not a bool)."""
-    return (name, value, _number(value) and isinstance(value, int)
-            and value >= least, f"an integer >= {least}")
-
-
-def _errors(checks):
-    return [f"{name} must be {what}, not {value!r}"
-            for name, value, ok, what in checks if not ok]
-
-
-def _value_errors(resolved):
-    """The settings that the stages or ``run_synth`` would fail to use."""
-    authors, novelty = resolved["authors"], resolved["novelty"]
-    checks = [(f"authors.weights.{key}", value, _number(value), "a number")
-              for key, value in (authors["weights"] or {}).items()]
-    checks += [(f"authors.{key}", authors[key],
-                _number(authors[key]) and authors[key] > 0,
-                "a positive number")
-               for key in ("pair_threshold", "group_threshold")]
-    swaps = novelty["swaps_per_edge"]
-    checks += [_count_check("novelty.ensemble_count",
-                            novelty["ensemble_count"]),
-               ("novelty.swaps_per_edge", swaps, _number(swaps) and swaps > 0,
-                "a positive number"),
-               _count_check("synth.ensemble_count",
-                            resolved["synth"]["ensemble_count"]),
-               _count_check("threads", resolved["threads"]),
-               _count_check("seed", resolved["seed"], 0)]
-    kind = resolved["matching"]["impact_kind"]
-    links = resolved["jnet"]["link_types"]
-    checks += [("matching.impact_kind", kind, kind in ("normalized", "raw"),
-                "normalized or raw"),
-               ("jnet.link_types", links, isinstance(links, list) and all(
-                   t in ("citation", "reference") for t in links),
-                "a list drawn from citation and reference")]
-    return _errors(checks) + _synth_configs(resolved["synth"])[2]
-
-
-def _synth_configs(section, seed=0):
-    """(SynthConfig, RewireConfig, errors) of the synth section; a config
-    that cannot be built is None, with its ``synth: <reason>`` error.
-    ``seed`` seeds the network and ``seed + 1`` the rewiring."""
-    errors = []
-    try:
-        synth_cfg = synth_mod.SynthConfig(
-            journals_per_publisher=int(section["journals_per_publisher"]),
-            component_size_range=tuple(section["component_size_range"]),
-            out_degree_mean=float(section["out_degree_mean"]),
-            out_degree_std=float(section["out_degree_std"]),
-            in_degree_exponent=float(section["in_degree_exponent"]),
-            seed=seed)
-    except (TypeError, ValueError) as exc:
-        synth_cfg = None
-        errors.append(f"synth: {exc}")
-    try:
-        rewire_cfg = synth_mod.RewireConfig(
-            baseline_rate=float(section["baseline_rate"]),
-            rewire_fraction=float(section["rewire_fraction"]),
-            ensemble_count=section["ensemble_count"],
-            seed=seed + 1)
-    except (TypeError, ValueError) as exc:
-        rewire_cfg = None
-        errors.append(f"synth: {exc}")
-    return synth_cfg, rewire_cfg, errors
-
-
-def load_config(path) -> RunConfig:
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
-    return RunConfig(raw=raw, path=path)
-
-
-def config_hash(config: RunConfig) -> str:
-    """sha256 of the resolved settings, less those that cannot change a
-    result: the worker count, the output directory and the stages run."""
-    canon = json.dumps(dict(config.resolved, threads=None, output=None,
-                            stages=None), sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -423,7 +175,7 @@ def _matching_year(config):
     """The configured matching year, else the last impact year."""
     year = config["matching"]["year"]
     if year is not None:
-        return int(year)
+        return year
     return _impact_years(config)[-1]
 
 
@@ -545,10 +297,10 @@ def _stage_jnet(ctx: _RunContext):
 def _stage_novelty(ctx: _RunContext):
     section = ctx.config["novelty"]
     config = novelty_mod.ShuffleConfig(
-        ensemble_count=int(section["ensemble_count"]),
+        ensemble_count=section["ensemble_count"],
         swaps_per_edge=float(section["swaps_per_edge"]),
         seed=ctx.config["seed"],
-        collapse_multiplicity=bool(section["collapse_multiplicity"]),
+        collapse_multiplicity=section["collapse_multiplicity"],
     )
     zscores = novelty_mod.pair_zscores(ctx.corpus, config)
     rows = [(nov.paper_id, nov.median_z, nov.p10_z, nov.defined_pair_count,
