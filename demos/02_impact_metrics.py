@@ -6,9 +6,7 @@ citation counts by the growth of the busiest field so that impacts from
 different years can be compared. Undefined values are None, never 0.
 """
 
-from citnet import (build_normalization_table, cited_half_life,
-                    citing_half_life, immediacy_index, journal_impact,
-                    market_share, normalized_journal_impact)
+from citnet import build_normalization_table, impact_table, market_shares
 from citnet.synth import SynthConfig, generate_synthetic
 
 corpus = generate_synthetic(SynthConfig(
@@ -20,22 +18,22 @@ table = build_normalization_table(corpus, reference_year=2004)
 print("reference field:", table.top_field)
 print("articles per year in it:", table.n_top)
 
+# One call gives every journal's row for the year, in journal id order.
 year = 2003
-for jid in sorted(corpus.journals)[:4]:
-    raw = journal_impact(corpus, jid, year)
-    norm = normalized_journal_impact(corpus, jid, year, table)
-    print(f"{jid}: impact {float(raw):.3f} (exact {raw}), "
-          f"normalized {norm:.3f}")
+rows = impact_table(corpus, (year,), table)
+for r in rows[:4]:
+    print(f"{r.journal_id}: impact {float(r.impact):.3f} (exact {r.impact}), "
+          f"normalized {r.normalized_impact:.3f}")
 
 # Same-year citation speed and the median ages of citations given and
 # received. The medians use the midpoint convention for even counts.
-jid = sorted(corpus.journals)[0]
-print("immediacy:", immediacy_index(corpus, jid, year))
-print("cited half-life:", cited_half_life(corpus, jid, year))
-print("citing half-life:", citing_half_life(corpus, jid, year))
+first = rows[0]
+print("immediacy:", first.immediacy)
+print("cited half-life:", first.cited_half_life)
+print("citing half-life:", first.citing_half_life)
 
 # Market shares over all publishers partition the year's output.
-shares = {pub: market_share(corpus, pub, year)
-          for pub in sorted(corpus.publishers)}
+shares = {pub: share
+          for (pub, _y), share in market_shares(corpus, (year,)).items()}
 print("market shares:", {p: round(s, 3) for p, s in shares.items()},
       "sum:", round(sum(shares.values()), 12))

@@ -9,7 +9,7 @@ without loops; the rank score keeps weights and loops.
 
 from citnet import (betweenness, build_journal_network, closeness, pagerank,
                     pathcore)
-from citnet.jnet import centrality_comparison, robustness_sweep
+from citnet.jnet import centrality_comparison, centrality_variants
 from citnet.matching import MatchRecord
 from citnet.synth import SynthConfig, generate_synthetic
 
@@ -40,6 +40,8 @@ for metric, rep in centrality_comparison(matches, vectors).items():
           f"of {rep.pair_count} pairs")
 
 # The same comparison replayed over window lengths and link directions.
-sweep = robustness_sweep(corpus, matches, 2002, windows=(1, 2),
-                         link_types=("citation", "reference"))
+computed, _skipped = centrality_variants(corpus, 2002, windows=(1, 2),
+                                         link_types=("citation", "reference"))
+sweep = {(net.window_years, net.link_type):
+         centrality_comparison(matches, vecs) for net, vecs in computed}
 print("robustness variants computed:", sorted(sweep))

@@ -10,7 +10,7 @@ negative scores mark rare, novel pairings.
 """
 
 from citnet import ShuffleConfig, pair_zscores, paper_novelty, shuffle_edges
-from citnet.disruption import disruption_table, disruptiveness_by_team_size
+from citnet.disruption import disruption_table, group_means
 from citnet.synth import SynthConfig, generate_synthetic
 
 corpus = generate_synthetic(SynthConfig(
@@ -49,11 +49,11 @@ print(f"{nov.paper_id}: median z {nov.median_z:.2f}, 10th percentile {nov.p10_z:
 
 # Disruptiveness: +1 when the follow-up literature drops the paper's
 # sources, -1 when it always keeps them. One call counts every paper.
-values = [(c.paper_id, c.value)
-          for c in disruption_table(corpus, corpus.papers)]
+counts = disruption_table(corpus, corpus.papers)
+values = [(c.paper_id, c.value) for c in counts]
 defined = [(p, d) for p, d in values if d is not None]
 print(f"papers with defined D: {len(defined)} of {len(values)}")
 print("most disruptive:", max(defined, key=lambda x: x[1]))
-by_size, skipped = disruptiveness_by_team_size(corpus, corpus.papers)
+by_size, skipped = group_means(corpus, counts, lambda p: len(p.author_keys))
 print("mean D by team size:", {k: round(v, 3) for k, v in by_size.items()},
       f"({skipped} undefined papers excluded)")

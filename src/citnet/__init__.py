@@ -19,24 +19,19 @@ from .corpus import (Corpus, Journal, LoadReport, Paper, Publisher,
                      ValidationReport, extract_issns, load_corpus,
                      validate_corpus, validate_issn)
 from .impact import (ImpactRecord, NormalizationTable,
-                     build_normalization_table, cited_half_life,
-                     citing_half_life, immediacy_index, journal_impact,
-                     market_share, normalize_citations,
-                     normalized_journal_impact)
+                     build_normalization_table, impact_table, market_shares)
 from .selfcite import (CitationCounts, PublisherExpectation, RateQuery,
                        SolidarityScore, aggregate_citation_counts,
                        citation_rate, publisher_self_expectations,
                        reference_rate, solidarity_index, solidarity_ratio)
-from .matching import (MatchRecord, RegistryEntry, build_registry,
-                       select_control)
+from .matching import MatchRecord, RegistryEntry, build_registry
 from .jnet import (CentralityVector, JournalCitationNetwork, betweenness,
                    build_journal_network, centrality_comparison, closeness,
                    pagerank, pathcore)
 from .novelty import (PairStatistics, PairZScores, PaperNovelty,
                       ShuffleConfig, pair_zscores, paper_novelty,
                       shuffle_edges)
-from .disruption import (DisruptionCounts, disruption_counts, disruptiveness,
-                         disruptiveness_by_team_size, disruptiveness_by_year)
+from .disruption import DisruptionCounts, disruption_table, group_means
 from .authors import (AuthorClusters, AuthorStats, SimilarityWeights,
                       author_demographics, disambiguate)
 from .synth import (RewireConfig, SynthConfig, generate_synthetic,

@@ -14,6 +14,9 @@ counts as a citer of its own references. A zero denominator (never
 cited, references never cited) leaves D undefined; such papers are
 excluded from every group mean and counted instead.
 
+``disruption_table`` gives the tallies of many focal papers in one pass,
+and ``group_means`` averages their D by any property of the paper.
+
 Method: one kernel counts every focal paper of a call on
 ``Corpus.graph``. The distinct citations are sorted keys ``s * N + t``,
 so a repeated reference counts once, and their transpose, the sorted
@@ -43,12 +46,7 @@ from .corpus import CitationGraph, Corpus, csr_expand, csr_pointer, distinct
 __all__ = [
     "DisruptionCounts",
     "disruption_table",
-    "disruption_counts",
-    "disruptiveness",
-    "disruptiveness_by_team_size",
-    "disruptiveness_by_year",
-    "journal_mean_disruption",
-    "journal_means",
+    "group_means",
 ]
 
 PAIR_BUDGET = 1 << 14          # two-hop pairs expanded per batch
@@ -126,20 +124,10 @@ def disruption_table(corpus: Corpus, paper_ids: Iterable[str],
             zip(focal_ids, n_i.tolist(), n_j.tolist(), n_k.tolist())]
 
 
-def disruption_counts(corpus: Corpus, paper_id: str,
-                      window=None) -> DisruptionCounts:
-    """The three citer tallies for one focal paper."""
-    return disruption_table(corpus, [paper_id], window)[0]
-
-
-def disruptiveness(corpus: Corpus, paper_id: str,
-                   window=None) -> Optional[float]:
-    """D for one paper; None when the denominator is empty."""
-    return disruption_counts(corpus, paper_id, window).value
-
-
-def _group_means(corpus: Corpus, counts: Iterable[DisruptionCounts], key):
-    """Mean D per ``key(paper)``, summed in the order of ``counts``.
+def group_means(corpus: Corpus, counts: Iterable[DisruptionCounts], key):
+    """Mean D per ``key(paper)``, summed in the order of ``counts``: per
+    team size with ``lambda p: len(p.author_keys)``, per year with
+    ``lambda p: p.year``, per journal with ``lambda p: p.journal_id``.
 
     Returns (means, undefined_count); papers with undefined D are left
     out, and buckets holding only such papers are absent.
@@ -156,33 +144,3 @@ def _group_means(corpus: Corpus, counts: Iterable[DisruptionCounts], key):
         sums[k] = sums.get(k, 0.0) + d
         sizes[k] = sizes.get(k, 0) + 1
     return {k: sums[k] / sizes[k] for k in sorted(sums)}, skipped
-
-
-def disruptiveness_by_team_size(corpus: Corpus, paper_ids: Iterable[str],
-                                window=None):
-    """Mean D per author count; papers with undefined D are dropped.
-
-    Returns (means, undefined_count); buckets holding only undefined
-    papers are absent.
-    """
-    return _group_means(corpus, disruption_table(corpus, paper_ids, window),
-                        lambda p: len(p.author_keys))
-
-
-def disruptiveness_by_year(corpus: Corpus, paper_ids: Iterable[str],
-                           window=None):
-    """Mean D per publication year; same exclusion policy as team size."""
-    return _group_means(corpus, disruption_table(corpus, paper_ids, window),
-                        lambda p: p.year)
-
-
-def journal_mean_disruption(corpus: Corpus, paper_ids: Iterable[str],
-                            window=None):
-    """Mean D per journal, for the journal-level difference table."""
-    return journal_means(corpus, disruption_table(corpus, paper_ids, window))
-
-
-def journal_means(corpus: Corpus, counts: Iterable[DisruptionCounts]):
-    """Mean D per journal over already computed ``counts``."""
-    means, _ = _group_means(corpus, counts, lambda p: p.journal_id)
-    return means

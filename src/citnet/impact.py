@@ -5,6 +5,10 @@ year y is the number of citations made during y to the journal's papers
 of years y-1 and y-2, divided by the number of those papers. Undefined
 values (no eligible papers, no citations with resolvable years) are
 returned as None and must never be conflated with 0.
+
+Each metric has one entry that answers for every journal or publisher at
+once: ``impact_table`` gives one ``ImpactRecord`` per journal and year,
+and ``market_shares`` one share per publisher and year.
 """
 
 from __future__ import annotations
@@ -21,20 +25,24 @@ from .corpus import Corpus, count_rows
 __all__ = [
     "ImpactRecord",
     "NormalizationTable",
-    "journal_impact",
-    "normalize_citations",
-    "normalized_journal_impact",
     "build_normalization_table",
-    "immediacy_index",
-    "cited_half_life",
-    "citing_half_life",
-    "market_share",
     "impact_table",
+    "market_shares",
 ]
 
 
 @dataclass(frozen=True)
 class ImpactRecord:
+    """One journal's timing metrics in one year.
+
+    ``impact`` is the exact two-year impact; ``normalized_impact`` the
+    same with the numerator deflated to reference-year citation levels.
+    ``immediacy`` counts same-year citations per paper of the year.
+    ``cited_half_life`` is the median age of the citations the journal
+    receives during the year, ``citing_half_life`` that of the
+    references made by its papers of the year.
+    """
+
     journal_id: str
     year: int
     impact: Optional[Fraction]
@@ -74,11 +82,6 @@ def _tally(graph):
             count_rows(graph.journal_of[src], year[src], year[dst]))
 
 
-def _record(corpus, journal_id, year) -> ImpactRecord:
-    """impact_table's row of one journal and year; KeyError if unregistered."""
-    return {r.journal_id: r for r in impact_table(corpus, (year,))}[journal_id]
-
-
 def _median_age(ages: dict[int, int]) -> Optional[float]:
     """Median of the ages counted in ``ages`` (age -> count): the middle
     age, or the mean of the two middle ages; None when there are none."""
@@ -94,44 +97,14 @@ def _median_age(ages: dict[int, int]) -> Optional[float]:
     return (middle[0] + middle[1]) / 2
 
 
-def journal_impact(corpus: Corpus, journal_id: str, year: int) -> Optional[Fraction]:
-    """Two-year impact: citations in ``year`` to papers of the two prior years.
-
-    Returns an exact rational; None when the journal published nothing in
-    the window (never divides by zero).
-    """
-    return _record(corpus, journal_id, year).impact
-
-
-def normalize_citations(count, year, table: NormalizationTable) -> float:
-    """Deflate a citation count by the reference field's yearly growth.
-
-    normalized = count * n_top(reference_year) / n_top(year)
-
-    Raises KeyError for a year the table does not cover.
-    """
-    if year not in table.n_top:
-        raise KeyError(f"year {year} not covered by normalization table")
-    return _normalized(count, year, table)
-
-
 def _normalized(raw, year, table: Optional[NormalizationTable]
                 ) -> Optional[float]:
-    """Deflate a raw impact; None without a table or for an uncovered year."""
+    """Deflate a raw impact by the reference field's yearly growth:
+    raw * n_top(reference_year) / n_top(year); None without a table or
+    for an uncovered year."""
     if raw is None or table is None or year not in table.n_top:
         return None
     return float(raw) * table.n_top[table.reference_year] / table.n_top[year]
-
-
-def normalized_journal_impact(corpus, journal_id, year,
-                              table: Optional[NormalizationTable]
-                              ) -> Optional[float]:
-    """Impact with the numerator deflated to reference-year citation levels.
-
-    None when the impact is undefined, when there is no table, or when
-    the table does not cover ``year``.
-    """
-    return _normalized(journal_impact(corpus, journal_id, year), year, table)
 
 
 def build_normalization_table(corpus: Corpus, reference_year: int = 2017
@@ -167,31 +140,9 @@ def build_normalization_table(corpus: Corpus, reference_year: int = 2017
                               top_field=top_field)
 
 
-def immediacy_index(corpus, journal_id, year) -> Optional[float]:
-    """Same-year citations per paper; None when nothing was published."""
-    return _record(corpus, journal_id, year).immediacy
-
-
-def cited_half_life(corpus, journal_id, year) -> Optional[float]:
-    """Median age of the citations the journal receives during ``year``."""
-    return _record(corpus, journal_id, year).cited_half_life
-
-
-def citing_half_life(corpus, journal_id, year) -> Optional[float]:
-    """Median age of the references made by the journal's ``year`` papers."""
-    return _record(corpus, journal_id, year).citing_half_life
-
-
-def market_share(corpus, publisher_id, year) -> Optional[float]:
-    """Publisher's fraction of the year's articles with known publisher."""
-    shares = _market_shares(corpus, (year,))
-    if not shares:
-        return None
-    return shares.get((publisher_id, year), 0.0)
-
-
-def _market_shares(corpus, years) -> dict[tuple[str, int], float]:
-    """market_share of every publisher in each of ``years``, in one pass.
+def market_shares(corpus, years) -> dict[tuple[str, int], float]:
+    """Each publisher's fraction of the year's articles with known
+    publisher, for every publisher and each of ``years``, in one pass.
 
     Keys are (publisher_id, year). A year without an article of known
     publisher has no keys.

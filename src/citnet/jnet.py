@@ -61,7 +61,6 @@ __all__ = [
     "pathcore",
     "centrality_comparison",
     "centrality_variants",
-    "robustness_sweep",
 ]
 
 
@@ -452,17 +451,3 @@ def centrality_variants(corpus: Corpus, year, windows, link_types):
                                        pagerank(network),
                                        pathcore(network)]))
     return computed, skipped
-
-
-def robustness_sweep(corpus: Corpus, matches, year,
-                     windows=(2, 5), link_types=("citation", "reference")):
-    """Replay all four centralities over every window/link-type variant.
-
-    Returns {(window, link_type): {metric: ComparisonReport}}; variants
-    whose window falls outside the corpus range are skipped.
-    """
-    computed, _skipped = centrality_variants(corpus, year, windows,
-                                             link_types)
-    return {(network.window_years, network.link_type):
-            centrality_comparison(matches, vectors)
-            for network, vectors in computed}

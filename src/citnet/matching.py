@@ -4,8 +4,9 @@ Flagged (questionable) journals are paired with unflagged controls that
 share a subject category and a publication-size tercile and sit closest
 in impact. Matching runs off a *registry*: a per-journal snapshot of
 categories, flag, annual size, and impact for one year. The registry is
-built from a corpus and the impact rows of that year, or directly
-(synthetic registries are used heavily in tests).
+built from a corpus and the impact rows of that year, as
+``build_registry(corpus, impact_table(corpus, (year,), table))``, or
+directly (synthetic registries are used heavily in tests).
 
 ``match_all`` matches every flagged journal of a registry, and
 ``matched_pairs`` gives the sorted (QJ, UJ) pairs of its records.
@@ -20,7 +21,7 @@ from statistics import mean, stdev
 from typing import Iterable, Optional
 
 from .corpus import Corpus
-from .impact import ImpactRecord, NormalizationTable, impact_table
+from .impact import ImpactRecord
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +32,6 @@ __all__ = [
     "TercileReport",
     "build_registry",
     "assign_terciles",
-    "select_control",
     "match_registry",
     "match_all",
     "matched_pairs",
@@ -181,16 +181,6 @@ def match_registry(registry: dict[str, RegistryEntry], qj_id: str,
         else:
             records.append(MatchRecord(qj_id, cat, best[2], best[0], qj_tercile))
     return records
-
-
-def select_control(corpus: Corpus, qj_id: str, year: int,
-                   impact_kind: str = "normalized",
-                   table: Optional[NormalizationTable] = None
-                   ) -> list[MatchRecord]:
-    """Corpus-facing matching: one control record per category of ``qj_id``."""
-    registry = build_registry(corpus, impact_table(corpus, (year,), table),
-                              impact_kind=impact_kind)
-    return match_registry(registry, qj_id)
 
 
 def match_all(registry: dict[str, RegistryEntry], scheme: str = "terciles"

@@ -160,7 +160,7 @@ def _stage_impact(ctx: _RunContext):
     outputs = ["impact.csv"]
 
     if ctx.config["impact"]["market_share"]:
-        shares = impact_mod._market_shares(ctx.corpus, years)
+        shares = impact_mod.market_shares(ctx.corpus, years)
         share_rows = [(pub, year, shares[pub, year]) for year in years
                       for pub in sorted(ctx.corpus.publishers)
                       if (pub, year) in shares]
@@ -331,7 +331,8 @@ def _stage_disruption(ctx: _RunContext):
     outputs = ["disruption.csv"]
 
     if section["by_journal"]:
-        means = disruption_mod.journal_means(ctx.corpus, table)
+        means, _ = disruption_mod.group_means(
+            ctx.corpus, table, key=lambda p: p.journal_id)
         write_csv(ctx.outdir / "disruption_journal.csv",
                   ["journal_id", "mean_D"], sorted(means.items()))
         outputs.append("disruption_journal.csv")

@@ -91,6 +91,8 @@ class SynthConfig:
             raise ValueError("empty component size range")
         if self.in_degree_exponent <= 2.0:
             raise ValueError("in-degree exponent must exceed 2")
+        if self.out_degree_std < 0:
+            raise ValueError("out-degree std must not be negative")
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,10 @@ class RewireConfig:
         for rate in list(self.special_rates.values()) + [self.baseline_rate]:
             if not (0.0 <= rate <= 1.0):
                 raise ValueError("rates must lie in [0, 1]")
+        # the experiment records the checkpoints up to rewire_fraction
+        if not any(c <= self.rewire_fraction + 1e-9 for c in self.checkpoints):
+            raise ValueError(f"rewire fraction {self.rewire_fraction:g} is "
+                             f"below every checkpoint")
 
 
 def _generate_network(config: SynthConfig, rng) -> CitationGraph:

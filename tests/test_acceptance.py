@@ -18,8 +18,7 @@ from scipy import stats as scipy_stats
 
 from citnet.authors import SimilarityWeights, disambiguate
 from citnet.corpus import extract_issns, validate_issn
-from citnet.disruption import (disruptiveness, disruptiveness_by_team_size,
-                               disruptiveness_by_year)
+from citnet.disruption import disruption_table, group_means
 from citnet.jnet import (JournalCitationNetwork, betweenness, closeness,
                          pagerank, pathcore)
 from citnet.matching import RegistryEntry, match_registry, _category_terciles
@@ -192,9 +191,10 @@ def test_criterion_06_disruptiveness():
 
     worst = 0.0
     in_range = True
-    for pid in corpus.papers:
-        d = disruptiveness(corpus, pid)
-        expected = disruption_oracle(corpus, pid)
+    table = disruption_table(corpus, corpus.papers)
+    for c in table:
+        d = c.value
+        expected = disruption_oracle(corpus, c.paper_id)
         if d is None:
             in_range &= expected is None
             continue
@@ -208,12 +208,12 @@ def test_criterion_06_disruptiveness():
          ("y", "J1", 2000, ["r2"]), ("r2", "J1", 1996, []),
          ("j1", "J1", 2003, ["y", "r2"])],
         {"J1": {}})
-    boundaries = (disruptiveness(edge, "x") == 1.0
-                  and disruptiveness(edge, "y") == -1.0)
+    x, y = disruption_table(edge, ["x", "y"])
+    boundaries = x.value == 1.0 and y.value == -1.0
 
     ids = sorted(corpus.papers)
-    by_size, _ = disruptiveness_by_team_size(corpus, ids)
-    by_year, _ = disruptiveness_by_year(corpus, ids)
+    by_size, _ = group_means(corpus, table, lambda p: len(p.author_keys))
+    by_year, _ = group_means(corpus, table, lambda p: p.year)
     oracle_size = {}
     oracle_year = {}
     for pid in ids:

@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 import citnet.disruption as disruption_mod
-from citnet.disruption import (disruption_counts, disruption_table,
-                               disruptiveness, disruptiveness_by_team_size,
-                               disruptiveness_by_year,
-                               journal_mean_disruption)
+from citnet.disruption import disruption_table, group_means
 
 from conftest import make_corpus, messy_corpus
 from oracles import disruption_counts_reference, disruption_oracle
+
+
+def counts_of(corpus, paper_id):
+    """disruption_table's row of one paper."""
+    return disruption_table(corpus, [paper_id])[0]
+
+
+def team_size(paper):
+    return len(paper.author_keys)
+
+
+def paper_year(paper):
+    return paper.year
 
 
 def focal_fixture(citers_only_x=2, citers_both=1, citers_refs_only=1):
@@ -30,27 +40,27 @@ def focal_fixture(citers_only_x=2, citers_both=1, citers_refs_only=1):
 def test_boundary_most_disruptive():
     corpus = focal_fixture(citers_only_x=3, citers_both=0,
                            citers_refs_only=0)
-    assert disruptiveness(corpus, "x") == 1.0
+    assert counts_of(corpus, "x").value == 1.0
 
 
 def test_boundary_least_disruptive():
     corpus = focal_fixture(citers_only_x=0, citers_both=2,
                            citers_refs_only=0)
-    assert disruptiveness(corpus, "x") == -1.0
+    assert counts_of(corpus, "x").value == -1.0
 
 
 def test_direct_substitution():
     corpus = focal_fixture(citers_only_x=2, citers_both=1,
                            citers_refs_only=1)
-    counts = disruption_counts(corpus, "x")
+    counts = counts_of(corpus, "x")
     assert (counts.n_i, counts.n_j, counts.n_k) == (2, 1, 1)
-    assert disruptiveness(corpus, "x") == 0.25
+    assert counts.value == 0.25
 
 
 def test_undefined_when_denominator_empty():
     papers = [("x", "J1", 2000, []), ("y", "J1", 2001, [])]
     corpus = make_corpus(papers, {"J1": {}})
-    assert disruptiveness(corpus, "x") is None
+    assert counts_of(corpus, "x").value is None
 
 
 def test_focal_paper_never_its_own_citer():
@@ -58,9 +68,9 @@ def test_focal_paper_never_its_own_citer():
     papers = [("ref", "J1", 1998, []), ("x", "J1", 2000, ["ref"]),
               ("c", "J2", 2002, ["x"])]
     corpus = make_corpus(papers, {"J1": {}, "J2": {}})
-    counts = disruption_counts(corpus, "x")
+    counts = counts_of(corpus, "x")
     assert counts.n_k == 0
-    assert disruptiveness(corpus, "x") == 1.0
+    assert counts.value == 1.0
 
 
 def random_corpus(seed, n=60):
@@ -80,9 +90,9 @@ def random_corpus(seed, n=60):
 def test_range_and_oracle_on_random_corpora():
     for seed in range(5):
         corpus = random_corpus(seed)
-        for pid in corpus.papers:
-            d = disruptiveness(corpus, pid)
-            expected = disruption_oracle(corpus, pid)
+        for c in disruption_table(corpus, corpus.papers):
+            d = c.value
+            expected = disruption_oracle(corpus, c.paper_id)
             if expected is None:
                 assert d is None
             else:
@@ -93,7 +103,7 @@ def test_range_and_oracle_on_random_corpora():
 def test_role_antisymmetry():
     a = focal_fixture(citers_only_x=3, citers_both=1, citers_refs_only=2)
     b = focal_fixture(citers_only_x=1, citers_both=3, citers_refs_only=2)
-    assert disruptiveness(a, "x") == -disruptiveness(b, "x")
+    assert counts_of(a, "x").value == -counts_of(b, "x").value
 
 
 def test_team_size_means():
@@ -103,7 +113,8 @@ def test_team_size_means():
               ("y", "J1", 2000, ["ry"], ["a", "b", "c"]),
               ("cx", "J2", 2002, ["x"]), ("cy", "J2", 2002, ["y"])]
     corpus = make_corpus(papers, {"J1": {}, "J2": {}})
-    means, skipped = disruptiveness_by_team_size(corpus, ["x", "y"])
+    means, skipped = group_means(
+        corpus, disruption_table(corpus, ["x", "y"]), team_size)
     assert means == {1: 1.0, 3: 1.0}
     assert skipped == 0
 
@@ -114,7 +125,8 @@ def test_team_size_excludes_undefined():
               ("y", "J1", 2000, ["r"], ["a"]),
               ("cy", "J2", 2002, ["y"])]
     corpus = make_corpus(papers, {"J1": {}, "J2": {}})
-    means, skipped = disruptiveness_by_team_size(corpus, ["x", "y"])
+    means, skipped = group_means(
+        corpus, disruption_table(corpus, ["x", "y"]), team_size)
     assert 3 not in means            # only undefined papers in that bucket
     assert means == {1: 1.0}
     assert skipped == 1
@@ -124,7 +136,8 @@ def test_year_means_match_bruteforce():
     for seed in (7, 8):
         corpus = random_corpus(seed, n=80)
         paper_ids = sorted(corpus.papers)
-        means, _ = disruptiveness_by_year(corpus, paper_ids)
+        means, _ = group_means(corpus, disruption_table(corpus, paper_ids),
+                               paper_year)
         expected = {}
         for pid in paper_ids:
             d = disruption_oracle(corpus, pid)
@@ -145,13 +158,15 @@ def test_single_year_mean():
               ("cy1", "J2", 2002, ["y"]),
               ("cy2", "J2", 2002, ["y", "ry"])]
     corpus = make_corpus(papers, {"J1": {}, "J2": {}})
-    means, _ = disruptiveness_by_year(corpus, ["x", "y"])
+    means, _ = group_means(corpus, disruption_table(corpus, ["x", "y"]),
+                           paper_year)
     assert means == {2000: 0.5}
 
 
 def test_journal_means():
     corpus = random_corpus(3)
-    means = journal_mean_disruption(corpus, sorted(corpus.papers))
+    means, _ = group_means(corpus, disruption_table(corpus, corpus.papers),
+                           lambda p: p.journal_id)
     assert set(means) <= {"J0", "J1", "J2"}
     for value in means.values():
         assert -1.0 <= value <= 1.0

@@ -4,10 +4,7 @@ from fractions import Fraction
 import pytest
 
 from citnet.impact import (NormalizationTable, build_normalization_table,
-                           cited_half_life, citing_half_life, immediacy_index,
-                           impact_table, journal_impact, market_share,
-                           _market_shares, normalize_citations,
-                           normalized_journal_impact)
+                           impact_table, market_shares)
 from citnet.matching import build_registry
 
 from conftest import make_corpus, messy_corpus
@@ -15,6 +12,12 @@ from oracles import (cited_half_life_reference, citing_half_life_reference,
                      immediacy_reference, impact_table_reference,
                      journal_impact_reference, market_share_oracle,
                      normalization_reference, normalized_impact_reference)
+
+
+def row(corpus, journal_id, year, table=None):
+    """impact_table's row of one journal and year."""
+    return next(r for r in impact_table(corpus, (year,), table)
+                if r.journal_id == journal_id)
 
 
 def impact_fixture():
@@ -29,19 +32,19 @@ def impact_fixture():
 
 def test_journal_impact_direct_quotient():
     corpus = impact_fixture()
-    assert journal_impact(corpus, "J1", 2005) == Fraction(10, 5) == 2
-    assert float(journal_impact(corpus, "J1", 2005)) == 2.0
+    assert row(corpus, "J1", 2005).impact == Fraction(10, 5) == 2
+    assert float(row(corpus, "J1", 2005).impact) == 2.0
 
 
 def test_journal_impact_zero_numerator():
     corpus = make_corpus([(f"w{i}", "J1", 2003, []) for i in range(5)],
                          {"J1": {}})
-    assert journal_impact(corpus, "J1", 2005) == 0
+    assert row(corpus, "J1", 2005).impact == 0
 
 
 def test_journal_impact_undefined_without_window_papers():
     corpus = impact_fixture()
-    assert journal_impact(corpus, "J1", 2002) is None
+    assert row(corpus, "J1", 2002).impact is None
 
 
 def test_impact_invariant_under_load_order():
@@ -50,24 +53,37 @@ def test_impact_invariant_under_load_order():
     journals = {"J1": {}, "J2": {}}
     forward = make_corpus(papers, journals)
     backward = make_corpus(list(reversed(papers)), journals)
-    assert journal_impact(forward, "J1", 2005) == \
-        journal_impact(backward, "J1", 2005)
+    assert row(forward, "J1", 2005).impact == \
+        row(backward, "J1", 2005).impact
+
+
+def cited_window_fixture(citations):
+    """J1's one 2009 paper receives ``citations`` citations in 2010 and
+    ``citations`` in 2011, so its impact is that count in both years."""
+    papers = [("w", "J1", 2009, [])]
+    papers += [(f"c{year}_{i}", "J2", year, ["w"])
+               for year in (2010, 2011) for i in range(citations)]
+    return make_corpus(papers, {"J1": {}, "J2": {}})
 
 
 def test_normalize_citations():
-    table = NormalizationTable(reference_year=2017,
-                               n_top={2010: 500, 2017: 1000})
-    assert normalize_citations(10, 2017, table) == 10.0
-    assert normalize_citations(10, 2010, table) == 20.0
-    assert normalize_citations(0, 2010, table) == 0.0
+    table = NormalizationTable(reference_year=2011,
+                               n_top={2010: 500, 2011: 1000})
     for count in (0, 1, 7, 123):
-        assert normalize_citations(count, 2017, table) == count
-    with pytest.raises(KeyError):
-        normalize_citations(10, 1999, table)
+        corpus = cited_window_fixture(count)
+        assert row(corpus, "J1", 2011, table).normalized_impact == count
+        assert row(corpus, "J1", 2010, table).normalized_impact == 2 * count
+        # a year the table does not cover has no normalized impact
+        uncovered = row(corpus, "J1", 2010,
+                        NormalizationTable(reference_year=2011,
+                                           n_top={2011: 10}))
+        assert uncovered.impact == count
+        assert uncovered.normalized_impact is None
     # the impact table's formula, count * n_ref / n_y, to the last bit
-    thirds = NormalizationTable(reference_year=2017,
-                                n_top={2010: 3, 2017: 10})
-    assert normalize_citations(7, 2010, thirds) == 23.333333333333332
+    thirds = NormalizationTable(reference_year=2011,
+                                n_top={2010: 3, 2011: 10})
+    assert row(cited_window_fixture(7), "J1", 2010, thirds) \
+        .normalized_impact == 23.333333333333332
 
 
 def test_normalization_table_invariants():
@@ -88,8 +104,8 @@ def test_build_normalization_table_picks_top_cited_field():
     assert table.top_field == "20"
     # category-20 articles per year: 2008 -> 1, 2009 -> 1, 2010 -> 1
     assert table.n_top == {2008: 1, 2009: 1, 2010: 1}
-    norm = normalized_journal_impact(corpus, "J2", 2010, table)
-    assert norm == pytest.approx(float(journal_impact(corpus, "J2", 2010)))
+    record = row(corpus, "J2", 2010, table)
+    assert record.normalized_impact == pytest.approx(float(record.impact))
 
 
 def test_citations_to_uncategorized_journals_count_for_no_field():
@@ -110,9 +126,9 @@ def test_immediacy():
     citers = [(f"c{i}", "J2", 2005, [f"p{i % 4}", f"p{(i + 1) % 4}"])
               for i in range(3)]
     corpus = make_corpus(papers + citers, {"J1": {}, "J2": {}})
-    assert immediacy_index(corpus, "J1", 2005) == 6 / 4
-    assert immediacy_index(corpus, "J2", 2005) == 0.0
-    assert immediacy_index(corpus, "J1", 2004) is None
+    assert row(corpus, "J1", 2005).immediacy == 6 / 4
+    assert row(corpus, "J2", 2005).immediacy == 0.0
+    assert row(corpus, "J1", 2004).immediacy is None
 
 
 def test_half_lives_median_midpoint():
@@ -121,21 +137,21 @@ def test_half_lives_median_midpoint():
               ("c", "J1", 2007, []), ("d", "J1", 2000, []),
               ("r1", "J2", 2010, ["a", "b"]), ("r2", "J2", 2010, ["c", "d"])]
     corpus = make_corpus(papers, {"J1": {}, "J2": {}})
-    assert cited_half_life(corpus, "J1", 2010) == 2.5
-    assert citing_half_life(corpus, "J2", 2010) == 2.5
-    assert cited_half_life(corpus, "J2", 2010) is None
+    assert row(corpus, "J1", 2010).cited_half_life == 2.5
+    assert row(corpus, "J2", 2010).citing_half_life == 2.5
+    assert row(corpus, "J2", 2010).cited_half_life is None
 
 
 def test_half_life_single_value():
     corpus = make_corpus([("a", "J1", 2006, []), ("r", "J2", 2010, ["a"])],
                          {"J1": {}, "J2": {}})
-    assert cited_half_life(corpus, "J1", 2010) == 4.0
-    assert citing_half_life(corpus, "J2", 2010) == 4.0
+    assert row(corpus, "J1", 2010).cited_half_life == 4.0
+    assert row(corpus, "J2", 2010).citing_half_life == 4.0
 
 
 def test_half_life_within_age_bounds():
     corpus = impact_fixture()
-    value = cited_half_life(corpus, "J1", 2005)
+    value = row(corpus, "J1", 2005).cited_half_life
     assert 1 <= value <= 2  # papers from 2003/2004 cited in 2005
 
 
@@ -146,11 +162,12 @@ def test_market_share_partition():
     corpus = make_corpus(papers, {"J1": {"publisher_id": "P1"},
                                   "J2": {"publisher_id": "P2"},
                                   "J3": {"publisher_id": "P2"}})
-    assert market_share(corpus, "P1", 2005) == 0.25
-    assert market_share(corpus, "P2", 2005) == 0.75
-    total = sum(market_share(corpus, p, 2005) for p in corpus.publishers)
+    shares = market_shares(corpus, (2004, 2005))
+    assert shares[("P1", 2005)] == 0.25
+    assert shares[("P2", 2005)] == 0.75
+    total = sum(shares[(p, 2005)] for p in corpus.publishers)
     assert total == pytest.approx(1.0, abs=1e-9)
-    assert market_share(corpus, "P1", 2004) is None
+    assert ("P1", 2004) not in shares       # no article of 2004
 
 
 def test_market_share_equals_scan_reference(pipeline_corpus):
@@ -162,20 +179,19 @@ def test_market_share_equals_scan_reference(pipeline_corpus):
          "J9": {}})
     for corpus, years in ((pipeline_corpus, range(1999, 2005)),
                           (partition, (2004, 2005, 2006))):
-        shares = _market_shares(corpus, years)
+        shares = market_shares(corpus, years)
         for year in years:
-            for pub in [*corpus.publishers, "unknown"]:
+            for pub in corpus.publishers:
                 expected = market_share_oracle(corpus, pub, year)
-                assert market_share(corpus, pub, year) == expected
-                if pub in corpus.publishers:
-                    assert shares.get((pub, year)) == expected
+                assert shares.get((pub, year)) == expected
+            assert ("unknown", year) not in shares
         assert {year for _pub, year in shares} < set(years)
 
 
 def test_market_share_sole_publisher():
     corpus = make_corpus([("a", "J1", 2005, [])],
                          {"J1": {"publisher_id": "P1"}})
-    assert market_share(corpus, "P1", 2005) == 1.0
+    assert market_shares(corpus, (2005,)) == {("P1", 2005): 1.0}
 
 
 def assert_table_equals_reference(corpus, years, reference_years):
@@ -215,18 +231,19 @@ def test_impact_table_equals_reference_on_pipeline_corpus(pipeline_corpus):
 def test_per_journal_metrics_equal_references():
     corpus = messy_corpus(2)
     table = build_normalization_table(corpus, 2006)
-    for jid in sorted(corpus.journals):
-        for year in range(1999, 2012):
-            raw = journal_impact_reference(corpus, jid, year)
-            assert repr(journal_impact(corpus, jid, year)) == repr(raw)
-            assert repr(normalized_journal_impact(corpus, jid, year, table)) \
-                == repr(normalized_impact_reference(raw, year, table))
-            for got, expected in (
-                    (immediacy_index, immediacy_reference),
-                    (cited_half_life, cited_half_life_reference),
-                    (citing_half_life, citing_half_life_reference)):
-                assert repr(got(corpus, jid, year)) == \
-                    repr(expected(corpus, jid, year))
+    records = impact_table(corpus, range(1999, 2012), table)
+    assert len(records) == len(corpus.journals) * len(range(1999, 2012))
+    for r in records:
+        jid, year = r.journal_id, r.year
+        raw = journal_impact_reference(corpus, jid, year)
+        assert repr(r.impact) == repr(raw)
+        assert repr(r.normalized_impact) == \
+            repr(normalized_impact_reference(raw, year, table))
+        for got, expected in (
+                (r.immediacy, immediacy_reference),
+                (r.cited_half_life, cited_half_life_reference),
+                (r.citing_half_life, citing_half_life_reference)):
+            assert repr(got) == repr(expected(corpus, jid, year))
 
 
 @pytest.mark.parametrize("journal_id", ["X1", "nowhere"])
@@ -234,12 +251,8 @@ def test_per_journal_metrics_reject_unregistered_journal(journal_id):
     # X1 has papers but no journal record
     corpus = messy_corpus(0)
     assert any(p.journal_id == "X1" for p in corpus.papers.values())
-    for metric in (journal_impact, immediacy_index, cited_half_life,
-                   citing_half_life):
-        with pytest.raises(KeyError):
-            metric(corpus, journal_id, 2005)
-    with pytest.raises(KeyError):
-        normalized_journal_impact(corpus, journal_id, 2005, None)
+    assert journal_id not in {r.journal_id
+                              for r in impact_table(corpus, (2005,))}
 
 
 @pytest.mark.parametrize("kind", ["raw", "normalized"])

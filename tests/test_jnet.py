@@ -10,7 +10,7 @@ import citnet
 from citnet.jnet import (JournalCitationNetwork, PageRankConvergenceError,
                          betweenness, build_journal_network,
                          centrality_comparison, centrality_variants,
-                         closeness, pagerank, pathcore, robustness_sweep)
+                         closeness, pagerank, pathcore)
 from citnet.matching import MatchRecord
 
 from conftest import make_corpus, messy_corpus
@@ -406,7 +406,7 @@ def test_comparison_all_higher():
     assert len(report.log_differences) == 1
 
 
-def test_robustness_sweep_covers_all_variants():
+def test_centrality_variants_compare_every_variant():
     # journals A, B publish every year; edges cover both directions of
     # the 2005 target for windows up to 5
     papers = []
@@ -419,9 +419,12 @@ def test_robustness_sweep_covers_all_variants():
     papers = [(pid, j, y, refs.get(pid, [])) for pid, j, y, _r in papers]
     corpus = make_corpus(papers, {"A": {}, "B": {}}, year_range=(2000, 2010))
     matches = [match("A", "B")]
-    results = robustness_sweep(corpus, matches, 2005,
-                               windows=(2, 5), link_types=("citation",
-                                                           "reference"))
+    computed, skipped = centrality_variants(corpus, 2005, (2, 5),
+                                            ("citation", "reference"))
+    assert skipped == {}
+    results = {(network.window_years, network.link_type):
+               centrality_comparison(matches, vectors)
+               for network, vectors in computed}
     assert set(results) == {(2, "citation"), (2, "reference"),
                             (5, "citation"), (5, "reference")}
     for reports in results.values():

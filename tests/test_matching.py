@@ -5,7 +5,7 @@ from citnet.impact import impact_table
 from citnet.matching import (MatchRecord, RegistryEntry, TercileReport,
                              _category_terciles, assign_terciles,
                              binning_diagnostics, build_registry, match_all,
-                             match_registry, matched_pairs, select_control)
+                             match_registry, matched_pairs)
 
 import oracles
 from conftest import make_corpus
@@ -184,7 +184,7 @@ def test_tie_breaks_by_size_then_id():
     assert records[0].uj_id == "B"
 
 
-def test_select_control_from_corpus():
+def test_registry_from_corpus_selects_nearest_control():
     papers = []
     # journals under test: 40 papers in each of 2003-2005
     for jid in ("Q", "U1", "U2"):
@@ -207,7 +207,9 @@ def test_select_control_from_corpus():
             papers.append((f"c{k}", "EXT", 2005, [f"{jid}2004_{i}"]))
             k += 1
     corpus = make_corpus(papers, journals)
-    records = select_control(corpus, "Q", 2005, impact_kind="raw")
+    registry = build_registry(corpus, impact_table(corpus, (2005,)),
+                              impact_kind="raw")
+    records = match_registry(registry, "Q")
     assert len(records) == 1
     # impacts: Q = 4/80, U1 = 3/80, U2 = 8/80; U1 is nearest
     assert records[0].uj_id == "U1"

@@ -816,7 +816,11 @@ def test_unusable_synth_ensemble_count_writes_nothing(tmp_path,
     ({"component_size_range": [50, 10]},
      "synth: empty component size range"),
     ({"component_size_range": [50, 10], "baseline_rate": 2.0},
-     "synth: empty component size range; synth: rates must lie in [0, 1]")])
+     "synth: empty component size range; synth: rates must lie in [0, 1]"),
+    ({"out_degree_std": -1.0},
+     "synth: out-degree std must not be negative"),
+    ({"rewire_fraction": -1.0},
+     "synth: rewire fraction -1 is below every checkpoint")])
 def test_unusable_synth_section_writes_nothing(tmp_path, pipeline_files,
                                                bad, message):
     outdir = tmp_path / "o"
