@@ -7,8 +7,7 @@ total so that big houses are not penalized for being big. Values well
 above the journal's peers flag publisher-directed citation pushing.
 """
 
-from citnet import (citation_rate, publisher_self_expectations,
-                    reference_rate, solidarity_index, solidarity_ratio)
+from citnet import aggregate_citation_counts, share, solidarity_scores
 from citnet.synth import SynthConfig, generate_synthetic, psi_scenarios
 
 corpus = generate_synthetic(SynthConfig(
@@ -16,23 +15,28 @@ corpus = generate_synthetic(SynthConfig(
     component_size_range=(200, 260), out_degree_mean=8.0,
     out_degree_std=2.0, seed=4, year_range=(2000, 2004)))
 
-jid = "P1-J1"
+# Every rate is one share of the journal-to-journal count table.
+table = aggregate_citation_counts(corpus)
+jid, publisher = "P1-J1", corpus.publisher_journals["P1"]
 print("share of references into own publisher:",
-      round(reference_rate(corpus, jid, "P1"), 4))
+      round(share(table, [jid], publisher), 4))
 print("share of citations received from it:",
-      round(citation_rate(corpus, jid, "P1"), 4))
+      round(share(table, [jid], publisher, received=True), 4))
 
-exp = publisher_self_expectations(corpus, "P1")
-print(f"publisher-wide expectations: q_r={exp.q_r:.4f} q_c={exp.q_c:.4f}")
+# The same share taken over the publisher's own journals is what the
+# publisher as a whole keeps in house: the expectations Q_r and Q_c.
+q_r = share(table, publisher, publisher)
+q_c = share(table, publisher, publisher, received=True)
+print(f"publisher-wide expectations: q_r={q_r:.4f} q_c={q_c:.4f}")
 
-scores = {j: solidarity_index(corpus, j) for j in sorted(corpus.journals)}
+scores = {s.journal_id: s for s in solidarity_scores(corpus, table=table)}
 for j, s in scores.items():
     print(f"{j}: psi={s.psi:.6f} (publisher papers {s.publisher_paper_total})")
 
 # A flagged journal is judged by its ratio against a matched control;
 # above 1 means the flagged journal leans harder on its publisher.
 print("ratio P1-J1 vs P2-J1:",
-      round(solidarity_ratio(scores["P1-J1"], scores["P2-J1"]), 4))
+      round(scores["P1-J1"].psi / scores["P2-J1"].psi, 4))
 
 # Closed-form sweeps show the index's designed responses: it climbs when
 # a journal directs ever more citations at its publisher (fastest when

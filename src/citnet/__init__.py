@@ -20,10 +20,8 @@ from .corpus import (Corpus, Journal, LoadReport, Paper, Publisher,
                      validate_corpus, validate_issn)
 from .impact import (ImpactRecord, NormalizationTable,
                      build_normalization_table, impact_table, market_shares)
-from .selfcite import (CitationCounts, PublisherExpectation, RateQuery,
-                       SolidarityScore, aggregate_citation_counts,
-                       citation_rate, publisher_self_expectations,
-                       reference_rate, solidarity_index, solidarity_ratio)
+from .selfcite import (CitationCounts, RateQuery, SolidarityScore,
+                       aggregate_citation_counts, share, solidarity_scores)
 from .matching import MatchRecord, RegistryEntry, build_registry
 from .jnet import (CentralityVector, JournalCitationNetwork, betweenness,
                    build_journal_network, centrality_comparison, closeness,

@@ -95,8 +95,7 @@ def _optional(check):
 
 
 # the checks of a rate query's optional keys
-_QUERY_CHECKS = {"window": ("two integers", lambda value: value is None
-                            or _pair(value)),
+_QUERY_CHECKS = {"window": _optional(_YEAR_PAIR),
                  "kind": _choice("citation", "reference")}
 
 _REQUIRED = object()    # the default of a setting a config must give

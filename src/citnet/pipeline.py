@@ -230,7 +230,7 @@ def _stage_selfcite(ctx: _RunContext):
                     continue
                 for kind in ("citation", "reference"):
                     rate_rows.append((jid, label, kind, lo, hi,
-                                      selfcite_mod._share(
+                                      selfcite_mod.share(
                                           tab, (jid,), group,
                                           kind == "citation")))
 
@@ -242,8 +242,8 @@ def _stage_selfcite(ctx: _RunContext):
         except KeyError as exc:
             skipped[f"query {n}"] = exc.args[0]
             continue
-        rate = selfcite_mod._share(table_for(query.window), source, group,
-                                   query.kind == "citation")
+        rate = selfcite_mod.share(table_for(query.window), source, group,
+                                  query.kind == "citation")
         lo, hi = query.window if query.window else ctx.corpus.year_range
         rate_rows.append((query.source, "+".join(query.targets),
                           query.kind, lo, hi, rate))
@@ -589,7 +589,9 @@ def _figure_2f(config, outdir):
     rows = []
     for qj_id, uj_id in matching_mod.matched_pairs(ctx.matches):
         sq, su = solidarity.get(qj_id), solidarity.get(uj_id)
-        if not sq or not su or not sq["psi"] or not su["psi"]:
+        # no ratio when either psi is undefined or the control's is 0
+        if not sq or not su or not sq["psi"] or not su["psi"] \
+                or float(su["psi"]) == 0:
             continue
         ratio = float(sq["psi"]) / float(su["psi"])
         rel_size = None

@@ -22,12 +22,14 @@ all citations its journals receive. High values flag journals that
 direct citations at their own publisher well beyond what the publisher's
 overall exchange patterns predict.
 
-psi is four ``_share`` terms: i's references into P and citations from
-P, then P's own two. ``_share``, the share of the references a journal
-set makes (or the citations it receives) that land in (come from) a
-group, is the one reader of the table behind every rate and
-expectation; ``_scores`` is the one psi kernel, for the public
-functions, the selfcite stage and the synthetic ensembles.
+``share`` is the one reader of the table: the share of the references
+a journal set makes (with ``received=True``, of the citations it
+receives) that land in (come from) a group. It gives a journal's rate
+into any group and, over a publisher's own journals, the publisher's
+Q_r and Q_c. ``solidarity_scores`` gives psi of every journal of a
+corpus, four ``share`` terms each; ``_scores`` is the one psi kernel,
+for it, ``psi_from_counts`` and the synthetic ensembles. The ratio of a
+flagged journal's psi to its matched control's is formed in figure 2F.
 """
 
 from __future__ import annotations
@@ -40,16 +42,11 @@ from .corpus import Corpus
 __all__ = [
     "CitationCounts",
     "RateQuery",
-    "PublisherExpectation",
     "SolidarityScore",
     "aggregate_citation_counts",
     "resolve_group",
-    "citation_rate",
-    "reference_rate",
-    "publisher_self_expectations",
-    "solidarity_index",
+    "share",
     "solidarity_scores",
-    "solidarity_ratio",
     "psi_from_counts",
 ]
 
@@ -85,15 +82,6 @@ class CitationCounts:
         if self.window is None:
             return None
         return range(self.window[0], self.window[1] + 1)
-
-    def scaled(self, k: float) -> "CitationCounts":
-        """Uniformly scaled copy; rates computed from it are unchanged."""
-        return CitationCounts(
-            counts={p: c * k for p, c in self.counts.items()},
-            out_total={j: c * k for j, c in self.out_total.items()},
-            in_total={j: c * k for j, c in self.in_total.items()},
-            window=self.window,
-        )
 
 
 def aggregate_citation_counts(corpus: Corpus,
@@ -138,8 +126,8 @@ def resolve_group(corpus: Corpus, group) -> set[str]:
     return journals
 
 
-def _share(table: CitationCounts, sources, group,
-           received: bool = False) -> Optional[float]:
+def share(table: CitationCounts, sources, group,
+          received: bool = False) -> Optional[float]:
     """Share of the references made by the journals ``sources`` that land
     in the journals ``group``; with ``received``, share of the citations
     they receive that come from ``group``. None when they make (receive)
@@ -151,50 +139,6 @@ def _share(table: CitationCounts, sources, group,
         whole = sum(table.out_total.get(j, 0) for j in sources)
         part = sum(table.counts.get((j, g), 0) for j in sources for g in group)
     return part / whole if whole else None
-
-
-def citation_rate(corpus, source, target_group, window=None,
-                  table: Optional[CitationCounts] = None) -> Optional[float]:
-    """Fraction of the citations received by ``source`` coming from the group.
-
-    None when the source received no attributable citations in the window.
-    """
-    if table is None:
-        table = aggregate_citation_counts(corpus, window)
-    return _share(table, resolve_group(corpus, source),
-                  resolve_group(corpus, target_group), received=True)
-
-
-def reference_rate(corpus, source, target_group, window=None,
-                   table: Optional[CitationCounts] = None) -> Optional[float]:
-    """Fraction of the references made by ``source`` landing in the group."""
-    if table is None:
-        table = aggregate_citation_counts(corpus, window)
-    return _share(table, resolve_group(corpus, source),
-                  resolve_group(corpus, target_group))
-
-
-@dataclass(frozen=True)
-class PublisherExpectation:
-    publisher_id: str
-    q_r: Optional[float]   # internal share of references made
-    q_c: Optional[float]   # internal share of citations received
-
-
-def publisher_self_expectations(corpus, publisher_id, window=None,
-                                table: Optional[CitationCounts] = None
-                                ) -> PublisherExpectation:
-    """Publisher-wide expected self-reference and self-citation shares.
-
-    q_r: citations among the publisher's own journals over everything its
-    journals reference; q_c: the same internal count over everything its
-    journals are cited by. A zero denominator leaves that side None.
-    """
-    if table is None:
-        table = aggregate_citation_counts(corpus, window)
-    members = corpus.publisher_journals[publisher_id]
-    return PublisherExpectation(publisher_id, _share(table, members, members),
-                                _share(table, members, members, received=True))
 
 
 @dataclass(frozen=True)
@@ -222,13 +166,13 @@ def _scores(table, journals, members, paper_total,
     The publisher's Q_r and Q_c are computed once. Without
     ``include_self`` a journal's own terms leave its two rate sums.
     """
-    q_r = _share(table, members, members)
-    q_c = _share(table, members, members, received=True)
+    q_r = share(table, members, members)
+    q_c = share(table, members, members, received=True)
     scores = []
     for jid in journals:
         summed = [j for j in members if include_self or j != jid]
-        ref = _share(table, (jid,), summed)
-        cite = _share(table, (jid,), summed, received=True)
+        ref = share(table, (jid,), summed)
+        cite = share(table, (jid,), summed, received=True)
         if (q_r is None or q_c is None or ref is None or cite is None
                 or q_r == 0 or q_c == 0 or cite == 0 or paper_total == 0):
             scores.append(SolidarityScore(jid, None, paper_total, ref, cite,
@@ -257,31 +201,16 @@ def psi_from_counts(table: CitationCounts, journal_id: str,
                    include_self)[0]
 
 
-def solidarity_index(corpus, journal_id, window=None, include_self=True,
-                     table: Optional[CitationCounts] = None) -> SolidarityScore:
-    """Solidarity index of a journal against its own publisher.
+def solidarity_scores(corpus, window=None, include_self=True,
+                      table: Optional[CitationCounts] = None
+                      ) -> list[SolidarityScore]:
+    """Solidarity index of every journal against its own publisher, in
+    journal-id order.
 
     Standalone journals (publisher unknown or with a single journal) are
     excluded rather than scored; zero denominators on either side give an
     undefined score. The paper totals cover the years of the count
     table's window; ``window`` only picks the table when none is passed.
-    """
-    members = corpus.publisher_journals.get(
-        corpus.journals[journal_id].publisher_id, ())
-    if len(members) < 2:                      # excluded, counts unread
-        return _excluded(journal_id)
-    if table is None:
-        table = aggregate_citation_counts(corpus, window)
-    paper_total = sum(corpus.paper_count(j, table.years) for j in members)
-    return _scores(table, [journal_id], members, paper_total,
-                   include_self)[0]
-
-
-def solidarity_scores(corpus, window=None, include_self=True,
-                      table: Optional[CitationCounts] = None
-                      ) -> list[SolidarityScore]:
-    """``solidarity_index`` of every journal, in journal-id order.
-
     Each publisher's expectation and paper total are computed once and
     shared by its journals.
     """
@@ -296,11 +225,3 @@ def solidarity_scores(corpus, window=None, include_self=True,
             table, members, members, paper_total, include_self))
     return [scored.get(jid) or _excluded(jid)
             for jid in sorted(corpus.journals)]
-
-
-def solidarity_ratio(score_q: SolidarityScore,
-                     score_u: SolidarityScore) -> Optional[float]:
-    """Ratio of two solidarity scores; >1 flags the questioned journal."""
-    if score_q.psi is None or score_u.psi is None or score_u.psi == 0:
-        return None
-    return score_q.psi / score_u.psi

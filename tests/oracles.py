@@ -648,6 +648,30 @@ def market_share_oracle(corpus, publisher_id, year):
     return own / total
 
 
+# -- rates ------------------------------------------------------------------
+
+
+def rate_reference(corpus, source, group, window=None, received=False):
+    """Share of the references the journals ``source`` make in ``window``
+    (citing years) that land in the journals ``group``; with
+    ``received``, share of the citations they receive that come from
+    ``group``. One scan of the citation edges that skips an edge with an
+    unregistered journal at either end; None when no edge counts."""
+    part = whole = 0
+    for citing, cited in citation_edges(corpus):
+        year = corpus.papers[citing].year
+        if window is not None and not window[0] <= year <= window[1]:
+            continue
+        src, dst = journal_of(corpus, citing), journal_of(corpus, cited)
+        if src is None or dst is None:
+            continue
+        end, other = (dst, src) if received else (src, dst)
+        if end in source:
+            whole += 1
+            part += other in group
+    return part / whole if whole else None
+
+
 # -- solidarity index -------------------------------------------------------
 #
 # The former library formula, kept as the reference for the one psi

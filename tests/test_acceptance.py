@@ -24,8 +24,8 @@ from citnet.jnet import (JournalCitationNetwork, betweenness, closeness,
 from citnet.matching import RegistryEntry, match_registry, _category_terciles
 from citnet.novelty import ShuffleConfig, shuffle_edges
 from citnet.pipeline import load_config, run_pipeline
-from citnet.selfcite import (aggregate_citation_counts, citation_rate,
-                             psi_from_counts)
+from citnet.selfcite import (CitationCounts, aggregate_citation_counts,
+                             psi_from_counts, share)
 from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
                           psi_rewiring_experiment, psi_scenarios,
                           publisher_psi_baseline)
@@ -251,14 +251,16 @@ def test_criterion_07_psi_algebra():
         base = psi_from_counts(table, jid, members,
                                {j: totals[j] for j in members})
         for k in (2, 10, 1000):
-            scaled = psi_from_counts(table.scaled(k), jid, members,
+            scaled_table = CitationCounts.from_counts(
+                {p: c * k for p, c in table.counts.items()}, table.window)
+            scaled = psi_from_counts(scaled_table, jid, members,
                                      {j: totals[j] for j in members})
             worst_psi = max(worst_psi, abs(scaled.psi - base.psi))
 
     worst_partition = 0.0
     groups = [[j] for j in sorted(corpus.journals)]
     for jid in sorted(corpus.journals):
-        rates = [citation_rate(corpus, jid, g, table=table) for g in groups]
+        rates = [share(table, [jid], g, received=True) for g in groups]
         worst_partition = max(worst_partition, abs(sum(rates) - 1.0))
 
     ok = worst_psi <= 1e-12 and worst_partition <= 1e-12

@@ -6,6 +6,7 @@ import re
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import citnet.pipeline as pipeline_mod
 import citnet.synth as synth_mod
 from citnet._util import write_csv
 from citnet.cli import main as cli_main
-from citnet.corpus import load_corpus
+from citnet.corpus import Corpus, load_corpus
 from citnet.matching import binning_diagnostics
 from citnet.novelty import ShuffleConfig
 from citnet.pipeline import (ConfigError, _RunContext, config_hash,
@@ -25,7 +26,8 @@ from citnet.pipeline import (ConfigError, _RunContext, config_hash,
                              run_synth)
 
 import oracles
-from conftest import PIPELINE_CONFIG, write_pipeline_config
+from conftest import (PIPELINE_CONFIG, corpus_to_files,
+                      small_pipeline_corpus, write_pipeline_config)
 
 ALL_CSVS = ("impact.csv", "market_share.csv", "matches.csv",
             "solidarity.csv", "rates.csv", "novelty.csv", "disruption.csv",
@@ -451,9 +453,13 @@ def run_queries(tmp_path, pipeline_files, text):
     ("{source: P1-J1}", "targets missing"),
     ("{targets: [P2]}", "source missing"),
     ("{source: P1-J1, targets: [P2], window: [2001]}",
-     "window must be two integers, not [2001]"),
+     "window must be null or two integer years [lo, hi] with lo <= hi, "
+     "not [2001]"),
     ("{source: P1-J1, targets: [P2], window: [2001, x]}",
-     "window must be two integers"),
+     "window must be null or two integer years [lo, hi] with lo <= hi"),
+    ("{source: P1-J1, targets: [P2], window: [2003, 2001]}",
+     "window must be null or two integer years [lo, hi] with lo <= hi, "
+     "not [2003, 2001]"),
     ("{source: P1-J1, targets: [P2], windows: [2001, 2002]}",
      "unknown key 'windows'"),
     ("{source: P1-J1, targets: []}", "source and targets must be ids"),
@@ -562,6 +568,36 @@ def test_emit_figure_2f_contract(full_run):
     assert rows
     for row in rows:
         assert float(row["psi_ratio"]) > 0
+
+
+def test_figure_2f_leaves_out_a_control_whose_psi_is_zero(tmp_path):
+    """P2-J1 makes no reference into its publisher but is cited from it,
+    so its psi is 0.0 with status ok; the pair it controls has no ratio."""
+    corpus = small_pipeline_corpus()
+    own = set(corpus.publisher_journals["P2"])
+    papers = {pid: replace(p, references=tuple(
+                  r for r in p.references if r not in corpus.papers
+                  or corpus.papers[r].journal_id not in own))
+              if p.journal_id == "P2-J1" else p
+              for pid, p in corpus.papers.items()}
+    files = corpus_to_files(Corpus(papers, corpus.journals,
+                                   corpus.publishers,
+                                   year_range=corpus.year_range),
+                            tmp_path / "corpus")
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(
+        tmp_path, files, outdir,
+        extra={"stages": ["impact", "matching", "selfcite"]})
+    assert cli_main(["run", "--config", str(config_path)]) == 0
+    _header, matches = figure_rows(outdir / "matches.csv")
+    assert [(m["qj_id"], m["uj_id"]) for m in matches] == [("P1-J1",
+                                                             "P2-J1")]
+    _header, scores = figure_rows(outdir / "solidarity.csv")
+    assert {r["journal_id"]: r["psi"] for r in scores}["P2-J1"] == "0.0"
+    assert cli_main(["report", "--config", str(config_path),
+                     "--figure", "2F"]) == 0
+    _header, rows = figure_rows(outdir / "figures" / "figure_2F.csv")
+    assert rows == []
 
 
 SMALL_SYNTH = {"journals_per_publisher": 2,
@@ -1060,7 +1096,7 @@ def test_figure_2f_impact_is_from_the_matching_year(tmp_path, pipeline_files):
 def test_selfcite_builds_one_count_table_per_window(tmp_path, pipeline_files,
                                                     monkeypatch):
     from citnet import selfcite
-    from citnet.corpus import load_corpus
+    from citnet.corpus import Corpus, load_corpus
 
     query_file = tmp_path / "queries.yaml"
     query_file.write_text(
@@ -1098,20 +1134,24 @@ def test_selfcite_builds_one_count_table_per_window(tmp_path, pipeline_files,
               "uj_group": {m["uj_id"] for m in matches if m["uj_id"]}}
     _header, rows = figure_rows(outdir / "rates.csv")
     assert len(rows) > 4
+    publisher_journals = oracles.publisher_journals_reference(corpus)
+
+    def journals(ids):
+        return set().union(*({i} if i in corpus.journals
+                             else publisher_journals[i] for i in ids))
+
     for row in rows:
         source, target = row["source"], row["target"]
         if target == "self":
             group = {source}
         elif target == "publisher":
-            pub = corpus.journals[source].publisher_id
-            group = oracles.publisher_journals_reference(corpus)[pub]
+            group = publisher_journals[corpus.journals[source].publisher_id]
         else:
-            group = groups.get(target) or selfcite.resolve_group(
-                corpus, target.split("+"))
-        fn = (selfcite.citation_rate if row["kind"] == "citation"
-              else selfcite.reference_rate)
-        expected = fn(corpus, source, group,
-                      window=(int(row["year_start"]), int(row["year_end"])))
+            group = groups.get(target) or journals(target.split("+"))
+        expected = oracles.rate_reference(
+            corpus, journals([source]), group,
+            (int(row["year_start"]), int(row["year_end"])),
+            received=row["kind"] == "citation")
         assert row["rate"] == ("" if expected is None else repr(expected))
 
 

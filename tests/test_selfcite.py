@@ -2,11 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from citnet.selfcite import (aggregate_citation_counts, citation_rate,
-                             psi_from_counts, publisher_self_expectations,
-                             reference_rate, solidarity_index,
-                             solidarity_ratio, solidarity_scores,
-                             SolidarityScore)
+from citnet.selfcite import (CitationCounts, aggregate_citation_counts,
+                             psi_from_counts, share, solidarity_scores)
 from citnet.synth import (SynthConfig, _SCENARIO_MEMBERS, _SCENARIO_TOTALS,
                           _scenario_table, generate_synthetic)
 
@@ -24,24 +21,24 @@ def rate_fixture():
 
 
 def test_citation_rate_fraction():
-    corpus = rate_fixture()
-    assert citation_rate(corpus, "J1", ["J2"]) == 0.25
-    assert citation_rate(corpus, "J1", ["J3"]) == 0.75
-    assert citation_rate(corpus, "J1", ["J1", "J2", "J3"]) == 1.0
-    assert citation_rate(corpus, "J2", ["J1"]) is None   # never cited
+    table = aggregate_citation_counts(rate_fixture())
+    assert share(table, ["J1"], ["J2"], received=True) == 0.25
+    assert share(table, ["J1"], ["J3"], received=True) == 0.75
+    assert share(table, ["J1"], ["J1", "J2", "J3"], received=True) == 1.0
+    assert share(table, ["J2"], ["J1"], received=True) is None  # never cited
 
 
 def test_citation_rate_partition():
-    corpus = rate_fixture()
+    table = aggregate_citation_counts(rate_fixture())
     groups = [["J1"], ["J2"], ["J3"]]
-    total = sum(citation_rate(corpus, "J1", g) for g in groups)
+    total = sum(share(table, ["J1"], g, received=True) for g in groups)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_citation_rate_window():
-    corpus = rate_fixture()
-    assert citation_rate(corpus, "J1", ["J3"], window=(2002, 2002)) == 1.0
-    assert citation_rate(corpus, "J1", ["J2"], window=(2002, 2002)) == 0.0
+    table = aggregate_citation_counts(rate_fixture(), (2002, 2002))
+    assert share(table, ["J1"], ["J3"], received=True) == 1.0
+    assert share(table, ["J1"], ["J2"], received=True) == 0.0
 
 
 def test_reference_rate():
@@ -49,10 +46,11 @@ def test_reference_rate():
     papers += [(f"x{i}", "J2" if i < 3 else "J3", 2000, [])
                for i in range(10)]
     corpus = make_corpus(papers, {"J1": {}, "J2": {}, "J3": {}})
-    assert reference_rate(corpus, "J1", ["J2"]) == 0.3
-    assert reference_rate(corpus, "J1", ["J1"]) == 0.0
-    assert reference_rate(corpus, "J1", ["J1", "J2", "J3"]) == 1.0
-    assert reference_rate(corpus, "J2", ["J1"]) is None  # no references
+    table = aggregate_citation_counts(corpus)
+    assert share(table, ["J1"], ["J2"]) == 0.3
+    assert share(table, ["J1"], ["J1"]) == 0.0
+    assert share(table, ["J1"], ["J1", "J2", "J3"]) == 1.0
+    assert share(table, ["J2"], ["J1"]) is None  # no references
 
 
 def expectation_fixture():
@@ -67,19 +65,26 @@ def expectation_fixture():
                                 "E": {"publisher_id": "Q"}})
 
 
+def expectations(corpus, publisher_id):
+    """(Q_r, Q_c) of a publisher: its internal share of the references
+    its journals make and of the citations they receive."""
+    table = aggregate_citation_counts(corpus)
+    members = corpus.publisher_journals[publisher_id]
+    return (share(table, members, members),
+            share(table, members, members, received=True))
+
+
 def test_publisher_expectations_hand_count():
-    corpus = expectation_fixture()
-    exp = publisher_self_expectations(corpus, "P")
-    assert exp.q_r == pytest.approx(0.5)
-    assert exp.q_c == pytest.approx(0.5)
+    q_r, q_c = expectations(expectation_fixture(), "P")
+    assert q_r == pytest.approx(0.5)
+    assert q_c == pytest.approx(0.5)
 
 
 def test_pub_expectations_only_internal():
     papers = [("a", "J1", 2000, ["b"]), ("b", "J2", 2001, ["a"])]
     corpus = make_corpus(papers, {"J1": {"publisher_id": "P"},
                                   "J2": {"publisher_id": "P"}})
-    exp = publisher_self_expectations(corpus, "P")
-    assert exp.q_r == 1.0
+    assert expectations(corpus, "P")[0] == 1.0
 
 
 def test_pub_expectations_undefined_side():
@@ -89,9 +94,9 @@ def test_pub_expectations_undefined_side():
     corpus = make_corpus(papers, {"J1": {"publisher_id": "P"},
                                   "J2": {"publisher_id": "P"},
                                   "E": {"publisher_id": "Q"}})
-    exp = publisher_self_expectations(corpus, "P")
-    assert exp.q_c is None
-    assert exp.q_r == 0.0
+    q_r, q_c = expectations(corpus, "P")
+    assert q_c is None
+    assert q_r == 0.0
 
 
 def neutral_counts(paper_total_per_journal):
@@ -101,8 +106,6 @@ def neutral_counts(paper_total_per_journal):
     and half outside, and receives likewise, so the journal's share
     equals the publisher-wide expectation exactly.
     """
-    from citnet.selfcite import CitationCounts
-
     table = CitationCounts()
     for a, b in [("J1", "J2"), ("J2", "J1")]:
         table.counts[(a, b)] = 50
@@ -149,6 +152,12 @@ def solidarity_fixture(extra_self=0):
                                 "E": {"publisher_id": "Q"}})
 
 
+def scores_by_journal(corpus, include_self=True):
+    """journal id -> its row of ``solidarity_scores``."""
+    return {s.journal_id: s
+            for s in solidarity_scores(corpus, include_self=include_self)}
+
+
 def brute_force_psi(corpus, journal_id):
     """Direct evaluation of the defining sums from raw paper loops."""
     publisher = corpus.journals[journal_id].publisher_id
@@ -174,17 +183,18 @@ def brute_force_psi(corpus, journal_id):
 
 def test_solidarity_against_bruteforce():
     corpus = solidarity_fixture(extra_self=1)
+    scores = scores_by_journal(corpus)
     for jid in ("J1", "J2", "J3"):
-        score = solidarity_index(corpus, jid)
+        score = scores[jid]
         assert score.status == "ok"
         assert score.psi == pytest.approx(brute_force_psi(corpus, jid),
                                           abs=1e-12)
 
 
 def test_self_favouring_journal_scores_higher():
-    corpus = solidarity_fixture(extra_self=1)
-    eager = solidarity_index(corpus, "J1").psi
-    neutral = solidarity_index(corpus, "J3").psi
+    scores = scores_by_journal(solidarity_fixture(extra_self=1))
+    eager = scores["J1"].psi
+    neutral = scores["J3"].psi
     assert eager > neutral
 
 
@@ -192,21 +202,27 @@ def test_standalone_publisher_excluded():
     papers = [("a", "J1", 2000, []), ("b", "E", 2001, ["a"])]
     corpus = make_corpus(papers, {"J1": {"publisher_id": "P"},
                                   "E": {"publisher_id": "Q"}})
-    score = solidarity_index(corpus, "J1")
+    score = scores_by_journal(corpus)["J1"]
     assert score.status == "excluded"
     assert score.psi is None
     # no publisher at all behaves the same way
     corpus = make_corpus(papers, {"J1": {}, "E": {}})
-    assert solidarity_index(corpus, "J1").status == "excluded"
+    assert scores_by_journal(corpus)["J1"].status == "excluded"
 
 
 def test_solidarity_undefined_when_never_cited():
     papers = [("a", "J1", 2005, ["t"]), ("t", "J2", 2000, [])]
     corpus = make_corpus(papers, {"J1": {"publisher_id": "P"},
                                   "J2": {"publisher_id": "P"}})
-    score = solidarity_index(corpus, "J1")
+    score = scores_by_journal(corpus)["J1"]
     assert score.status == "undefined"
     assert score.psi is None
+
+
+def scaled_table(table, k):
+    """``table`` with every count multiplied by ``k``."""
+    return CitationCounts.from_counts(
+        {p: c * k for p, c in table.counts.items()}, table.window)
 
 
 def test_scaling_invariance():
@@ -217,7 +233,8 @@ def test_scaling_invariance():
               for j in members}
     base = psi_from_counts(table, "J1", members, totals)
     for k in (2, 10, 1000):
-        scaled = psi_from_counts(table.scaled(k), "J1", members, totals)
+        scaled = psi_from_counts(scaled_table(table, k), "J1", members,
+                                 totals)
         assert abs(scaled.psi - base.psi) <= 1e-12
         assert scaled.q_r == pytest.approx(base.q_r, abs=1e-15)
         assert scaled.q_c == pytest.approx(base.q_c, abs=1e-15)
@@ -225,22 +242,12 @@ def test_scaling_invariance():
 
 def test_include_self_flag_changes_level_not_order():
     corpus = solidarity_fixture(extra_self=1)
-    with_self = {j: solidarity_index(corpus, j, include_self=True).psi
-                 for j in ("J1", "J3")}
-    without = {j: solidarity_index(corpus, j, include_self=False).psi
-               for j in ("J1", "J3")}
+    with_self = {j: s.psi for j, s in
+                 scores_by_journal(corpus, include_self=True).items()}
+    without = {j: s.psi for j, s in
+               scores_by_journal(corpus, include_self=False).items()}
     assert (with_self["J1"] > with_self["J3"]) == \
         (without["J1"] > without["J3"])
-
-
-def test_solidarity_ratio():
-    a = SolidarityScore("q", 0.02, 100, 1.0, 1.0)
-    b = SolidarityScore("u", 0.01, 100, 1.0, 1.0)
-    undef = SolidarityScore("x", None, 0, None, None, status="undefined")
-    assert solidarity_ratio(a, b) == pytest.approx(2.0)
-    assert solidarity_ratio(a, a) == pytest.approx(1.0)
-    assert solidarity_ratio(a, undef) is None
-    assert solidarity_ratio(undef, b) is None
 
 
 def _edge_loop_table(corpus, window):
@@ -310,17 +317,14 @@ def psi_case(case, window):
 @pytest.mark.parametrize("case", [0, 1, 2, 3, "net", "a0", "a100", "a200",
                                   "b0", "b200", "c10", "c200"])
 def test_solidarity_scores_equal_solidarity_index(case, include_self, window):
-    """Both public paths give the reference formula's scores, exactly."""
+    """solidarity_scores gives the reference formula's scores, exactly."""
     corpus, table, statuses = psi_case(case, window)
-    expected = [solidarity_index(corpus, jid, window,
-                                 include_self=include_self, table=table)
-                for jid in sorted(corpus.journals)]
     got = solidarity_scores(corpus, window, include_self=include_self,
                             table=table)
     reference = solidarity_reference(
         corpus, table or aggregate_citation_counts(corpus, window),
         include_self)
-    assert repr(got) == repr(expected) == repr(reference)
+    assert repr(got) == repr(reference)
     assert {s.status for s in got} == statuses
     if table is not None:       # psi_scenarios' path scores the focal F
         focal = psi_from_counts(table, "F", _SCENARIO_MEMBERS,
@@ -338,9 +342,6 @@ def test_a_count_table_carries_its_window(include_self):
     by_window = solidarity_scores(corpus, window, include_self=include_self)
     assert repr(solidarity_scores(corpus, include_self=include_self,
                                   table=table)) == repr(by_window)
-    assert repr([solidarity_index(corpus, jid, include_self=include_self,
-                                  table=table)
-                 for jid in sorted(corpus.journals)]) == repr(by_window)
     # the window shows: all-year paper totals give other scores
     assert repr(solidarity_scores(corpus, include_self=include_self)) != \
         repr(by_window)

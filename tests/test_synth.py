@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from citnet.corpus import validate_corpus
-from citnet.selfcite import solidarity_index
+from citnet.selfcite import solidarity_scores
 from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
                           psi_rewiring_experiment, psi_scenarios, rewire)
 
@@ -266,7 +266,6 @@ def test_rewiring_experiment_equal_at_any_worker_count():
 
 def test_solidarity_defined_on_generated_corpus():
     corpus = generate_synthetic(SMALL)
-    for jid in sorted(corpus.journals):
-        score = solidarity_index(corpus, jid)
+    for score in solidarity_scores(corpus):
         assert score.status == "ok"
         assert score.psi > 0
