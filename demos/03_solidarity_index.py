@@ -15,8 +15,9 @@ corpus = generate_synthetic(SynthConfig(
     component_size_range=(200, 260), out_degree_mean=8.0,
     out_degree_std=2.0, seed=4, year_range=(2000, 2004)))
 
-# Every rate is one share of the journal-to-journal count table.
-table = aggregate_citation_counts(corpus)
+# Every rate is one share of the journal-to-journal count table, tallied
+# from the corpus's citation graph.
+table = aggregate_citation_counts(corpus.graph)
 jid, publisher = "P1-J1", corpus.publisher_journals["P1"]
 print("share of references into own publisher:",
       round(share(table, [jid], publisher), 4))
@@ -29,7 +30,7 @@ q_r = share(table, publisher, publisher)
 q_c = share(table, publisher, publisher, received=True)
 print(f"publisher-wide expectations: q_r={q_r:.4f} q_c={q_c:.4f}")
 
-scores = {s.journal_id: s for s in solidarity_scores(corpus, table=table)}
+scores = {s.journal_id: s for s in solidarity_scores(corpus.graph, table)}
 for j, s in scores.items():
     print(f"{j}: psi={s.psi:.6f} (publisher papers {s.publisher_paper_total})")
 

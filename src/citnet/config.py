@@ -6,9 +6,11 @@ The defaults a config is merged onto, the keys it may give, and the
 value checks that ``RunConfig.validate`` and ``run_synth`` share all
 derive from it. Two sources keep their own errors: the synth section's
 network and rewiring settings (``_synth_configs``) and the entries of
-``selfcite.query_file`` (``RunConfig.rate_queries``). Checks that need
-the corpus (the matching year among the impact years, jnet windows
-inside the corpus range) stay where the stages meet them.
+``selfcite.query_file`` (``RunConfig.rate_queries``). One rule joins
+two settings: the matching year must be an impact year
+(``_matching_year_error``), which ``validate`` and the run's control
+registry both check. Checks that need the corpus (jnet windows inside
+the corpus range) stay where the stages meet them.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from . import synth as synth_mod
 
 STAGES = ("impact", "matching", "selfcite", "jnet", "novelty",
           "disruption", "authors")
+
+# the stages that read the control registry, built in the matching year
+_REGISTRY_STAGES = ("matching", "selfcite", "jnet", "authors")
 
 
 class ConfigError(ValueError):
@@ -212,7 +217,8 @@ class RunConfig:
     def validate(self):
         """The config's errors, [] when it can run. First the settings of
         the table (``_value_errors``, with the corpus paths required);
-        once every setting is of its kind, the files the config names and
+        once every setting is of its kind, the files the config names,
+        the matching year when a stage reads the control registry, and
         the weights the authors stage needs."""
         resolved = self.resolved
         errors = _value_errors(dict(resolved,
@@ -222,6 +228,9 @@ class RunConfig:
         errors = [f"corpus.{key}: no such file: {path}"
                   for key, path in self.corpus_paths().items()
                   if not path.exists()]
+        error = _matching_year_error(resolved)
+        if error and set(_REGISTRY_STAGES) & set(resolved["stages"]):
+            errors.append(error)
         if ("authors" in resolved["stages"]
                 and resolved["authors"]["weights"] is None):
             errors.append("authors stage needs explicit similarity weights "
@@ -272,6 +281,33 @@ class RunConfig:
                     tuple(window) if window else None,
                     entry.get("kind", "citation"))))
         return queries, errors
+
+
+def _impact_years(config):
+    """The impact stage years: ``impact.years``, else every year of
+    ``year_range``."""
+    years = config["impact"]["years"]
+    if years:
+        return list(years)
+    lo, hi = config["year_range"]
+    return list(range(lo, hi + 1))
+
+
+def _matching_year(config):
+    """The configured matching year, else the last impact year."""
+    year = config["matching"]["year"]
+    if year is not None:
+        return year
+    return _impact_years(config)[-1]
+
+
+def _matching_year_error(config):
+    """The error of a matching year that is not an impact year, else None:
+    the control registry is built from that year's impact rows."""
+    year = _matching_year(config)
+    if year not in _impact_years(config):
+        return (f"matching.year {year} is not covered by the impact stage "
+                f"years")
 
 
 def _value_errors(resolved):

@@ -226,7 +226,8 @@ class Corpus:
     node : dict paper_id -> graph node
     reference_codes : (row, code, edge, names) of every reference
     graph : CitationGraph, one edge per reference naming another paper,
-        in node order and then list order, repeats kept
+        in node order and then list order, repeats kept; the selfcite
+        count table and psi run on it as on a synthetic net
     load_report : LoadReport, derived for every corpus
     paper_counts : dict journal_id -> {year: papers}, years ascending,
         for every registered journal (an empty dict when it has none)
@@ -318,13 +319,6 @@ class Corpus:
     @cached_property
     def paper_counts(self) -> dict[str, dict[int, int]]:
         return self.graph.paper_counts()
-
-    def paper_count(self, journal_id, years=None) -> int:
-        """Papers of a registered journal, in ``years`` or in all years."""
-        by_year = self.paper_counts[journal_id]
-        if years is None:
-            return sum(by_year.values())
-        return sum(by_year.get(y, 0) for y in years)
 
     @cached_property
     def publisher_journals(self) -> dict[str, tuple[str, ...]]:

@@ -386,7 +386,6 @@ class ComparisonReport:
     uj_higher_fraction: Optional[float]
     pair_count: int
     excluded_pairs: int
-    log_differences: list[tuple[str, str, float]] = field(default_factory=list)
 
 
 def centrality_comparison(matches: Iterable[MatchRecord],
@@ -394,9 +393,7 @@ def centrality_comparison(matches: Iterable[MatchRecord],
                           ) -> dict[str, ComparisonReport]:
     """Fraction of matched pairs where the control scores strictly higher.
 
-    Pairs missing either score are excluded and counted. Log differences
-    log10(control / flagged) are emitted for pairs where both scores are
-    positive, as plotting material.
+    Pairs missing either score are excluded and counted.
     """
     pairs = matched_pairs(matches)
     out = {}
@@ -404,23 +401,18 @@ def centrality_comparison(matches: Iterable[MatchRecord],
         higher = 0
         used = 0
         excluded = 0
-        logdiffs = []
         for qj, uj in pairs:
             if qj not in vec.scores or uj not in vec.scores:
                 excluded += 1
                 continue
             used += 1
-            q, u = vec.scores[qj], vec.scores[uj]
-            if u > q:
+            if vec.scores[uj] > vec.scores[qj]:
                 higher += 1
-            if q > 0 and u > 0:
-                logdiffs.append((qj, uj, math.log10(u / q)))
         out[vec.metric] = ComparisonReport(
             metric=vec.metric,
             uj_higher_fraction=higher / used if used else None,
             pair_count=used,
             excluded_pairs=excluded,
-            log_differences=logdiffs,
         )
     return out
 

@@ -33,12 +33,13 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from pathlib import Path
 
 from . import __version__
 from ._util import atomic_write, fork_map, write_csv
-from .config import (STAGES, ConfigError, RunConfig, _synth_configs,
+from .config import (STAGES, ConfigError, RunConfig, _impact_years,
+                     _matching_year, _matching_year_error, _synth_configs,
                      _value_errors, config_hash, load_config)
 from .corpus import Corpus, load_corpus
 from . import authors as authors_mod
@@ -105,10 +106,10 @@ class _RunContext:
     @cached_property
     def registry(self):
         """(matching year, registry) that control matching runs on."""
+        error = _matching_year_error(self.config)
+        if error:
+            raise ConfigError(error)
         year = _matching_year(self.config)
-        if year not in _impact_years(self.config):
-            raise ConfigError(f"matching year {year} is not covered by the "
-                              f"impact stage years")
         kind = self.config["matching"]["impact_kind"]
         if kind == "normalized" and self.normalization is None:
             raise ConfigError(f"normalized impact needs a normalization "
@@ -140,14 +141,6 @@ def _fraction_or_none(x):
 # StageResult fields (``skipped``, ``counts``).
 
 
-def _impact_years(config):
-    years = config["impact"]["years"]
-    if years:
-        return list(years)
-    lo, hi = config["year_range"]
-    return list(range(lo, hi + 1))
-
-
 def _stage_impact(ctx: _RunContext):
     years = _impact_years(ctx.config)
     rows = [(r.journal_id, r.year, _fraction_or_none(r.impact),
@@ -171,14 +164,6 @@ def _stage_impact(ctx: _RunContext):
     return outputs, {"skipped": {"normalization": reason} if reason else {}}
 
 
-def _matching_year(config):
-    """The configured matching year, else the last impact year."""
-    year = config["matching"]["year"]
-    if year is not None:
-        return year
-    return _impact_years(config)[-1]
-
-
 def _stage_matching(ctx: _RunContext):
     rows = [(r.qj_id, r.category, r.uj_id, r.impact_gap, r.tercile)
             for r in ctx.matches]
@@ -189,19 +174,13 @@ def _stage_matching(ctx: _RunContext):
 
 
 def _stage_selfcite(ctx: _RunContext):
-    section = ctx.config["selfcite"]
+    section, corpus = ctx.config["selfcite"], ctx.corpus
     window = tuple(section["window"]) if section["window"] else None
-    include_self = section["include_self_journal"]
-    tables = {}
-
-    def table_for(win):
-        if win not in tables:
-            tables[win] = selfcite_mod.aggregate_citation_counts(ctx.corpus,
-                                                                 win)
-        return tables[win]
-
-    scores = selfcite_mod.solidarity_scores(ctx.corpus, window, include_self,
-                                            table_for(window))
+    # one count table per window
+    table_for = cache(partial(selfcite_mod.aggregate_citation_counts,
+                              corpus.graph))
+    scores = selfcite_mod.solidarity_scores(
+        corpus.graph, table_for(window), section["include_self_journal"])
     write_csv(ctx.outdir / "solidarity.csv",
               ["journal_id", "psi", "Q_r", "Q_c", "publisher_paper_total"],
               [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
@@ -210,47 +189,37 @@ def _stage_selfcite(ctx: _RunContext):
     counts = {f"{status}_psi": sum(s.status == status for s in scores)
               for status in ("undefined", "excluded")}
 
-    # (window written to rates.csv, window of its count table)
-    if section["rate_years"]:
-        windows = [((y, y), (y, y)) for y in section["rate_years"]]
-    else:
-        windows = [(window or ctx.corpus.year_range, window)]
+    # (source, target, kind, window, source journals, target journals):
+    # the group rates of the flagged and control journals, then the
+    # queries, so that ties of the sort below keep that order
+    windows = [(y, y) for y in section["rate_years"]] or [window]
     qj, uj = ctx.groups
-    rate_rows = []
+    requests = []
     for jid in sorted(qj | uj):
-        publisher = ctx.corpus.journals[jid].publisher_id
+        publisher = corpus.journals[jid].publisher_id
         targets = {"self": {jid}, "qj_group": qj, "uj_group": uj,
-                   "publisher": set(ctx.corpus.publisher_journals.get(
+                   "publisher": set(corpus.publisher_journals.get(
                        publisher, ()))}
-        for (lo, hi), key in windows:
-            tab = table_for(key)
-            for label in sorted(targets):
-                group = targets[label]
-                if not group:
-                    continue
-                for kind in ("citation", "reference"):
-                    rate_rows.append((jid, label, kind, lo, hi,
-                                      selfcite_mod.share(
-                                          tab, (jid,), group,
-                                          kind == "citation")))
-
+        requests += [(jid, label, kind, win, (jid,), targets[label])
+                     for win in windows for label in sorted(targets)
+                     if targets[label] for kind in ("citation", "reference")]
     skipped = {}
+    resolve = partial(selfcite_mod.resolve_group, corpus)
     for n, query in ctx.config.rate_queries[0]:
         try:
-            source = selfcite_mod.resolve_group(ctx.corpus, query.source)
-            group = selfcite_mod.resolve_group(ctx.corpus, query.targets)
+            requests.append((query.source, "+".join(query.targets),
+                             query.kind, query.window, resolve(query.source),
+                             resolve(query.targets)))
         except KeyError as exc:
             skipped[f"query {n}"] = exc.args[0]
-            continue
-        rate = selfcite_mod.share(table_for(query.window), source, group,
-                                  query.kind == "citation")
-        lo, hi = query.window if query.window else ctx.corpus.year_range
-        rate_rows.append((query.source, "+".join(query.targets),
-                          query.kind, lo, hi, rate))
+    rate_rows = [(source, target, kind, *(win or corpus.year_range),
+                  selfcite_mod.share(table_for(win), journals, group,
+                                     kind == "citation"))
+                 for source, target, kind, win, journals, group in requests]
 
     write_csv(ctx.outdir / "rates.csv",
               ["source", "target", "kind", "year_start", "year_end", "rate"],
-              sorted(rate_rows, key=lambda r: (r[0], r[1], r[2], r[3])))
+              sorted(rate_rows, key=lambda r: r[:4]))
     outputs.append("rates.csv")
     return outputs, {"counts": counts, "skipped": skipped}
 

@@ -27,9 +27,11 @@ a journal set makes (with ``received=True``, of the citations it
 receives) that land in (come from) a group. It gives a journal's rate
 into any group and, over a publisher's own journals, the publisher's
 Q_r and Q_c. ``solidarity_scores`` gives psi of every journal of a
-corpus, four ``share`` terms each; ``_scores`` is the one psi kernel,
-for it, ``psi_from_counts`` and the synthetic ensembles. The ratio of a
-flagged journal's psi to its matched control's is formed in figure 2F.
+``CitationGraph``, four ``share`` terms each; the graph is a corpus's
+``graph`` or a synthetic net, so the pipeline's ``solidarity.csv`` and
+the rewiring experiment score psi the same way. ``_scores`` is the one
+psi kernel, for it and ``psi_from_counts``. The ratio of a flagged
+journal's psi to its matched control's is formed in figure 2F.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .corpus import Corpus
+import numpy as np
+
+from .corpus import CitationGraph, Corpus
 
 __all__ = [
     "CitationCounts",
@@ -76,24 +80,17 @@ class CitationCounts:
             table.in_total[dst] = table.in_total.get(dst, 0) + c
         return table
 
-    @property
-    def years(self) -> Optional[range]:
-        """The years of ``window``; None for every year."""
-        if self.window is None:
-            return None
-        return range(self.window[0], self.window[1] + 1)
 
-
-def aggregate_citation_counts(corpus: Corpus,
+def aggregate_citation_counts(graph: CitationGraph,
                               window: Optional[tuple[int, int]] = None
                               ) -> CitationCounts:
     """Aggregate paper-level citation edges to the journal level.
 
-    ``window`` restricts to citations made in those years (citing paper's
+    ``graph`` is a corpus's ``graph`` or a synthetic net. ``window``
+    restricts to citations made in those years (citing paper's
     publication year). Edges whose citing or cited journal is not
     registered are skipped entirely.
     """
-    graph = corpus.graph
     mask = True
     if window is not None:
         year = graph.year_of[graph.src]
@@ -201,27 +198,32 @@ def psi_from_counts(table: CitationCounts, journal_id: str,
                    include_self)[0]
 
 
-def solidarity_scores(corpus, window=None, include_self=True,
-                      table: Optional[CitationCounts] = None
-                      ) -> list[SolidarityScore]:
-    """Solidarity index of every journal against its own publisher, in
-    journal-id order.
+def solidarity_scores(graph: CitationGraph,
+                      table: Optional[CitationCounts] = None,
+                      include_self: bool = True) -> list[SolidarityScore]:
+    """Solidarity index of every journal of ``graph`` against its own
+    publisher, in ``graph.journal_ids`` order (sorted for a corpus).
 
+    ``table`` is the count table to score, the all-years table when None;
+    the publishers' paper totals cover the years of its window.
     Standalone journals (publisher unknown or with a single journal) are
     excluded rather than scored; zero denominators on either side give an
-    undefined score. The paper totals cover the years of the count
-    table's window; ``window`` only picks the table when none is passed.
-    Each publisher's expectation and paper total are computed once and
-    shared by its journals.
+    undefined score. Each publisher's expectation and paper total are
+    computed once and shared by its journals.
     """
     if table is None:
-        table = aggregate_citation_counts(corpus, window)
+        table = aggregate_citation_counts(graph)
+    publisher_of = graph.publisher_of
+    if table.window is not None:
+        lo, hi = table.window
+        publisher_of = publisher_of[(lo <= graph.year_of)
+                                    & (graph.year_of <= hi)]
+    paper_totals = np.bincount(publisher_of[publisher_of >= 0],
+                               minlength=len(graph.publishers)).tolist()
     scored = {}
-    for members in corpus.publisher_journals.values():
+    for members, paper_total in zip(graph.publishers, paper_totals):
         if len(members) < 2:
             continue
-        paper_total = sum(corpus.paper_count(j, table.years) for j in members)
         scored.update((s.journal_id, s) for s in _scores(
             table, members, members, paper_total, include_self))
-    return [scored.get(jid) or _excluded(jid)
-            for jid in sorted(corpus.journals)]
+    return [scored.get(jid) or _excluded(jid) for jid in graph.journal_ids]

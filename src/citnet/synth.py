@@ -32,7 +32,8 @@ every paper by 1 + its in-degree.
 Generated and rewired nets are the corpus's own integer
 ``CitationGraph``: ``rewire`` starts from ``Corpus.graph`` and writes
 the retargeted links back into the input corpus's reference lists, and
-the count tables at every checkpoint come from its journal-pair tally.
+psi at every checkpoint is ``selfcite.solidarity_scores`` of the net,
+the function that scores a corpus's graph for ``solidarity.csv``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from ._util import fork_map
 from .corpus import (CitationGraph, Corpus, Journal, Paper, Publisher,
                      csr_pointer)
-from .selfcite import CitationCounts, _scores, psi_from_counts
+from .selfcite import CitationCounts, psi_from_counts, solidarity_scores
 
 __all__ = [
     "SynthConfig",
@@ -398,16 +399,9 @@ def _default_rate_assignment(net: CitationGraph, rng):
 
 
 def _journal_psi(net: CitationGraph) -> dict[str, Optional[float]]:
-    """psi of every journal of the net against its publisher, on the net's
-    current links; None where undefined or for a one-journal publisher."""
-    table = CitationCounts.from_counts(net.journal_pair_counts())
-    paper_totals = np.bincount(net.publisher_of, minlength=len(net.publishers))
-    psi = {}
-    for members, paper_total in zip(net.publishers, paper_totals.tolist()):
-        scores = _scores(table, members, members, paper_total, True)
-        psi.update((s.journal_id, s.psi if len(members) > 1 else None)
-                   for s in scores)
-    return psi
+    """psi of every journal of the net on its current links, as
+    ``solidarity_scores`` gives it: None where undefined or excluded."""
+    return {s.journal_id: s.psi for s in solidarity_scores(net)}
 
 
 @dataclass

@@ -239,7 +239,7 @@ def test_criterion_07_psi_algebra():
         publisher_count=3, journals_per_publisher=3,
         component_size_range=(80, 100), out_degree_mean=6.0,
         out_degree_std=2.0, seed=ACCEPT_SEED, year_range=(2000, 2004)))
-    table = aggregate_citation_counts(corpus)
+    table = aggregate_citation_counts(corpus.graph)
     totals = {j: sum(c.values())
               for j, c in paper_counts_reference(corpus).items()}
     publisher_journals = publisher_journals_reference(corpus)

@@ -234,10 +234,6 @@ def test_derived_facts_equal_record_scans(corpus):
     assert counts == paper_counts_reference(corpus)
     assert list(counts) == sorted(corpus.journals)
     assert all(list(by_year) == sorted(by_year) for by_year in counts.values())
-    for jid, by_year in counts.items():
-        assert corpus.paper_count(jid) == sum(by_year.values())
-        assert corpus.paper_count(jid, range(2003, 2006)) == sum(
-            n for y, n in by_year.items() if 2003 <= y < 2006)
     members = corpus.publisher_journals
     assert {p: set(js) for p, js in members.items()} == \
         publisher_journals_reference(corpus)

@@ -403,7 +403,7 @@ def test_comparison_all_higher():
     report = centrality_comparison(matches,
                                    [vector({"q1": 0.1, "u1": 0.2})])["BC"]
     assert report.uj_higher_fraction == 1.0
-    assert len(report.log_differences) == 1
+    assert report.pair_count == 1
 
 
 def test_centrality_variants_compare_every_variant():

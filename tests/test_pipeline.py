@@ -385,13 +385,14 @@ def test_config_hash_changes_iff_config_changes(tmp_path, pipeline_files):
 def test_a_failed_table_fails_only_the_stages_that_read_it(
         tmp_path, pipeline_files, threads):
     outdir = tmp_path / "out"
-    # a matching year outside the impact table leaves no control registry
+    # a reference year without citations leaves no normalization table,
+    # so normalized impact builds no control registry
     config_path = write_pipeline_config(
         tmp_path, pipeline_files, outdir,
-        extra={"matching": {"year": 1890}, "threads": threads})
+        extra={"impact": {"reference_year": 1890}, "threads": threads})
     results = {r.name: r for r in run_pipeline(load_config(config_path))}
-    error = ("ConfigError: matching year 1890 is not covered by the impact "
-             "stage years")
+    error = ("ConfigError: normalized impact needs a normalization table: "
+             "no citations received in 1890")
     for name in ("impact", "novelty", "disruption"):
         assert (results[name].status, results[name].error) == ("ok", "")
     for name in ("matching", "selfcite", "jnet", "authors"):
@@ -403,6 +404,26 @@ def test_a_failed_table_fails_only_the_stages_that_read_it(
     for name in ("impact.csv", "novelty.csv", "disruption.csv"):
         assert (outdir / name).exists()
     assert not (outdir / "matches.csv").exists()
+
+
+def test_a_matching_year_outside_the_impact_years_fails_validation(
+        tmp_path, pipeline_files, capsys):
+    # the impact years are 2001 and 2002
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(tmp_path, pipeline_files, outdir,
+                                        extra={"matching": {"year": 2000}})
+    error = "matching.year 2000 is not covered by the impact stage years"
+    assert load_config(config_path).validate() == [error]
+    assert cli_main(["validate", "--config", str(config_path)]) == 2
+    assert error in capsys.readouterr().err
+    assert cli_main(["run", "--config", str(config_path)]) == 2
+    assert error in capsys.readouterr().err
+    assert not outdir.exists()          # no stage ran, no CSV written
+    # the rule holds only for the stages that read the matched controls
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"matching": {"year": 2000}, "stages": ["impact", "novelty"]})
+    assert load_config(config_path).validate() == []
 
 
 def test_validation_requires_existing_paths(tmp_path, pipeline_files):

@@ -21,7 +21,7 @@ def rate_fixture():
 
 
 def test_citation_rate_fraction():
-    table = aggregate_citation_counts(rate_fixture())
+    table = aggregate_citation_counts(rate_fixture().graph)
     assert share(table, ["J1"], ["J2"], received=True) == 0.25
     assert share(table, ["J1"], ["J3"], received=True) == 0.75
     assert share(table, ["J1"], ["J1", "J2", "J3"], received=True) == 1.0
@@ -29,14 +29,14 @@ def test_citation_rate_fraction():
 
 
 def test_citation_rate_partition():
-    table = aggregate_citation_counts(rate_fixture())
+    table = aggregate_citation_counts(rate_fixture().graph)
     groups = [["J1"], ["J2"], ["J3"]]
     total = sum(share(table, ["J1"], g, received=True) for g in groups)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_citation_rate_window():
-    table = aggregate_citation_counts(rate_fixture(), (2002, 2002))
+    table = aggregate_citation_counts(rate_fixture().graph, (2002, 2002))
     assert share(table, ["J1"], ["J3"], received=True) == 1.0
     assert share(table, ["J1"], ["J2"], received=True) == 0.0
 
@@ -46,7 +46,7 @@ def test_reference_rate():
     papers += [(f"x{i}", "J2" if i < 3 else "J3", 2000, [])
                for i in range(10)]
     corpus = make_corpus(papers, {"J1": {}, "J2": {}, "J3": {}})
-    table = aggregate_citation_counts(corpus)
+    table = aggregate_citation_counts(corpus.graph)
     assert share(table, ["J1"], ["J2"]) == 0.3
     assert share(table, ["J1"], ["J1"]) == 0.0
     assert share(table, ["J1"], ["J1", "J2", "J3"]) == 1.0
@@ -68,7 +68,7 @@ def expectation_fixture():
 def expectations(corpus, publisher_id):
     """(Q_r, Q_c) of a publisher: its internal share of the references
     its journals make and of the citations they receive."""
-    table = aggregate_citation_counts(corpus)
+    table = aggregate_citation_counts(corpus.graph)
     members = corpus.publisher_journals[publisher_id]
     return (share(table, members, members),
             share(table, members, members, received=True))
@@ -155,7 +155,8 @@ def solidarity_fixture(extra_self=0):
 def scores_by_journal(corpus, include_self=True):
     """journal id -> its row of ``solidarity_scores``."""
     return {s.journal_id: s
-            for s in solidarity_scores(corpus, include_self=include_self)}
+            for s in solidarity_scores(corpus.graph,
+                                       include_self=include_self)}
 
 
 def brute_force_psi(corpus, journal_id):
@@ -227,7 +228,7 @@ def scaled_table(table, k):
 
 def test_scaling_invariance():
     corpus = solidarity_fixture(extra_self=1)
-    table = aggregate_citation_counts(corpus)
+    table = aggregate_citation_counts(corpus.graph)
     members = ["J1", "J2", "J3"]
     totals = {j: sum(1 for p in corpus.papers.values() if p.journal_id == j)
               for j in members}
@@ -275,7 +276,7 @@ def test_count_table_matches_edge_loop():
               ("b3", "B", 2002, ["a2", "b2", "b1", "a1"])]
     corpus = make_corpus(papers, {"A": {}, "B": {}})
     for window in (None, (2001, 2001), (2002, 2002), (1990, 1991)):
-        table = aggregate_citation_counts(corpus, window)
+        table = aggregate_citation_counts(corpus.graph, window)
         assert table.window == window
         got = (table.counts, table.out_total, table.in_total)
         want = _edge_loop_table(corpus, window)
@@ -319,10 +320,12 @@ def psi_case(case, window):
 def test_solidarity_scores_equal_solidarity_index(case, include_self, window):
     """solidarity_scores gives the reference formula's scores, exactly."""
     corpus, table, statuses = psi_case(case, window)
-    got = solidarity_scores(corpus, window, include_self=include_self,
-                            table=table)
+    counts = table
+    if table is None and window is not None:
+        counts = aggregate_citation_counts(corpus.graph, window)
+    got = solidarity_scores(corpus.graph, counts, include_self)
     reference = solidarity_reference(
-        corpus, table or aggregate_citation_counts(corpus, window),
+        corpus, counts or aggregate_citation_counts(corpus.graph),
         include_self)
     assert repr(got) == repr(reference)
     assert {s.status for s in got} == statuses
@@ -334,14 +337,18 @@ def test_solidarity_scores_equal_solidarity_index(case, include_self, window):
 
 @pytest.mark.parametrize("include_self", [True, False])
 def test_a_count_table_carries_its_window(include_self):
-    """A table built for W scores psi against W's paper totals, whether W
-    is passed beside it or not."""
+    """A table built for W scores psi against W's paper totals, and no
+    table means the all-years table."""
     corpus = messy_corpus(0)
     window = (2003, 2007)
-    table = aggregate_citation_counts(corpus, window)
-    by_window = solidarity_scores(corpus, window, include_self=include_self)
-    assert repr(solidarity_scores(corpus, include_self=include_self,
-                                  table=table)) == repr(by_window)
+    by_window = solidarity_scores(
+        corpus.graph, aggregate_citation_counts(corpus.graph, window),
+        include_self)
+    assert repr(by_window) == repr(solidarity_reference(
+        corpus, aggregate_citation_counts(corpus.graph, window),
+        include_self))
+    all_years = solidarity_scores(corpus.graph, include_self=include_self)
+    assert repr(all_years) == repr(solidarity_scores(
+        corpus.graph, aggregate_citation_counts(corpus.graph), include_self))
     # the window shows: all-year paper totals give other scores
-    assert repr(solidarity_scores(corpus, include_self=include_self)) != \
-        repr(by_window)
+    assert repr(all_years) != repr(by_window)

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from citnet.corpus import validate_corpus
-from citnet.selfcite import solidarity_scores
-from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
-                          psi_rewiring_experiment, psi_scenarios, rewire)
+from citnet.selfcite import CitationCounts, solidarity_scores
+from citnet.synth import (RewireConfig, SynthConfig, _Rewirer,
+                          _generate_network, _journal_psi, _materialize,
+                          generate_synthetic, psi_rewiring_experiment,
+                          psi_scenarios, rewire)
 
 from conftest import make_corpus, serialize_indices
-from oracles import hill_mle, string_indices
+from oracles import (citation_edges, hill_mle, journal_of,
+                     solidarity_reference, string_indices)
 
 SMALL = SynthConfig(publisher_count=3, journals_per_publisher=3,
                     component_size_range=(60, 80), out_degree_mean=6.0,
@@ -266,6 +269,38 @@ def test_rewiring_experiment_equal_at_any_worker_count():
 
 def test_solidarity_defined_on_generated_corpus():
     corpus = generate_synthetic(SMALL)
-    for score in solidarity_scores(corpus):
+    for score in solidarity_scores(corpus.graph):
         assert score.status == "ok"
         assert score.psi > 0
+
+
+def test_experiment_psi_is_the_corpus_psi():
+    """The psi the rewiring experiment divides, on a net rewired to a
+    checkpoint, is the reference psi of that net written out as a corpus,
+    a one-journal publisher's journal excluded."""
+    config = SynthConfig(publisher_count=3, journals_per_publisher=3,
+                         component_size_range=(40, 60), out_degree_mean=5.0,
+                         out_degree_std=1.5, seed=9, year_range=(2000, 2004))
+    net = _generate_network(config, np.random.default_rng(config.seed))
+    # the last publisher's third journal becomes a publisher of its own
+    *kept, last = net.publishers
+    publishers = [*kept, last[:2], last[2:]]
+    code = {jid: p for p, jids in enumerate(publishers) for jid in jids}
+    publisher_of = np.array([code[jid] for jid in net.journal_ids])
+    net = replace(net, publishers=publishers,
+                  publisher_of=publisher_of[net.journal_of])
+    rewirer = _Rewirer(net, {"P1-J1": 0.9, "P3-J3": 0.5}, 0.2,
+                       np.random.default_rng(3))
+    rewirer.advance(len(net.src))       # checkpoint 1.0
+    psi = _journal_psi(net)
+
+    corpus = _materialize(net, config.year_range)
+    table = CitationCounts.from_counts(Counter(
+        (journal_of(corpus, citing), journal_of(corpus, cited))
+        for citing, cited in citation_edges(corpus)))
+    reference = solidarity_reference(corpus, table)
+    assert {jid: repr(value) for jid, value in psi.items()} == \
+        {s.journal_id: repr(s.psi) for s in reference}
+    statuses = {s.journal_id: s.status for s in reference}
+    assert statuses.pop("P3-J3") == "excluded"
+    assert set(statuses.values()) == {"ok"}
