@@ -7,8 +7,7 @@ the preceding window. Path metrics run on the unweighted skeleton
 without loops; the rank score keeps weights and loops.
 """
 
-from citnet import (betweenness, build_journal_network, closeness, pagerank,
-                    pathcore)
+from citnet import build_journal_network, pagerank, path_scores, pathcore
 from citnet.jnet import centrality_comparison, centrality_variants
 from citnet.matching import MatchRecord
 from citnet.synth import SynthConfig, generate_synthetic
@@ -23,8 +22,7 @@ network = build_journal_network(corpus, year=2002, window_years=2,
 print("nodes:", len(network.nodes), "edges:", len(network.edges),
       "total weight:", sum(network.edges.values()))
 
-vectors = [betweenness(network), closeness(network), pagerank(network),
-           pathcore(network)]
+vectors = [*path_scores(network), pagerank(network), pathcore(network)]
 for vec in vectors:
     top = max(vec.scores, key=vec.scores.get)
     print(f"{vec.metric}: top journal {top} ({vec.scores[top]:.4f})")

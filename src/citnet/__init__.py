@@ -23,9 +23,9 @@ from .impact import (ImpactRecord, NormalizationTable,
 from .selfcite import (CitationCounts, RateQuery, SolidarityScore,
                        aggregate_citation_counts, share, solidarity_scores)
 from .matching import MatchRecord, RegistryEntry, build_registry
-from .jnet import (CentralityVector, JournalCitationNetwork, betweenness,
-                   build_journal_network, centrality_comparison, closeness,
-                   pagerank, pathcore)
+from .jnet import (CentralityVector, JournalCitationNetwork,
+                   build_journal_network, centrality_comparison, pagerank,
+                   path_scores, pathcore)
 from .novelty import (PairStatistics, PairZScores, PaperNovelty,
                       ShuffleConfig, pair_zscores, paper_novelty,
                       shuffle_edges)

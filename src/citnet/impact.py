@@ -47,7 +47,6 @@ class ImpactRecord:
     year: int
     impact: Optional[Fraction]
     normalized_impact: Optional[float]
-    eligible_paper_count: int
     immediacy: Optional[float] = None
     cited_half_life: Optional[float] = None
     citing_half_life: Optional[float] = None
@@ -175,7 +174,6 @@ def impact_table(corpus, years, table: Optional[NormalizationTable] = None
                 year=y,
                 impact=raw,
                 normalized_impact=_normalized(raw, y, table),
-                eligible_paper_count=eligible,
                 immediacy=(received.get((j, y, y), 0) / same_year
                            if same_year else None),
                 cited_half_life=_median_age(

@@ -55,8 +55,7 @@ __all__ = [
     "ComparisonReport",
     "PageRankConvergenceError",
     "build_journal_network",
-    "betweenness",
-    "closeness",
+    "path_scores",
     "pagerank",
     "pathcore",
     "centrality_comparison",
@@ -106,9 +105,6 @@ class JournalCitationNetwork:
 @dataclass(frozen=True)
 class CentralityVector:
     metric: str                          # "BC" | "CC" | "PR" | "PathCore"
-    year: int
-    window_years: int
-    link_type: str
     scores: dict[str, float]
 
 
@@ -167,10 +163,7 @@ def build_journal_network(corpus: Corpus, year: int, window_years: int = 2,
 
 def _scored(network, metric, values) -> CentralityVector:
     """The vector of a metric's scores, given by node position."""
-    return CentralityVector(metric=metric, year=network.year,
-                            window_years=network.window_years,
-                            link_type=network.link_type,
-                            scores=dict(zip(network.nodes, values.tolist())))
+    return CentralityVector(metric, dict(zip(network.nodes, values.tolist())))
 
 
 # Cells the largest array of one batch of searches may hold: the
@@ -246,9 +239,14 @@ def _add_rows(total, cells):
         total += row
 
 
-def _path_scores(network):
-    """The BC and CC vectors from one sweep: each batch's dist rows give
-    the 1/dist terms, and its levels Brandes' delta."""
+def path_scores(network: JournalCitationNetwork
+                ) -> tuple[CentralityVector, CentralityVector]:
+    """Betweenness (BC) and closeness (CC) from one sweep over the sources.
+
+    BC is unnormalized directed betweenness by Brandes' accumulation, CC
+    harmonic closeness over incoming shortest paths, unit lengths. Each
+    batch's dist rows give the 1/dist terms, and its levels Brandes' delta.
+    """
     if network.empty:
         raise ValueError("empty network")
     n = len(network.nodes)
@@ -267,20 +265,6 @@ def _path_scores(network):
         delta[np.arange(sources.size) * n + sources] = 0.0  # not interior
         _add_rows(bc, delta)
     return _scored(network, "BC", bc), _scored(network, "CC", cc)
-
-
-def betweenness(network: JournalCitationNetwork) -> CentralityVector:
-    """Unnormalized directed betweenness by Brandes' accumulation."""
-    return _path_scores(network)[0]
-
-
-def closeness(network: JournalCitationNetwork) -> CentralityVector:
-    """Harmonic closeness over incoming shortest paths, unit lengths.
-
-    The sweep is shared with betweenness, whose accumulation this pays
-    for too; centrality_variants takes both from one sweep.
-    """
-    return _path_scores(network)[1]
 
 
 def pagerank(network: JournalCitationNetwork, damping: float = 0.85,
@@ -439,7 +423,7 @@ def centrality_variants(corpus: Corpus, year, windows, link_types):
             if reason:
                 skipped[name] = reason
                 continue
-            computed.append((network, [*_path_scores(network),
+            computed.append((network, [*path_scores(network),
                                        pagerank(network),
                                        pathcore(network)]))
     return computed, skipped

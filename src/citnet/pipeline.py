@@ -2,17 +2,22 @@
 
 A run is described by a single config file (YAML or JSON); the settings,
 their defaults and their checks are the one table of ``citnet.config``.
-Each stage writes its own CSV outputs into the output directory and
-reads nothing back from it: stages share only the tables on the run
-context, each computed from (config, corpus) alone on first use (the
-normalization table, the impact rows, the control registry and the
-matches). A stage fails when it raises, also when a table it reads
-cannot be built, and carries that error; the other stages still run, and
-the manifest carries a partial-run marker, with the completed outputs
-left in place. The manifest records the hash of the resolved settings
+Each stage returns its CSV tables, and one runner writes them into the
+output directory once the stage has returned, so a stage that raises
+writes nothing. No stage reads back from that directory: stages share
+only the tables on the run context, each computed from (config, corpus)
+alone on first use (the normalization table, the impact rows, the
+control registry and the matches). A stage fails when it raises, also
+when a table it reads cannot be built, and carries that error; the
+other stages still run, and the manifest carries a partial-run marker.
+A run removes ``manifest.json`` before its first stage and writes it
+after the last. The manifest records the hash of the resolved settings
 that can change a result (all but ``threads``, ``output`` and
 ``stages``), the seconds of the corpus load and of the citation graph
-build that precede the stages, and per-stage status and timings.
+build that precede the stages, and per-stage status, timings and output
+files, also the entries an earlier manifest of the same hash and
+version held for stages this run did not run (their files are
+untouched); the figure exports read only the files a manifest lists.
 
 The impact and matching stages run first, in this process, as they
 build the tables the others read. With ``threads`` above 1, the other
@@ -63,6 +68,9 @@ __all__ = [
 ]
 
 SYNTH_MANIFEST = "synth_manifest.json"
+# the CSVs of run_synth, by the panel that reads each
+_SYNTH_OUTPUTS = {"S15": "synth_psi_scenarios.csv",
+                  "S18": "synth_psi_rewire.csv"}
 
 
 @dataclass
@@ -137,8 +145,9 @@ def _fraction_or_none(x):
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
-# Each stage returns its output file names and a dict of further
-# StageResult fields (``skipped``, ``counts``).
+# Each stage returns its tables, a list of (file name, header, rows) in
+# write order, and a dict of further StageResult fields (``skipped``,
+# ``counts``); _run_stage writes the tables once the stage has returned.
 
 
 def _stage_impact(ctx: _RunContext):
@@ -147,30 +156,27 @@ def _stage_impact(ctx: _RunContext):
              r.normalized_impact, r.immediacy, r.cited_half_life,
              r.citing_half_life)
             for r in ctx.impact]
-    write_csv(ctx.outdir / "impact.csv",
-              ["journal_id", "year", "impact", "normalized_impact",
-               "immediacy", "cited_half_life", "citing_half_life"], rows)
-    outputs = ["impact.csv"]
+    tables = [("impact.csv",
+               ["journal_id", "year", "impact", "normalized_impact",
+                "immediacy", "cited_half_life", "citing_half_life"], rows)]
 
     if ctx.config["impact"]["market_share"]:
         shares = impact_mod.market_shares(ctx.corpus, years)
-        share_rows = [(pub, year, shares[pub, year]) for year in years
-                      for pub in sorted(ctx.corpus.publishers)
-                      if (pub, year) in shares]
-        write_csv(ctx.outdir / "market_share.csv",
-                  ["publisher_id", "year", "share"], share_rows)
-        outputs.append("market_share.csv")
+        tables.append(("market_share.csv", ["publisher_id", "year", "share"],
+                       [(pub, year, shares[pub, year]) for year in years
+                        for pub in sorted(ctx.corpus.publishers)
+                        if (pub, year) in shares]))
     reason = ctx.normalization_error
-    return outputs, {"skipped": {"normalization": reason} if reason else {}}
+    return tables, {"skipped": {"normalization": reason} if reason else {}}
 
 
 def _stage_matching(ctx: _RunContext):
     rows = [(r.qj_id, r.category, r.uj_id, r.impact_gap, r.tercile)
             for r in ctx.matches]
-    write_csv(ctx.outdir / "matches.csv",
-              ["qj_id", "category", "uj_id", "impact_gap", "tercile"], rows)
     unmatched = sum(1 for r in ctx.matches if r.uj_id is None)
-    return ["matches.csv"], {"counts": {"unmatched_categories": unmatched}}
+    return ([("matches.csv",
+              ["qj_id", "category", "uj_id", "impact_gap", "tercile"], rows)],
+            {"counts": {"unmatched_categories": unmatched}})
 
 
 def _stage_selfcite(ctx: _RunContext):
@@ -181,11 +187,10 @@ def _stage_selfcite(ctx: _RunContext):
                               corpus.graph))
     scores = selfcite_mod.solidarity_scores(
         corpus.graph, table_for(window), section["include_self_journal"])
-    write_csv(ctx.outdir / "solidarity.csv",
-              ["journal_id", "psi", "Q_r", "Q_c", "publisher_paper_total"],
-              [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
-               for s in scores])
-    outputs = ["solidarity.csv"]
+    tables = [("solidarity.csv",
+               ["journal_id", "psi", "Q_r", "Q_c", "publisher_paper_total"],
+               [(s.journal_id, s.psi, s.q_r, s.q_c, s.publisher_paper_total)
+                for s in scores])]
     counts = {f"{status}_psi": sum(s.status == status for s in scores)
               for status in ("undefined", "excluded")}
 
@@ -217,11 +222,10 @@ def _stage_selfcite(ctx: _RunContext):
                                      kind == "citation"))
                  for source, target, kind, win, journals, group in requests]
 
-    write_csv(ctx.outdir / "rates.csv",
-              ["source", "target", "kind", "year_start", "year_end", "rate"],
-              sorted(rate_rows, key=lambda r: r[:4]))
-    outputs.append("rates.csv")
-    return outputs, {"counts": counts, "skipped": skipped}
+    tables.append(("rates.csv",
+                   ["source", "target", "kind", "year_start", "year_end",
+                    "rate"], sorted(rate_rows, key=lambda r: r[:4])))
+    return tables, {"counts": counts, "skipped": skipped}
 
 
 def _stage_jnet(ctx: _RunContext):
@@ -232,35 +236,31 @@ def _stage_jnet(ctx: _RunContext):
     computed, skipped = jnet_mod.centrality_variants(
         ctx.corpus, year, section["windows"], section["link_types"])
 
-    outputs = []
+    tables = []
     comparison_rows = []
     for network, vectors in computed:
         window, link_type = network.window_years, network.link_type
         tag = f"{year}_{window}{link_type}"
-        name = f"network_{tag}.csv"
-        write_csv(ctx.outdir / name, ["citing_id", "cited_id", "weight"],
-                  [(u, v, w) for (u, v), w in sorted(network.edges.items())])
-        outputs.append(name)
-        for vec in vectors:
-            name = f"centrality_{vec.metric}_{tag}.csv"
-            write_csv(ctx.outdir / name, ["journal_id", "score"],
-                      sorted(vec.scores.items()))
-            outputs.append(name)
+        tables.append((f"network_{tag}.csv",
+                       ["citing_id", "cited_id", "weight"],
+                       [(u, v, w) for (u, v), w
+                        in sorted(network.edges.items())]))
+        tables += [(f"centrality_{vec.metric}_{tag}.csv",
+                    ["journal_id", "score"], sorted(vec.scores.items()))
+                   for vec in vectors]
         if not ctx.matches:
             continue
         comparison = jnet_mod.centrality_comparison(ctx.matches, vectors)
-        for metric in sorted(comparison):
-            rep = comparison[metric]
-            comparison_rows.append((year, window, link_type, metric,
-                                    rep.uj_higher_fraction, rep.pair_count,
-                                    rep.excluded_pairs))
+        comparison_rows += [(year, window, link_type, metric,
+                             rep.uj_higher_fraction, rep.pair_count,
+                             rep.excluded_pairs)
+                            for metric, rep in sorted(comparison.items())]
     if comparison_rows:
-        write_csv(ctx.outdir / "centrality_comparison.csv",
-                  ["year", "window", "link_type", "metric",
-                   "uj_higher_fraction", "pair_count", "excluded_pairs"],
-                  comparison_rows)
-        outputs.append("centrality_comparison.csv")
-    return outputs, {"skipped": skipped}
+        tables.append(("centrality_comparison.csv",
+                       ["year", "window", "link_type", "metric",
+                        "uj_higher_fraction", "pair_count", "excluded_pairs"],
+                       comparison_rows))
+    return tables, {"skipped": skipped}
 
 
 def _stage_novelty(ctx: _RunContext):
@@ -275,12 +275,11 @@ def _stage_novelty(ctx: _RunContext):
     rows = [(nov.paper_id, nov.median_z, nov.p10_z, nov.defined_pair_count,
              nov.undefined_pair_count)
             for nov in novelty_mod.paper_novelty(ctx.corpus, zscores)]
-    write_csv(ctx.outdir / "novelty.csv",
-              ["paper_id", "median_z", "p10_z", "defined_pair_count",
-               "undefined_pair_count"], rows)
     counts = {"undefined_pairs": int((zscores.sigma == 0).sum()),
               "undefined_papers": sum(1 for r in rows if r[1] is None)}
-    return ["novelty.csv"], {"counts": counts}
+    return [("novelty.csv",
+             ["paper_id", "median_z", "p10_z", "defined_pair_count",
+              "undefined_pair_count"], rows)], {"counts": counts}
 
 
 def _stage_disruption(ctx: _RunContext):
@@ -294,19 +293,17 @@ def _stage_disruption(ctx: _RunContext):
         paper = ctx.corpus.papers[c.paper_id]
         rows.append((c.paper_id, c.n_i, c.n_j, c.n_k, c.value,
                      len(paper.author_keys), paper.year))
-    write_csv(ctx.outdir / "disruption.csv",
-              ["paper_id", "n_i", "n_j", "n_k", "D", "author_count", "year"],
-              rows)
-    outputs = ["disruption.csv"]
+    tables = [("disruption.csv",
+               ["paper_id", "n_i", "n_j", "n_k", "D", "author_count", "year"],
+               rows)]
 
     if section["by_journal"]:
         means, _ = disruption_mod.group_means(
             ctx.corpus, table, key=lambda p: p.journal_id)
-        write_csv(ctx.outdir / "disruption_journal.csv",
-                  ["journal_id", "mean_D"], sorted(means.items()))
-        outputs.append("disruption_journal.csv")
+        tables.append(("disruption_journal.csv", ["journal_id", "mean_D"],
+                       sorted(means.items())))
     counts = {"undefined_D": sum(1 for r in rows if r[4] is None)}
-    return outputs, {"counts": counts}
+    return tables, {"counts": counts}
 
 
 def _stage_authors(ctx: _RunContext):
@@ -321,12 +318,8 @@ def _stage_authors(ctx: _RunContext):
         group_threshold=float(section["group_threshold"]),
     )
     clusters = authors_mod.disambiguate(ctx.corpus, weights)
-    rows = []
-    for cid in sorted(clusters.clusters):
-        for key, pid in sorted(clusters.clusters[cid]):
-            rows.append((cid, key, pid))
-    write_csv(ctx.outdir / "clusters.csv",
-              ["cluster_id", "author_key", "paper_id"], rows)
+    rows = [(cid, key, pid) for cid in sorted(clusters.clusters)
+            for key, pid in sorted(clusters.clusters[cid])]
 
     qj, uj = ctx.groups
     stat_rows = []
@@ -339,14 +332,14 @@ def _stage_authors(ctx: _RunContext):
                               s.self_cited_fraction, s.self_citing_fraction,
                               s.group_self_cited_any, s.group_self_citing_any,
                               s.group_self_cited_own, s.group_self_citing_own))
-    write_csv(ctx.outdir / "author_stats.csv",
-              ["group", "cluster_id", "academic_age", "paper_count",
-               "group_paper_count", "self_cited_fraction",
-               "self_citing_fraction", "group_self_cited_any",
-               "group_self_citing_any", "group_self_cited_own",
-               "group_self_citing_own"], stat_rows)
     counts = {"excluded_mentions": len(clusters.excluded)}
-    return ["clusters.csv", "author_stats.csv"], {"counts": counts}
+    return [("clusters.csv", ["cluster_id", "author_key", "paper_id"], rows),
+            ("author_stats.csv",
+             ["group", "cluster_id", "academic_age", "paper_count",
+              "group_paper_count", "self_cited_fraction",
+              "self_citing_fraction", "group_self_cited_any",
+              "group_self_citing_any", "group_self_cited_own",
+              "group_self_citing_own"], stat_rows)], {"counts": counts}
 
 
 _STAGE_FNS = {
@@ -361,14 +354,21 @@ _STAGE_FNS = {
 
 
 def _run_stage(ctx: _RunContext, name: str) -> StageResult:
-    """Run one stage; an exception it raises makes it a failed result."""
+    """Run one stage, then write its tables. An exception from the stage
+    or from a write makes it a failed result; a stage that raises writes
+    nothing, and a failed write lists the tables written before it."""
     t0 = time.perf_counter()
+    written = []
     try:
-        outputs, extra = _STAGE_FNS[name](ctx)
+        tables, extra = _STAGE_FNS[name](ctx)
+        for filename, header, rows in tables:
+            write_csv(ctx.outdir / filename, header, rows)
+            written.append(filename)
         return StageResult(name, "ok", seconds=time.perf_counter() - t0,
-                           outputs=outputs, **extra)
+                           outputs=written, **extra)
     except Exception as exc:  # stage isolation: report, run the others
         return StageResult(name, "failed", seconds=time.perf_counter() - t0,
+                           outputs=written,
                            error=f"{type(exc).__name__}: {exc}")
 
 
@@ -418,7 +418,20 @@ def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
     """run_pipeline on a loaded corpus; returns (results, run context)."""
     ctx = _RunContext(config, corpus, Path(outdir or config["output"]))
     seed, threads = config["seed"], config["threads"]
+    digest = config_hash(config)
+    enabled = [s for s in STAGES if s in config["stages"]]
     ctx.outdir.mkdir(parents=True, exist_ok=True)
+    # an earlier run of this config vouches still for the outputs of the
+    # stages this run leaves alone; no manifest vouches for outputs while
+    # the stages replace them
+    path = ctx.outdir / "manifest.json"
+    earlier = json.loads(path.read_text(encoding="utf-8")) \
+        if path.exists() else {}
+    same = (earlier.get("config_hash"), earlier.get("version")) == \
+        (digest, __version__)
+    entries = {e["name"]: e for e in earlier.get("stages", ())
+               if same and e["name"] not in enabled}
+    path.unlink(missing_ok=True)
 
     # every stage reads the graph; built once here, forked workers share it
     t0 = time.perf_counter()
@@ -429,29 +442,30 @@ def _run_loaded(config: RunConfig, corpus: Corpus, load_seconds: float,
     # they run here first and forked workers inherit those tables (a
     # table not built yet is built by each worker that reads it); a dead
     # worker fails every stage still without a result
-    enabled = [s for s in STAGES if s in config["stages"]]
     first = [s for s in enabled if s in ("impact", "matching")]
     results = [_run_stage(ctx, name) for name in first]
     results += fork_map(partial(_run_stage, ctx), enabled[len(first):],
                         threads, lost=_lost_stage)
 
+    entries.update((r.name, {"name": r.name, "status": r.status,
+                             "seconds": round(r.seconds, 6), "error": r.error,
+                             "outputs": r.outputs, "skipped": r.skipped,
+                             "counts": r.counts})
+                   for r in results)
+    stages = [entries[s] for s in STAGES if s in entries]
     manifest = {
-        "config_hash": config_hash(config),
+        "config_hash": digest,
         "version": __version__,
         "seed": seed,
         "threads": threads,
-        "partial": any(r.status != "ok" for r in results),
+        "partial": any(e["status"] != "ok" for e in stages),
         "load_report": corpus.load_report.summary(),
         "load": {"seconds": round(load_seconds, 6)},
         "graph": {"seconds": round(graph_seconds, 6),
                   "nodes": graph.n_nodes, "edges": len(graph.src)},
-        "stages": [{"name": r.name, "status": r.status,
-                    "seconds": round(r.seconds, 6), "error": r.error,
-                    "outputs": r.outputs, "skipped": r.skipped,
-                    "counts": r.counts}
-                   for r in results],
+        "stages": stages,
     }
-    _write_json(ctx.outdir / "manifest.json", manifest)
+    _write_json(path, manifest)
     return results, ctx
 
 
@@ -487,12 +501,12 @@ def run_synth(config: RunConfig, outdir=None):
     for scenario in ("a", "b", "c"):
         for value, psi in synth_mod.psi_scenarios(scenario, section["grid"]):
             scen_rows.append((scenario, value, psi))
-    write_csv(outdir / "synth_psi_scenarios.csv",
+    write_csv(outdir / _SYNTH_OUTPUTS["S15"],
               ["scenario", "sweep_value", "psi"], scen_rows)
     t1 = time.perf_counter()
     curves = synth_mod.psi_rewiring_experiment(synth_cfg, rewire_cfg,
                                                threads)
-    write_csv(outdir / "synth_psi_rewire.csv",
+    write_csv(outdir / _SYNTH_OUTPUTS["S18"],
               ["checkpoint", "journal", "rate", "psi_ratio_mean",
                "psi_ratio_std"], curves.rows)
     seconds = {"scenarios": round(t1 - t0, 6),
@@ -507,17 +521,15 @@ def run_synth(config: RunConfig, outdir=None):
 # Figure-ready exports
 # ---------------------------------------------------------------------------
 
-def _need(outdir, filename, stage):
-    path = Path(outdir) / filename
-    if not path.exists():
+def _read(outdir, listed, filename, stage):
+    """The rows of an output that the manifest lists (``listed`` maps
+    each listed file name to its stage); FileNotFoundError naming
+    ``stage`` for a file it does not list."""
+    if filename not in listed:
         raise FileNotFoundError(
             f"figure needs {filename}, which the '{stage}' stage produces; "
             f"run that stage first")
-    return path
-
-
-def _read_rows(path):
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with (Path(outdir) / filename).open(newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
@@ -528,17 +540,14 @@ def _figure_context(config, outdir):
     return _RunContext(config, corpus, Path(outdir))
 
 
-def _mean_rate_figure(config, outdir, target_label):
-    rows = _read_rows(_need(outdir, "rates.csv", "selfcite"))
+def _mean_rate_figure(config, outdir, listed, target_label):
+    rows = _read(outdir, listed, "rates.csv", "selfcite")
     qj, _uj = _figure_context(config, outdir).groups
+    targets = (("qj_group", "uj_group") if target_label == "group"
+               else (target_label,))
     acc: dict[tuple, list[float]] = {}
     for row in rows:
-        if row["target"] != target_label and target_label != "group":
-            continue
-        if target_label == "group" and row["target"] not in ("qj_group",
-                                                             "uj_group"):
-            continue
-        if not row["rate"]:
+        if row["target"] not in targets or not row["rate"]:
             continue
         group = "qj" if row["source"] in qj else "uj"
         key = (int(row["year_start"]), int(row["year_end"]), group,
@@ -550,10 +559,10 @@ def _mean_rate_figure(config, outdir, target_label):
             "mean_rate", "n"], out
 
 
-def _figure_2f(config, outdir):
+def _figure_2f(config, outdir, listed):
     ctx = _figure_context(config, outdir)
     solidarity = {r["journal_id"]: r for r in
-                  _read_rows(_need(outdir, "solidarity.csv", "selfcite"))}
+                  _read(outdir, listed, "solidarity.csv", "selfcite")}
     _year, registry = ctx.registry
     rows = []
     for qj_id, uj_id in matching_mod.matched_pairs(ctx.matches):
@@ -572,22 +581,25 @@ def _figure_2f(config, outdir):
     return ["qj_id", "psi_ratio", "relative_publisher_size", "qj_impact"], rows
 
 
-def _figure_3(config, outdir):
+def _figure_3(config, outdir, listed):
     pairs = matching_mod.matched_pairs(_figure_context(config, outdir).matches)
+    # centrality_<metric>_<year>_<window><link type>.csv
+    names = [name for name in sorted(listed) if listed[name] == "jnet"
+             and name.startswith("centrality_") and name.count("_") == 3]
+    if not names:
+        raise FileNotFoundError(
+            "figure needs the centrality_<metric>_<network>.csv files, "
+            "which the 'jnet' stage produces; run that stage first")
     rows = []
-    for path in sorted(Path(outdir).glob("centrality_*_*.csv")):
-        parts = path.stem.split("_")
-        if len(parts) != 4 or parts[0] != "centrality":
-            continue
-        metric, tag = parts[1], parts[3]
-        scores = {r["journal_id"]: float(r["score"]) for r in _read_rows(path)}
+    for name in names:
+        _centrality, metric, _year, tag = name.removesuffix(".csv").split("_")
+        scores = {r["journal_id"]: float(r["score"])
+                  for r in _read(outdir, listed, name, "jnet")}
         for qj_id, uj_id in pairs:
             if qj_id in scores and uj_id in scores:
                 q, u = scores[qj_id], scores[uj_id]
                 logdiff = (math.log10(u / q) if q > 0 and u > 0 else None)
                 rows.append((metric, tag, qj_id, uj_id, q, u, logdiff))
-    if not rows:
-        _need(outdir, "centrality_comparison.csv", "jnet")
     return (["metric", "network", "qj_id", "uj_id", "qj_score", "uj_score",
              "log10_ratio"], rows)
 
@@ -595,38 +607,28 @@ def _figure_3(config, outdir):
 def _paper_group(ctx, pid):
     qj, uj = ctx.groups
     jid = ctx.corpus.papers[pid].journal_id
-    if jid in qj:
-        return "qj"
-    if jid in uj:
-        return "uj"
-    return "other"
+    return "qj" if jid in qj else "uj" if jid in uj else "other"
 
 
-def _figure_4a(config, outdir):
-    data = _read_rows(_need(outdir, "disruption.csv", "disruption"))
+def _figure_4a(config, outdir, listed):
+    data = _read(outdir, listed, "disruption.csv", "disruption")
     ctx = _figure_context(config, outdir)
-    rows = []
-    for r in data:
-        pid = r["paper_id"]
-        cites = int(r["n_i"]) + int(r["n_j"])
-        rows.append((_paper_group(ctx, pid), pid, cites))
+    rows = [(_paper_group(ctx, r["paper_id"]), r["paper_id"],
+             int(r["n_i"]) + int(r["n_j"])) for r in data]
     return ["group", "paper_id", "citation_count"], sorted(rows)
 
 
-def _figure_4b(config, outdir):
-    data = _read_rows(_need(outdir, "novelty.csv", "novelty"))
+def _figure_4b(config, outdir, listed):
+    data = _read(outdir, listed, "novelty.csv", "novelty")
     ctx = _figure_context(config, outdir)
-    rows = []
-    for r in data:
-        pid = r["paper_id"]
-        rows.append((_paper_group(ctx, pid), pid,
-                     float(r["median_z"]) if r["median_z"] else None,
-                     float(r["p10_z"]) if r["p10_z"] else None))
+    rows = [(_paper_group(ctx, r["paper_id"]), r["paper_id"],
+             float(r["median_z"]) if r["median_z"] else None,
+             float(r["p10_z"]) if r["p10_z"] else None) for r in data]
     return ["group", "paper_id", "median_z", "p10_z"], sorted(rows)
 
 
-def _figure_4c(config, outdir):
-    data = _read_rows(_need(outdir, "disruption.csv", "disruption"))
+def _figure_4c(config, outdir, listed):
+    data = _read(outdir, listed, "disruption.csv", "disruption")
     ctx = _figure_context(config, outdir)
     acc: dict[tuple, list[float]] = {}
     for r in data:
@@ -640,20 +642,19 @@ def _figure_4c(config, outdir):
 
 
 def _passthrough(filename, stage):
-    def build(config, outdir):
-        rows = _read_rows(_need(outdir, filename, stage))
+    def build(config, outdir, listed):
+        rows = _read(outdir, listed, filename, stage)
         if not rows:
             return [], []
         header = list(rows[0].keys())
         return header, [tuple(r[h] for h in header) for r in rows]
-    build.stage = stage
     return build
 
 
 _FIGURES = {
-    "2B": lambda c, o: _mean_rate_figure(c, o, "self"),
-    "2C": lambda c, o: _mean_rate_figure(c, o, "group"),
-    "2D": lambda c, o: _mean_rate_figure(c, o, "publisher"),
+    "2B": partial(_mean_rate_figure, target_label="self"),
+    "2C": partial(_mean_rate_figure, target_label="group"),
+    "2D": partial(_mean_rate_figure, target_label="publisher"),
     "2E": _passthrough("market_share.csv", "impact (enable market_share)"),
     "2F": _figure_2f,
     "3": _figure_3,
@@ -661,8 +662,8 @@ _FIGURES = {
     "4B": _figure_4b,
     "4C": _figure_4c,
     "4D": _passthrough("author_stats.csv", "authors"),
-    "S15": _passthrough("synth_psi_scenarios.csv", "synth"),
-    "S18": _passthrough("synth_psi_rewire.csv", "synth"),
+    **{figure_id: _passthrough(filename, "synth")
+       for figure_id, filename in _SYNTH_OUTPUTS.items()},
 }
 FIGURE_IDS = tuple(_FIGURES)
 
@@ -674,13 +675,13 @@ def emit_plot_data(config: RunConfig, outdir, figure_id: str) -> Path:
     manifest in ``outdir`` records this config's hash (``manifest.json``
     of the pipeline run, or ``synth_manifest.json`` of ``run_synth`` for
     the synth panels), and FileNotFoundError naming the absent stage
-    when inputs are missing.
+    when that manifest does not list an input: a panel reads only the
+    files its manifest lists, whatever else the directory holds.
     """
     if figure_id not in _FIGURES:
         raise KeyError(f"unknown figure id: {figure_id!r}; "
                        f"known: {', '.join(FIGURE_IDS)}")
-    build = _FIGURES[figure_id]
-    synth = getattr(build, "stage", None) == "synth"
+    synth = figure_id in _SYNTH_OUTPUTS
     manifest = Path(outdir) / (SYNTH_MANIFEST if synth else "manifest.json")
     if not manifest.exists():
         raise ConfigError(f"no {manifest}; run "
@@ -688,7 +689,14 @@ def emit_plot_data(config: RunConfig, outdir, figure_id: str) -> Path:
     recorded = json.loads(manifest.read_text(encoding="utf-8"))
     if recorded["config_hash"] != config_hash(config):
         raise ConfigError(f"{manifest} records another config's hash")
-    header, rows = build(config, Path(outdir))
+    # each listed file with the stage that wrote it; synth_manifest.json
+    # is written once both synth CSVs are
+    if synth:
+        listed = dict.fromkeys(_SYNTH_OUTPUTS.values(), "synth")
+    else:
+        listed = {name: stage["name"] for stage in recorded["stages"]
+                  for name in stage["outputs"]}
+    header, rows = _FIGURES[figure_id](config, Path(outdir), listed)
     path = Path(outdir) / "figures" / f"figure_{figure_id}.csv"
     write_csv(path, header, rows)
     return path

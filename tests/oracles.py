@@ -544,7 +544,6 @@ def impact_table_reference(corpus, years, table=None):
             raw = journal_impact_reference(corpus, jid, y)
             rows.append((jid, y, raw,
                          normalized_impact_reference(raw, y, table),
-                         len(_papers_of_journal(corpus, jid, (y - 2, y - 1))),
                          immediacy_reference(corpus, jid, y),
                          cited_half_life_reference(corpus, jid, y),
                          citing_half_life_reference(corpus, jid, y)))

@@ -19,8 +19,8 @@ from scipy import stats as scipy_stats
 from citnet.authors import SimilarityWeights, disambiguate
 from citnet.corpus import extract_issns, validate_issn
 from citnet.disruption import disruption_table, group_means
-from citnet.jnet import (JournalCitationNetwork, betweenness, closeness,
-                         pagerank, pathcore)
+from citnet.jnet import (JournalCitationNetwork, pagerank, path_scores,
+                         pathcore)
 from citnet.matching import RegistryEntry, match_registry, _category_terciles
 from citnet.novelty import ShuffleConfig, shuffle_edges
 from citnet.pipeline import load_config, run_pipeline
@@ -119,11 +119,11 @@ def test_criterion_04_centrality_oracles():
             year=2000, window_years=2, link_type="citation",
             nodes=tuple(sorted(nodes)), edges=edges)
         simple = [e for e in edges if e[0] != e[1]]
+        bc, cc = path_scores(network)
 
         for got, expected in (
-            (betweenness(network).scores, betweenness_oracle(nodes, simple)),
-            (closeness(network).scores,
-             harmonic_closeness_oracle(nodes, simple)),
+            (bc.scores, betweenness_oracle(nodes, simple)),
+            (cc.scores, harmonic_closeness_oracle(nodes, simple)),
             (pagerank(network, tol=1e-13).scores,
              pagerank_oracle(nodes, edges)),
             (pathcore(network).scores, pathcore_oracle(nodes, simple)),

@@ -8,9 +8,9 @@ import pytest
 
 import citnet
 from citnet.jnet import (JournalCitationNetwork, PageRankConvergenceError,
-                         betweenness, build_journal_network,
-                         centrality_comparison, centrality_variants,
-                         closeness, pagerank, pathcore)
+                         build_journal_network, centrality_comparison,
+                         centrality_variants, pagerank, path_scores,
+                         pathcore)
 from citnet.matching import MatchRecord
 
 from conftest import make_corpus, messy_corpus
@@ -94,19 +94,20 @@ def test_empty_year_gives_empty_network():
 
 def test_betweenness_path():
     network = net("ABC", {("A", "B"): 1, ("B", "C"): 1})
-    scores = betweenness(network).scores
+    scores = path_scores(network)[0].scores
     assert scores == {"A": 0.0, "B": 1.0, "C": 0.0}
 
 
 def test_betweenness_complete_digraph():
     nodes = "ABC"
     edges = {(u, v): 1 for u in nodes for v in nodes if u != v}
-    assert all(v == 0.0 for v in betweenness(net(nodes, edges)).scores.values())
+    bc, _cc = path_scores(net(nodes, edges))
+    assert all(v == 0.0 for v in bc.scores.values())
 
 
 def test_closeness_star_and_isolated():
     edges = {("A", "H"): 1, ("B", "H"): 1, ("C", "H"): 1}
-    scores = closeness(net("ABCHX", edges)).scores
+    scores = path_scores(net("ABCHX", edges))[1].scores
     assert scores["H"] == max(scores.values())
     assert scores["X"] == 0.0
 
@@ -212,10 +213,9 @@ def test_centralities_match_oracles_on_random_digraphs():
         nodes, edges = random_digraph(rng)
         network = net(nodes, edges)
         simple = [e for e in edges if e[0] != e[1]]
-        bc = betweenness(network).scores
+        bc, cc = (vector.scores for vector in path_scores(network))
         for node, expected in betweenness_oracle(nodes, simple).items():
             assert bc[node] == pytest.approx(expected, abs=1e-9)
-        cc = closeness(network).scores
         for node, expected in harmonic_closeness_oracle(nodes,
                                                         simple).items():
             assert cc[node] == pytest.approx(expected, abs=1e-9)
@@ -316,9 +316,9 @@ def test_path_metrics_equal_per_source_references(shape, n, m, monkeypatch):
                                             [2], ["citation"])[0]
     assert built.edges == edges
     bc_v, cc_v, _pr, core_v = (vector.scores for vector in vectors)
+    bc_p, cc_p = (vector.scores for vector in path_scores(network))
     for order, bc, cc, core in (
-            (nodes, betweenness(network).scores, closeness(network).scores,
-             pathcore(network).scores),
+            (nodes, bc_p, cc_p, pathcore(network).scores),
             (built.nodes, bc_v, cc_v, core_v)):
         assert repr(core) == repr(pathcore_reference(order, edges))
         assert repr(cc) == repr(closeness_reference(order, edges))
@@ -375,8 +375,7 @@ def match(qj, uj):
 
 def vector(scores):
     from citnet.jnet import CentralityVector
-    return CentralityVector(metric="BC", year=2005, window_years=2,
-                            link_type="citation", scores=scores)
+    return CentralityVector(metric="BC", scores=scores)
 
 
 def test_comparison_fractions():
@@ -450,16 +449,15 @@ def test_centrality_variants_skip_out_of_range_windows():
 
 _PATH_METRICS_SCRIPT = """
 import random
-from citnet.jnet import (JournalCitationNetwork, betweenness, closeness,
-                         pathcore)
+from citnet.jnet import JournalCitationNetwork, path_scores, pathcore
 rng = random.Random(7)
 nodes = tuple(f"J{i:03d}" for i in range(150))
 edges = {(rng.choice(nodes), rng.choice(nodes)): 1 for _ in range(600)}
 network = JournalCitationNetwork(year=2000, window_years=2,
                                  link_type="citation", nodes=nodes,
                                  edges=edges)
-for metric in (betweenness, closeness, pathcore):
-    print(repr(sorted(metric(network).scores.items())))
+for vector in (*path_scores(network), pathcore(network)):
+    print(repr(sorted(vector.scores.items())))
 """
 
 

@@ -400,10 +400,57 @@ def test_a_failed_table_fails_only_the_stages_that_read_it(
             ("failed", error)
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["partial"] is True
-    # completed outputs are retained
-    for name in ("impact.csv", "novelty.csv", "disruption.csv"):
-        assert (outdir / name).exists()
-    assert not (outdir / "matches.csv").exists()
+    # completed outputs are written; a failed stage writes nothing, also
+    # selfcite and jnet, which score psi and build their networks before
+    # they read the matches
+    listed = {s["name"]: s["outputs"] for s in manifest["stages"]}
+    for name in ("impact", "novelty", "disruption"):
+        assert listed[name], name
+    for name in ("matching", "selfcite", "jnet", "authors"):
+        assert listed[name] == [], name
+    assert {p.name for p in outdir.glob("*.csv")} == \
+        {name for outputs in listed.values() for name in outputs}
+
+
+def test_a_killed_run_leaves_no_manifest(tmp_path, pipeline_files,
+                                         monkeypatch):
+    outdir = tmp_path / "out"
+    config = load_config(write_pipeline_config(tmp_path, pipeline_files,
+                                               outdir, extra={"threads": 1}))
+    run_pipeline(config)
+    assert (outdir / "manifest.json").exists()
+
+    def interrupted(ctx):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(pipeline_mod._STAGE_FNS, "novelty", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(config)
+    # the first stages replaced their outputs, and no manifest vouches for
+    # the mix of this run's files and the last run's
+    assert not (outdir / "manifest.json").exists()
+
+
+def test_a_failed_write_lists_the_tables_written_before_it(
+        tmp_path, pipeline_files, monkeypatch):
+    outdir = tmp_path / "out"
+    config = load_config(write_pipeline_config(
+        tmp_path, pipeline_files, outdir,
+        extra={"threads": 1, "stages": ["impact", "matching", "selfcite"]}))
+
+    def full_disk(path, header, rows):
+        if Path(path).name == "rates.csv":
+            raise OSError("No space left on device")
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(pipeline_mod, "write_csv", full_disk)
+    run_pipeline(config)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    selfcite = manifest["stages"][-1]
+    assert (selfcite["name"], selfcite["status"]) == ("selfcite", "failed")
+    assert selfcite["outputs"] == ["solidarity.csv"]
+    assert {p.name for p in outdir.glob("*.csv")} == \
+        {name for s in manifest["stages"] for name in s["outputs"]}
 
 
 def test_a_matching_year_outside_the_impact_years_fails_validation(
@@ -723,6 +770,59 @@ def test_cli_report_refuses_outputs_of_another_config(tmp_path,
     assert cli_main(["report", "--config", str(other), "--figure", "S15"]) == 0
     assert cli_main(["report", "--config", str(config_path),
                      "--figure", "S15"]) == 2
+
+
+def test_report_refuses_an_output_its_manifest_does_not_list(
+        tmp_path, pipeline_files, capsys):
+    outdir = tmp_path / "out"
+    (tmp_path / "b").mkdir()
+    config_a = write_pipeline_config(tmp_path, pipeline_files, outdir)
+    config_b = write_pipeline_config(
+        tmp_path / "b", pipeline_files, outdir,
+        extra={"seed": 5, "stages": ["impact", "matching", "jnet"]})
+    assert cli_main(["run", "--config", str(config_a)]) == 0
+    assert cli_main(["run", "--config", str(config_b)]) == 0
+    capsys.readouterr()
+    # config A's novelty.csv is still in the directory
+    assert (outdir / "novelty.csv").exists()
+    assert cli_main(["report", "--config", str(config_b),
+                     "--figure", "4B"]) == 1
+    assert "'novelty' stage" in capsys.readouterr().err
+    assert not (outdir / "figures" / "figure_4B.csv").exists()
+
+
+def test_a_run_of_some_stages_keeps_the_earlier_entries_of_its_config(
+        tmp_path, pipeline_files, capsys):
+    outdir = tmp_path / "out"
+    config_path = write_pipeline_config(tmp_path, pipeline_files, outdir)
+    assert cli_main(["run", "--config", str(config_path)]) == 0
+    before = manifest_without_timing(outdir)
+    # net and match rerun their stages; the entries of the others, whose
+    # files they leave alone, stay listed under the same config hash
+    assert cli_main(["net", "--config", str(config_path)]) == 0
+    assert cli_main(["match", "--config", str(config_path),
+                     "--diagnose"]) == 0
+    assert manifest_without_timing(outdir) == before
+    for figure_id in ("2B", "2F", "3", "4A", "4B", "4D"):
+        assert cli_main(["report", "--config", str(config_path),
+                         "--figure", figure_id]) == 0, figure_id
+
+
+def test_figure_3_reads_only_the_networks_its_manifest_lists(
+        tmp_path, pipeline_files):
+    outdir = tmp_path / "out"
+    (tmp_path / "b").mkdir()
+    config_a = load_config(write_pipeline_config(
+        tmp_path, pipeline_files, outdir, extra={"jnet": {"windows": [1, 2]}}))
+    config_b = load_config(write_pipeline_config(
+        tmp_path / "b", pipeline_files, outdir,
+        extra={"jnet": {"windows": [2]}}))
+    run_pipeline(config_a)
+    assert (outdir / "centrality_BC_2001_1citation.csv").exists()
+    run_pipeline(config_b)
+    _header, rows = figure_rows(emit_plot_data(config_b, outdir, "3"))
+    assert rows
+    assert {r["network"] for r in rows} == {"2citation"}
 
 
 def test_cli_match_with_diagnostics(tmp_path, pipeline_files, capsys):
