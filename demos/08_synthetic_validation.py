@@ -14,10 +14,13 @@ so it finishes in seconds. The pipeline command `citnet synth` writes
 the same curves as CSVs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
+from citnet.selfcite import solidarity_scores
 from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
-                          psi_rewiring_experiment, publisher_psi_baseline)
+                          psi_rewiring_experiment)
 
 synth = SynthConfig(publisher_count=5, journals_per_publisher=3,
                     component_size_range=(150, 200), out_degree_mean=10.0,
@@ -30,8 +33,15 @@ ins = np.bincount(graph.dst, minlength=graph.n_nodes)
 print(f"papers {len(corpus.papers)}, mean out-degree {np.mean(outs):.2f}, "
       f"max in-degree {ins.max()}")
 
-# Before any rewiring the five publishers are statistically alike.
-pools = publisher_psi_baseline(synth, ensemble_count=5)
+# Before any rewiring the five publishers are statistically alike: the
+# psi of their journals pooled over five corpora of consecutive seeds.
+pools = {}
+for seed in range(synth.seed, synth.seed + 5):
+    sample = generate_synthetic(replace(synth, seed=seed))
+    for score in solidarity_scores(sample.graph):
+        if score.psi is not None:
+            publisher = sample.journals[score.journal_id].publisher_id
+            pools.setdefault(publisher, []).append(score.psi)
 for pub in sorted(pools):
     print(f"{pub}: mean psi {np.mean(pools[pub]):.6f} "
           f"over {len(pools[pub])} journal samples")

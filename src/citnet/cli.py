@@ -13,8 +13,9 @@ import sys
 
 from .corpus import load_corpus, validate_corpus
 from .matching import binning_diagnostics
-from .pipeline import (ConfigError, _load_checked, _run_loaded, config_hash,
-                       emit_plot_data, load_config, run_synth, FIGURE_IDS)
+from .pipeline import (ConfigError, _SYNTH_OUTPUTS, _load_checked,
+                       _run_loaded, config_hash, emit_plot_data, load_config,
+                       run_synth, FIGURE_IDS)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -130,7 +131,7 @@ def _cmd_run(args):
 def _cmd_synth(args):
     config = _load(args)
     curves = run_synth(config)
-    print(f"wrote synth_psi_scenarios.csv and synth_psi_rewire.csv "
+    print(f"wrote {' and '.join(_SYNTH_OUTPUTS.values())} "
           f"({len(curves.rows)} trajectory rows)")
     return EXIT_OK
 

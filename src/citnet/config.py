@@ -20,6 +20,7 @@ import difflib
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -149,6 +150,10 @@ SETTINGS = {
     "synth.ensemble_count": (20, _count(1)),
 }
 
+# each value of these lists makes rows, so none may repeat (a stage may)
+_DISTINCT = ("impact.years", "selfcite.rate_years", "jnet.windows",
+             "jnet.link_types", "synth.grid")
+
 
 def _defaults():
     """The resolved settings of an empty config, with lists of its own."""
@@ -196,8 +201,10 @@ class RunConfig:
         _check_keys("", self.raw)
         merged = _defaults()
         for key, value in self.raw.items():
-            if isinstance(value, dict) and isinstance(merged.get(key), dict):
-                merged[key].update(value)
+            # a null section (its keys all commented out) keeps its defaults
+            if (isinstance(merged.get(key), dict)
+                    and isinstance(value, (dict, type(None)))):
+                merged[key].update(value or {})
             else:
                 merged[key] = value
         if merged["threads"] is None:
@@ -313,10 +320,11 @@ def _matching_year_error(config):
 def _value_errors(resolved):
     """The errors of the settings that the stages or ``run_synth`` could
     not use: a setting of the table of another kind than its check's, a
-    setting without a default missing from its mapping, and a section
-    given as a non-mapping, under the section's name. A section that is
-    absent or null is not looked into. Then, when every synth setting is
-    of its kind, the errors of the synth section (``_synth_configs``)."""
+    setting of ``_DISTINCT`` that names a value twice, a setting without
+    a default missing from its mapping, and a section given as a
+    non-mapping, under the section's name. A mapping that is absent or
+    null is not looked into. Then, when every synth setting is of its
+    kind, the errors of the synth section (``_synth_configs``)."""
     errors = {}
     for key, (_default, (what, ok)) in SETTINGS.items():
         *path, leaf = key.split(".")
@@ -334,6 +342,12 @@ def _value_errors(resolved):
                 errors[key] = f"{key} missing from config"
             elif not ok(mapping[leaf]):
                 errors[key] = f"{key} must be {what}, not {mapping[leaf]!r}"
+            elif key in _DISTINCT and mapping[leaf] is not None:
+                repeated = [repr(value) for value, count
+                            in Counter(mapping[leaf]).items() if count > 1]
+                if repeated:
+                    errors[key] = (f"{key} names {', '.join(repeated)} "
+                                   f"more than once")
     if any(key.partition(".")[0] == "synth" for key in errors):
         return list(errors.values())
     return [*errors.values(), *_synth_configs(resolved["synth"])[2]]

@@ -117,9 +117,7 @@ class CitationGraph:
     """Papers as integer nodes, citations as the edges (src[e], dst[e]).
 
     Node arrays hold codes into ``journal_ids`` and ``publishers`` (-1:
-    journal or publisher unregistered). ``src`` and ``dst`` are int64
-    arrays in a corpus's graph and lists in a synthetic net, whose
-    ``dst`` the rewiring loop retargets in place.
+    journal or publisher unregistered); ``src`` and ``dst`` are int64.
     """
 
     journal_ids: list[str]            # journal code -> id
@@ -127,8 +125,8 @@ class CitationGraph:
     journal_of: np.ndarray            # node -> journal code
     publisher_of: np.ndarray          # node -> publisher code
     year_of: np.ndarray               # node -> publication year
-    src: np.ndarray | list[int]
-    dst: np.ndarray | list[int]
+    src: np.ndarray                   # edge -> citing node
+    dst: np.ndarray                   # edge -> cited node
 
     @property
     def n_nodes(self):

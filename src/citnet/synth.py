@@ -29,11 +29,11 @@ pool is one flat list of its papers followed by the current target of
 every link that cites one of them, so a uniform index into it weights
 every paper by 1 + its in-degree.
 
-Generated and rewired nets are the corpus's own integer
-``CitationGraph``: ``rewire`` starts from ``Corpus.graph`` and writes
-the retargeted links back into the input corpus's reference lists, and
-psi at every checkpoint is ``selfcite.solidarity_scores`` of the net,
-the function that scores a corpus's graph for ``solidarity.csv``.
+Generated nets are the corpus's own integer ``CitationGraph``, and the
+rewirer owns the edges it retargets: it copies a graph's edges into
+lists and never writes to the graph. ``rewire`` writes its targets back
+into the input corpus's reference lists, and psi at every checkpoint is
+``selfcite.solidarity_scores`` of the net with the rewirer's targets.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "rewire",
     "psi_scenarios",
     "psi_rewiring_experiment",
-    "publisher_psi_baseline",
     "RewireCurves",
     "DEFAULT_SPECIAL_RATES",
     "DEFAULT_CHECKPOINTS",
@@ -173,12 +172,13 @@ def _generate_network(config: SynthConfig, rng) -> CitationGraph:
     return CitationGraph(journal_ids=[j for js in publishers for j in js],
                          publishers=publishers, journal_of=journal_of,
                          publisher_of=publisher_of, year_of=year_of,
-                         src=src, dst=dst)
+                         src=np.array(src, dtype=np.int64),
+                         dst=np.array(dst, dtype=np.int64))
 
 
 def _materialize(net: CitationGraph, year_range) -> Corpus:
     refs_of: dict[int, list[int]] = {}
-    for s, t in zip(net.src, net.dst):
+    for s, t in zip(net.src.tolist(), net.dst.tolist()):
         refs_of.setdefault(s, []).append(t)
 
     def pid(v):
@@ -216,7 +216,7 @@ def generate_synthetic(config: SynthConfig) -> Corpus:
 
 
 class _Rewirer:
-    """Retargets links in seeded sweeps, one full pass per link count.
+    """Retargets a copy of a graph's links in seeded sweeps of every link.
 
     Publisher p's pool is one list: its nodes, then the current target of
     each edge in ``edges[p]``, the edges whose target lies in p, in that
@@ -234,7 +234,11 @@ class _Rewirer:
         unknown = sorted(set(rates) - set(net.journal_ids))
         if unknown:
             raise ValueError(f"special rates name unknown journals: {unknown}")
-        self.net = net
+        self.n = n = net.n_nodes
+        # one int object per node, not one per edge end as tolist makes
+        node = list(range(n)).__getitem__
+        self.src = list(map(node, net.src.tolist()))
+        self.dst = list(map(node, net.dst.tolist()))
         self.rng = rng
         self.edge_rate = np.array([rates.get(j, baseline)
                                    for j in net.journal_ids],
@@ -256,14 +260,13 @@ class _Rewirer:
             slot[edges] = np.arange(len(edges))
             edges = edges.tolist()
             self.edges.append(edges)
-            # net.dst's own int objects: the pools copy no targets
+            # self.dst's own int objects: the pools copy no targets
             self.pools.append(nodes[node_ptr[p]:node_ptr[p + 1]]
-                              + list(map(net.dst.__getitem__, edges)))
+                              + list(map(self.dst.__getitem__, edges)))
         self.slot = slot.tolist()
         self.others = [[q for q in range(p_count) if q != p]
                        for p in range(p_count)]
-        n = net.n_nodes
-        self.edge_set = {s * n + t for s, t in zip(net.src, net.dst)}
+        self.edge_set = {s * n + t for s, t in zip(self.src, self.dst)}
         # an endless stream of uniforms, drawn one block at a time
         self.uniform = chain.from_iterable(iter(
             lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)).__next__
@@ -273,7 +276,7 @@ class _Rewirer:
         self.steps_done = 0
 
     def _new_sweep(self):
-        order = self.rng.permutation(len(self.net.src))
+        order = self.rng.permutation(len(self.src))
         self._stay = (self.rng.random(len(order))
                       < self.edge_rate[order]).tolist()
         self._order = order.tolist()
@@ -291,10 +294,10 @@ class _Rewirer:
             steps -= take
 
     def _run(self, order: list[int], stay: list[bool]):
-        src, dst, pub = self.net.src, self.net.dst, self.pub
+        src, dst, pub = self.src, self.dst, self.pub
         pools, edges, slot = self.pools, self.edges, self.slot
         node_count, others_of = self.node_count, self.others
-        edge_set, uniform, n = self.edge_set, self.uniform, self.net.n_nodes
+        edge_set, uniform, n = self.edge_set, self.uniform, self.n
         total = n + len(dst)
         for e, stays in zip(order, stay):
             s, t_old = src[e], dst[e]
@@ -336,7 +339,7 @@ class _Rewirer:
         """Target after a first draw that was rejected (a self edge or a
         duplicate): the first of up to 99 more draws that is the old
         target or allowed, else the old target."""
-        uniform, edge_set, n = self.uniform, self.edge_set, self.net.n_nodes
+        uniform, edge_set, n = self.uniform, self.edge_set, self.n
         for _ in range(99):
             t = pool[int(uniform() * len(pool))]
             if t == t_old or (t != s and s * n + t not in edge_set):
@@ -364,16 +367,15 @@ def rewire(corpus: Corpus, config: RewireConfig, step_count: int) -> Corpus:
     if orphans.size:
         paper = corpus.papers[corpus.ids[orphans[0]]]
         raise ValueError(f"journal {paper.journal_id!r} has no publisher")
-    net = replace(graph, src=graph.src.tolist(), dst=graph.dst.tolist())
     rng = np.random.default_rng(config.seed)
-    rewirer = _Rewirer(net, dict(config.special_rates),
+    rewirer = _Rewirer(graph, dict(config.special_rates),
                        config.baseline_rate, rng)
     rewirer.advance(step_count)
 
     # the graph's edges are the references marked `edge`, in order
     row, code, edge, names = corpus.reference_codes
     code = code.copy()
-    code[edge] = net.dst
+    code[edge] = rewirer.dst
     cited = [names[c] for c in code.tolist()]
     pointer = csr_pointer(row, len(corpus.ids)).tolist()
     papers = {pid: replace(corpus.papers[pid],
@@ -452,6 +454,7 @@ def _ensemble_ratios(synth_config: SynthConfig, rewire_config: RewireConfig,
     m = len(net.src)
     for cp in checkpoints:
         rewirer.advance(int(round(cp * m)) - rewirer.steps_done)
+        net = replace(net, dst=np.array(rewirer.dst, dtype=np.int64))
         psi = _journal_psi(net)
         for k, jid in enumerate(specials):
             if psi[jid] is not None and base_psi[jid]:
@@ -493,25 +496,6 @@ def psi_rewiring_experiment(synth_config: SynthConfig,
             rows.append((cp, slot, rate, float(arr.mean()), float(arr.std())))
     return RewireCurves(checkpoints=checkpoints, slots=slots, rows=rows,
                         ratios=per_slot)
-
-
-def publisher_psi_baseline(synth_config: SynthConfig, ensemble_count: int
-                           ) -> dict[str, list[float]]:
-    """Per-publisher solidarity samples before any rewiring.
-
-    Returns publisher id -> flat list of journal psi values pooled over
-    the ensembles, for fairness checks between the generated components.
-    """
-    pools: dict[str, list[float]] = {}
-    for ens in range(ensemble_count):
-        rng = np.random.default_rng([synth_config.seed, ens])
-        net = _generate_network(synth_config, rng)
-        psi = _journal_psi(net)
-        for p, jids in enumerate(net.publishers):
-            for jid in sorted(jids):
-                if psi[jid] is not None:
-                    pools.setdefault(f"P{p + 1}", []).append(psi[jid])
-    return pools
 
 
 # ---------------------------------------------------------------------------

@@ -1217,6 +1217,7 @@ class _ScalarRewirer:
 
     def __init__(self, net, rates, baseline, rng):
         self.net = net
+        self.src, self.dst = net.src.tolist(), net.dst.tolist()
         self.rng = rng
         self.rate_of = np.array([rates.get(j, baseline)
                                  for j in net.journal_ids],
@@ -1225,9 +1226,9 @@ class _ScalarRewirer:
         self.pools = [_OccurrenceSampler() for _ in range(p_count)]
         for v in range(net.n_nodes):
             self.pools[net.publisher_of[v]].add(v)
-        for t in net.dst:
+        for t in self.dst:
             self.pools[net.publisher_of[t]].add(t)
-        self.edge_set = set(zip(net.src, net.dst))
+        self.edge_set = set(zip(self.src, self.dst))
         self._order = np.empty(0, dtype=np.int64)
         self._cursor = 0
         self.steps_done = 0
@@ -1245,8 +1246,8 @@ class _ScalarRewirer:
 
     def _rewire_edge(self, e):
         net = self.net
-        s = net.src[e]
-        t_old = net.dst[e]
+        s = self.src[e]
+        t_old = self.dst[e]
         own = int(net.publisher_of[s])
         stay = float(self.rng.random()) < self.rate_of[s]
         pool = self.pools[own] if stay else self._pick_pool(own)
@@ -1258,13 +1259,13 @@ class _ScalarRewirer:
                 continue
             self.edge_set.discard((s, t_old))
             self.edge_set.add((s, t_new))
-            net.dst[e] = t_new
+            self.dst[e] = t_new
             self.pools[net.publisher_of[t_old]].remove_one(t_old)
             self.pools[net.publisher_of[t_new]].add(t_new)
             return
 
     def advance(self, steps):
-        m = len(self.net.src)
+        m = len(self.src)
         for _ in range(steps):
             if self._cursor >= len(self._order):
                 self._order = self.rng.permutation(m)
@@ -1277,9 +1278,9 @@ class _ScalarRewirer:
 def rewire_reference(net, rates, baseline, rng):
     """The rewiring process of ``synth`` with one ``rng.random`` or
     ``rng.integers`` call per decision: a stay draw per step, a pool draw
-    per cross-publisher step and a target draw per attempt. ``net.src``
-    and ``net.dst`` are lists; ``advance(steps)`` retargets ``net.dst``
-    in place."""
+    per cross-publisher step and a target draw per attempt. The rewirer
+    copies the net's edges into its own ``src`` and ``dst`` lists;
+    ``advance(steps)`` retargets ``dst`` in place."""
     return _ScalarRewirer(net, rates, baseline, rng)
 
 
@@ -1296,7 +1297,8 @@ class _EdgePoolRewirer:
     draws as ``int(u * size)`` from blocks of ``_UNIFORM_BLOCK``."""
 
     def __init__(self, net, rates, baseline, rng):
-        self.net = net
+        self.n = net.n_nodes
+        self.src, self.dst = net.src.tolist(), net.dst.tolist()
         self.rng = rng
         self.edge_rate = np.array([rates.get(j, baseline)
                                    for j in net.journal_ids],
@@ -1307,14 +1309,14 @@ class _EdgePoolRewirer:
         for v, p in enumerate(self.pub):
             self.nodes[p].append(v)
         self.edges = [[] for _ in range(p_count)]
-        self.slot = [0] * len(net.dst)
-        for e, t in enumerate(net.dst):
+        self.slot = [0] * len(self.dst)
+        for e, t in enumerate(self.dst):
             pool = self.edges[self.pub[t]]
             self.slot[e] = len(pool)
             pool.append(e)
         self.size = [len(a) + len(b) for a, b in zip(self.nodes, self.edges)]
-        n = net.n_nodes
-        self.edge_set = {s * n + t for s, t in zip(net.src, net.dst)}
+        n = self.n
+        self.edge_set = {s * n + t for s, t in zip(self.src, self.dst)}
         self._uniforms = []
         self._order = []
         self._stay = []
@@ -1329,7 +1331,7 @@ class _EdgePoolRewirer:
     def advance(self, steps):
         for _ in range(steps):
             if self._cursor == len(self._order):
-                order = self.rng.permutation(len(self.net.src))
+                order = self.rng.permutation(len(self.src))
                 self._stay = (self.rng.random(len(order))
                               < self.edge_rate[order]).tolist()
                 self._order = order.tolist()
@@ -1339,9 +1341,9 @@ class _EdgePoolRewirer:
             self.steps_done += 1
 
     def _step(self, e, stays):
-        src, dst, pub = self.net.src, self.net.dst, self.pub
+        src, dst, pub = self.src, self.dst, self.pub
         nodes, edges, slot, size = self.nodes, self.edges, self.slot, self.size
-        n = self.net.n_nodes
+        n = self.n
         s, t_old = src[e], dst[e]
         p = own = pub[s]
         if not stays:
@@ -1382,8 +1384,9 @@ class _EdgePoolRewirer:
 
 def pool_rewirer_reference(net, rates, baseline, rng):
     """The rewiring process of ``synth`` on the same random stream, with
-    pools of edge ids and one step at a time. ``net.src`` and ``net.dst``
-    are lists; ``advance(steps)`` retargets ``net.dst`` in place."""
+    pools of edge ids and one step at a time. The rewirer copies the
+    net's edges into its own ``src`` and ``dst`` lists; ``advance(steps)``
+    retargets ``dst`` in place."""
     return _EdgePoolRewirer(net, rates, baseline, rng)
 
 
@@ -1438,6 +1441,40 @@ def generate_network_reference(config, rng):
         pool.extend([v] * base_weight)
     return GeneratedNet(publisher_of, journal_of, year_of, src, dst, capped)
 
+
+
+def publisher_psi_baseline(config, ensemble_count):
+    """Per-publisher solidarity samples of the rewiring experiment's
+    nets before any rewiring: publisher id -> the psi of its journals in
+    id order, pooled over the nets of ``(config.seed, ens)`` for each
+    ensemble, undefined scores left out. Each net is
+    ``generate_network_reference``'s, each psi ``psi_reference`` on the
+    net's journal-pair count table."""
+    from citnet.selfcite import CitationCounts
+
+    jpp = config.journals_per_publisher
+    if jpp < 2:
+        return {}       # a one-journal publisher's journal is excluded
+    ids = [f"P{p + 1}-J{j + 1}" for p in range(config.publisher_count)
+           for j in range(jpp)]
+    pools = {}
+    for ens in range(ensemble_count):
+        net = generate_network_reference(
+            config, np.random.default_rng([config.seed, ens]))
+        journal_of = net.journal_of.tolist()
+        table = CitationCounts.from_counts(Counter(
+            (ids[journal_of[s]], ids[journal_of[t]])
+            for s, t in zip(net.src, net.dst)))
+        papers = Counter(journal_of)
+        for p in range(config.publisher_count):
+            codes = range(p * jpp, (p + 1) * jpp)
+            members = [ids[c] for c in codes]
+            paper_total = sum(papers[c] for c in codes)
+            for jid in sorted(members):
+                psi = psi_reference(table, jid, members, paper_total).psi
+                if psi is not None:
+                    pools.setdefault(f"P{p + 1}", []).append(psi)
+    return pools
 
 # -- heavy-tail exponent ----------------------------------------------------
 

@@ -27,15 +27,15 @@ from citnet.pipeline import load_config, run_pipeline
 from citnet.selfcite import (CitationCounts, aggregate_citation_counts,
                              psi_from_counts, share)
 from citnet.synth import (RewireConfig, SynthConfig, generate_synthetic,
-                          psi_rewiring_experiment, psi_scenarios,
-                          publisher_psi_baseline)
+                          psi_rewiring_experiment, psi_scenarios)
 
 from conftest import make_corpus, write_pipeline_config
 from oracles import (agglomerate_oracle, betweenness_oracle,
                      disruption_oracle, harmonic_closeness_oracle,
                      issn_valid_oracle, pagerank_oracle, paper_counts_reference,
                      paper_similarity, pathcore_oracle,
-                     publisher_journals_reference, random_digraph)
+                     publisher_journals_reference, publisher_psi_baseline,
+                     random_digraph)
 
 ACCEPT_SEED = 11
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import sys
@@ -6,9 +7,15 @@ from pathlib import Path
 import pytest
 import yaml
 
+from citnet.authors import SimilarityWeights
 from citnet.cli import main as cli_main
 from citnet.config import SETTINGS
+from citnet.corpus import DEFAULT_YEAR_RANGE
+from citnet.impact import build_normalization_table
+from citnet.matching import build_registry
+from citnet.novelty import ShuffleConfig
 from citnet.pipeline import ConfigError, RunConfig, config_hash, load_config
+from citnet.synth import RewireConfig, SynthConfig
 
 from conftest import PIPELINE_CONFIG, write_pipeline_config
 
@@ -195,6 +202,103 @@ def test_validate_names_a_misshapen_setting_without_raising(
     commands = ("validate", "run", "synth") + (
         () if key == "stages" else ("match", "net"))
     _assert_refused(tmp_path, config_path, message, commands)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("impact.years", [2001, 2002, 2001], "impact.years names 2001 more than "
+     "once"),
+    ("selfcite.rate_years", [2001, 2001], "selfcite.rate_years names 2001 "
+     "more than once"),
+    ("jnet.windows", [2, 1, 2], "jnet.windows names 2 more than once"),
+    ("jnet.link_types", ["citation", "reference", "citation"],
+     "jnet.link_types names 'citation' more than once"),
+    ("synth.grid", [0, 10, 0.0, 10], "synth.grid names 0, 10 more than once"),
+])
+def test_a_list_setting_names_each_value_once(tmp_path, pipeline_files, key,
+                                              value, message):
+    config_path = _write_config(tmp_path, pipeline_files, key, value)
+    assert load_config(config_path).validate() == [message]
+    _assert_refused(tmp_path, config_path, message,
+                    ("validate", "run", "match", "net", "synth"))
+
+
+def test_a_repeated_stage_is_accepted(tmp_path, pipeline_files):
+    config_path = _write_config(tmp_path, pipeline_files, "stages",
+                                ["impact", "impact"])
+    assert load_config(config_path).validate() == []
+
+
+def _without(config_path, section):
+    """A copy of the config at ``config_path`` without ``section``."""
+    raw = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+    raw.pop(section, None)
+    path = config_path.with_name(f"no-{section}.yaml")
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return path
+
+
+def test_a_null_synth_section_validates_like_an_absent_one(tmp_path,
+                                                           pipeline_files):
+    config_path = write_pipeline_config(tmp_path, pipeline_files,
+                                        tmp_path / "o", extra={"synth": None})
+    null, absent = (load_config(path) for path in
+                    (config_path, _without(config_path, "synth")))
+    assert null.validate() == absent.validate() == []
+    assert null["synth"] == absent["synth"]
+
+
+def test_a_null_novelty_section_runs_at_its_defaults(tmp_path,
+                                                     pipeline_files):
+    """A section written with all of its keys commented out is null in
+    YAML: it means the section's defaults, as an absent one does."""
+    config_path = write_pipeline_config(
+        tmp_path, pipeline_files, tmp_path / "null",
+        extra={"novelty": None, "stages": ["novelty"]})
+    absent = _without(config_path, "novelty")
+    assert config_hash(load_config(config_path)) == \
+        config_hash(load_config(absent))
+    assert cli_main(["run", "--config", str(config_path)]) == 0
+    assert cli_main(["run", "--config", str(absent),
+                     "--out", str(tmp_path / "absent")]) == 0
+    assert (tmp_path / "null" / "novelty.csv").read_bytes() == \
+        (tmp_path / "absent" / "novelty.csv").read_bytes()
+
+
+def _parameter_default(function, name):
+    return inspect.signature(function).parameters[name].default
+
+
+# each setting whose default is also a library default, and that default
+LIBRARY_DEFAULTS = {
+    "year_range": DEFAULT_YEAR_RANGE,
+    "seed": ShuffleConfig().seed,
+    "impact.reference_year": _parameter_default(build_normalization_table,
+                                                "reference_year"),
+    "matching.impact_kind": _parameter_default(build_registry,
+                                               "impact_kind"),
+    "novelty.ensemble_count": ShuffleConfig().ensemble_count,
+    "novelty.swaps_per_edge": ShuffleConfig().swaps_per_edge,
+    "novelty.collapse_multiplicity": ShuffleConfig().collapse_multiplicity,
+    "authors.pair_threshold": SimilarityWeights().pair_threshold,
+    "authors.group_threshold": SimilarityWeights().group_threshold,
+    "synth.journals_per_publisher": SynthConfig().journals_per_publisher,
+    "synth.component_size_range": SynthConfig().component_size_range,
+    "synth.out_degree_mean": SynthConfig().out_degree_mean,
+    "synth.out_degree_std": SynthConfig().out_degree_std,
+    "synth.in_degree_exponent": SynthConfig().in_degree_exponent,
+    "synth.baseline_rate": RewireConfig().baseline_rate,
+    "synth.rewire_fraction": RewireConfig().rewire_fraction,
+    "synth.ensemble_count": RewireConfig().ensemble_count,
+}
+
+
+@pytest.mark.parametrize("key", list(LIBRARY_DEFAULTS))
+def test_setting_default_equals_the_library_default(key):
+    default = SETTINGS[key][0]
+    if isinstance(default, list):
+        default = tuple(default)
+    assert default == LIBRARY_DEFAULTS[key]
+    assert type(default) is type(LIBRARY_DEFAULTS[key])
 
 
 def test_readme_lists_every_setting():

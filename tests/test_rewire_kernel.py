@@ -60,6 +60,13 @@ def test_generated_network_is_pinned(seed, edges, expected):
     assert digest(net) == expected
 
 
+def test_generated_network_holds_int64_arrays():
+    net = tiny_net()
+    for values in (net.src, net.dst):
+        assert isinstance(values, np.ndarray) and values.dtype == np.int64
+    assert len(net.src) == len(net.dst) > 0
+
+
 def default_rewirer(net, rng, make=_Rewirer):
     """The rewirer of the default experiment: the default special rates
     dealt with ``rng``, which then drives the rewiring."""
@@ -69,9 +76,9 @@ def default_rewirer(net, rng, make=_Rewirer):
 
 def test_rewired_stream_is_pinned():
     net = _generate_network(SynthConfig(seed=1), np.random.default_rng(1))
-    default_rewirer(net, np.random.default_rng(1)).advance(
-        round(3.0 * len(net.src)))
-    assert hashlib.sha256(np.asarray(net.dst, dtype="<i8").tobytes()
+    rewirer = default_rewirer(net, np.random.default_rng(1))
+    rewirer.advance(round(3.0 * len(net.src)))
+    assert hashlib.sha256(np.asarray(rewirer.dst, dtype="<i8").tobytes()
                           ).hexdigest() == (
         "d9ede0391b53a0d2540e1072be3704b2936bbc2849c1cac08318c16db2ff712b")
 
@@ -96,8 +103,8 @@ def test_generator_equals_per_attempt_reference(config):
     net = _generate_network(config, np.random.default_rng(config.seed))
     ref = generate_network_reference(config,
                                      np.random.default_rng(config.seed))
-    assert net.src == ref.src
-    assert net.dst == ref.dst
+    assert net.src.tolist() == ref.src
+    assert net.dst.tolist() == ref.dst
     assert np.array_equal(net.journal_of, ref.journal_of)
     assert np.array_equal(net.year_of, ref.year_of)
     if config.publisher_count == 1:
@@ -117,28 +124,39 @@ def one_publisher_net():
     pytest.param(one_publisher_net, {}, BASELINE, id="one-publisher"),
 ])
 def test_rewirer_equals_edge_pool_reference(make_net, rates, baseline):
-    nets = [make_net() for _ in range(3)]
-    split = _Rewirer(nets[0], rates, baseline, np.random.default_rng(11))
-    ref = pool_rewirer_reference(nets[1], rates, baseline,
+    net = make_net()
+    split = _Rewirer(net, rates, baseline, np.random.default_rng(11))
+    ref = pool_rewirer_reference(net, rates, baseline,
                                  np.random.default_rng(11))
     for steps in (0, 7, 1, 300, 250, 400):
         split.advance(steps)
         ref.advance(steps)
-        assert nets[0].dst == nets[1].dst
-    whole = _Rewirer(nets[2], rates, baseline, np.random.default_rng(11))
+        assert split.dst == ref.dst
+    whole = _Rewirer(net, rates, baseline, np.random.default_rng(11))
     whole.advance(ref.steps_done)
-    assert nets[2].dst == nets[1].dst
+    assert whole.dst == ref.dst
     assert split.edge_set == whole.edge_set == ref.edge_set
-    assert nets[1].dst != make_net().dst
+    assert ref.dst != make_net().dst.tolist()
 
 
 def test_rewirer_equals_edge_pool_reference_on_default_net():
-    nets = [_generate_network(SynthConfig(seed=1), np.random.default_rng(1))
-            for _ in range(2)]
-    for net, make in zip(nets, (_Rewirer, pool_rewirer_reference)):
-        default_rewirer(net, np.random.default_rng(2), make).advance(
-            3 * len(net.src))
-    assert nets[0].dst == nets[1].dst
+    net = _generate_network(SynthConfig(seed=1), np.random.default_rng(1))
+    rewirers = [default_rewirer(net, np.random.default_rng(2), make)
+                for make in (_Rewirer, pool_rewirer_reference)]
+    for rewirer in rewirers:
+        rewirer.advance(3 * len(net.src))
+    assert rewirers[0].dst == rewirers[1].dst
+
+
+@pytest.mark.parametrize("make", [_Rewirer, pool_rewirer_reference,
+                                  rewire_reference])
+def test_rewirer_leaves_its_input_graph_unchanged(make):
+    net = tiny_net()
+    src, dst = net.src.copy(), net.dst.copy()
+    rewirer = make(net, RATES, BASELINE, np.random.default_rng(11))
+    rewirer.advance(3 * len(src))
+    assert rewirer.dst != dst.tolist()
+    assert np.array_equal(net.src, src) and np.array_equal(net.dst, dst)
 
 
 def first_step_law(net, rates, baseline):
@@ -151,7 +169,7 @@ def first_step_law(net, rates, baseline):
     targets by 1 + in-degree until one is allowed (a move) or is the old
     target (a no-op), at most 100 times.
     """
-    src, dst = list(net.src), list(net.dst)
+    src, dst = net.src.tolist(), net.dst.tolist()
     m, n = len(src), net.n_nodes
     pub = net.publisher_of.tolist()
     weight = (1 + np.bincount(dst, minlength=n)).tolist()
@@ -187,11 +205,12 @@ def first_step_law(net, rates, baseline):
 
 
 def first_step_outcome(make, net, seed):
-    fresh = replace(net, dst=list(net.dst))
-    make(fresh, RATES, BASELINE, np.random.default_rng(seed)).advance(1)
-    moved = [e for e, (a, b) in enumerate(zip(net.dst, fresh.dst)) if a != b]
+    rewirer = make(net, RATES, BASELINE, np.random.default_rng(seed))
+    rewirer.advance(1)
+    moved = [e for e, (a, b) in enumerate(zip(net.dst.tolist(), rewirer.dst))
+             if a != b]
     assert len(moved) <= 1
-    return (moved[0], fresh.dst[moved[0]]) if moved else None
+    return (moved[0], rewirer.dst[moved[0]]) if moved else None
 
 
 def assert_within_4_sigma(law, counts, trials, label):
@@ -247,34 +266,34 @@ def test_first_step_follows_the_model_law(make):
 @pytest.mark.parametrize("make", REWIRERS)
 @pytest.mark.parametrize("a, b", [(0, 50), (7, 1), (1, 300), (250, 400)])
 def test_split_advance_equals_one_advance(make, a, b):
-    nets = [tiny_net(), tiny_net()]
-    split = make(nets[0], RATES, BASELINE, np.random.default_rng(11))
+    net = tiny_net()
+    split = make(net, RATES, BASELINE, np.random.default_rng(11))
     split.advance(a)
     split.advance(b)
-    whole = make(nets[1], RATES, BASELINE, np.random.default_rng(11))
+    whole = make(net, RATES, BASELINE, np.random.default_rng(11))
     whole.advance(a + b)
     assert split.steps_done == whole.steps_done == a + b
-    assert nets[0].dst == nets[1].dst
-    assert nets[0].dst != tiny_net().dst
+    assert split.dst == whole.dst
+    assert split.dst != net.dst.tolist()
 
 
 def test_pools_track_the_current_targets():
     net = tiny_net()
     rewirer = _Rewirer(net, RATES, BASELINE, np.random.default_rng(3))
-    m, n = len(net.src), net.n_nodes
+    src, dst = net.src.tolist(), rewirer.dst
+    m, n = len(src), net.n_nodes
     pub = net.publisher_of.tolist()
     for _ in range(4):
         rewirer.advance(m // 2 + 3)
         for p, edges in enumerate(rewirer.edges):
             assert sorted(edges) == [e for e in range(m)
-                                     if pub[net.dst[e]] == p]
+                                     if pub[dst[e]] == p]
             assert all(rewirer.slot[e] == i for i, e in enumerate(edges))
             nodes = [v for v in range(n) if pub[v] == p]
             pool, node_count = rewirer.pools[p], rewirer.node_count[p]
             assert node_count == len(nodes) and pool[:node_count] == nodes
             assert len(pool) == node_count + len(edges)
-            assert pool[node_count:] == [net.dst[e] for e in edges]
-        assert rewirer.edge_set == {s * n + t
-                                    for s, t in zip(net.src, net.dst)}
+            assert pool[node_count:] == [dst[e] for e in edges]
+        assert rewirer.edge_set == {s * n + t for s, t in zip(src, dst)}
         assert len(rewirer.edge_set) == m
-        assert all(s != t for s, t in zip(net.src, net.dst))
+        assert all(s != t for s, t in zip(src, dst))

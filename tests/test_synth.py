@@ -292,6 +292,7 @@ def test_experiment_psi_is_the_corpus_psi():
     rewirer = _Rewirer(net, {"P1-J1": 0.9, "P3-J3": 0.5}, 0.2,
                        np.random.default_rng(3))
     rewirer.advance(len(net.src))       # checkpoint 1.0
+    net = replace(net, dst=np.array(rewirer.dst))
     psi = _journal_psi(net)
 
     corpus = _materialize(net, config.year_range)
